@@ -99,6 +99,11 @@ impl<M> fmt::Debug for Expectation<M> {
 pub struct FailureDetector<M> {
     me: ProcessId,
     expectations: Vec<Expectation<M>>,
+    /// The earliest deadline among unexpired expectations, kept equal to
+    /// [`FailureDetector::scan_deadline`] by every mutator: lowered when an
+    /// expectation is issued, rescanned only when the expectation holding
+    /// it is met, expires or is cancelled.
+    next_deadline: Option<SimTime>,
     timeouts: Vec<TimeoutPolicy>,
     adaptive: bool,
     detected: ProcessSet,
@@ -113,6 +118,7 @@ impl<M> FailureDetector<M> {
         FailureDetector {
             me,
             expectations: Vec::new(),
+            next_deadline: None,
             timeouts: (0..n)
                 .map(|_| TimeoutPolicy::new(cfg.initial_timeout, cfg.timeout_cap))
                 .collect(),
@@ -164,9 +170,11 @@ impl<M> FailureDetector<M> {
     ) {
         self.stats.expectations_issued += 1;
         let timeout = self.timeouts[from.index()].current().max(min_timeout);
+        let deadline = now + timeout;
+        self.next_deadline = Some(self.next_deadline.map_or(deadline, |d| d.min(deadline)));
         self.expectations.push(Expectation {
             from,
-            deadline: now + timeout,
+            deadline,
             expired: false,
             label,
             pred: Box::new(pred),
@@ -180,6 +188,7 @@ impl<M> FailureDetector<M> {
     pub fn cancel_all(&mut self, _now: SimTime) -> Vec<FdOutput<M>> {
         self.stats.expectations_cancelled += self.expectations.len() as u64;
         self.expectations.clear();
+        self.next_deadline = None;
         self.publish_if_changed()
     }
 
@@ -194,10 +203,14 @@ impl<M> FailureDetector<M> {
     pub fn on_receive(&mut self, _now: SimTime, from: ProcessId, msg: M) -> Vec<FdOutput<M>> {
         let mut late_match = false;
         let mut met = 0u64;
+        let mut met_earliest = false;
+        let earliest = self.next_deadline;
         self.expectations.retain(|e| {
             if e.from == from && (e.pred)(&msg) {
                 if e.expired {
                     late_match = true;
+                } else if Some(e.deadline) == earliest {
+                    met_earliest = true;
                 }
                 met += 1;
                 false
@@ -206,6 +219,9 @@ impl<M> FailureDetector<M> {
             }
         });
         self.stats.expectations_met += met;
+        if met_earliest {
+            self.next_deadline = self.scan_deadline();
+        }
         if self.adaptive {
             if late_match {
                 self.timeouts[from.index()].back_off();
@@ -222,6 +238,35 @@ impl<M> FailureDetector<M> {
     /// publishes the new suspicion set if it changed. The host should call
     /// this at (or after) [`FailureDetector::next_deadline`].
     pub fn poll(&mut self, now: SimTime) -> Vec<FdOutput<M>> {
+        // Nothing is due: no expectation expires, and every mutator has
+        // already published its own change, so there is nothing to report.
+        if self.next_deadline.is_none_or(|d| d > now) {
+            return Vec::new();
+        }
+        let mut earliest = None;
+        for e in &mut self.expectations {
+            if e.expired {
+                continue;
+            }
+            if e.deadline <= now {
+                e.expired = true;
+                self.stats.expectations_expired += 1;
+                *self.stats.expired_by_label.entry(e.label).or_insert(0) += 1;
+                if self.stats.expiry_log.len() < 256 {
+                    self.stats.expiry_log.push((now, e.from, e.label));
+                }
+            } else if earliest.is_none_or(|d| e.deadline < d) {
+                earliest = Some(e.deadline);
+            }
+        }
+        self.next_deadline = earliest;
+        self.publish_if_changed()
+    }
+
+    /// `poll` as it was before the deadline was cached: visits every
+    /// expectation and always re-derives the suspicion set. Test oracle.
+    #[cfg(test)]
+    fn poll_scanning(&mut self, now: SimTime) -> Vec<FdOutput<M>> {
         for e in &mut self.expectations {
             if !e.expired && e.deadline <= now {
                 e.expired = true;
@@ -232,6 +277,7 @@ impl<M> FailureDetector<M> {
                 }
             }
         }
+        self.next_deadline = self.scan_deadline();
         self.publish_if_changed()
     }
 
@@ -249,6 +295,11 @@ impl<M> FailureDetector<M> {
     /// instant at which [`FailureDetector::poll`] could change the
     /// suspicion set.
     pub fn next_deadline(&self) -> Option<SimTime> {
+        self.next_deadline
+    }
+
+    /// [`FailureDetector::next_deadline`] recomputed from the expectations.
+    fn scan_deadline(&self) -> Option<SimTime> {
         self.expectations
             .iter()
             .filter(|e| !e.expired)
@@ -501,6 +552,99 @@ mod tests {
         fd.on_receive(t(0), ProcessId(2), "x");
         assert_eq!(fd.pending_expectations(), 0);
         assert_eq!(fd.stats().expectations_met, 2);
+    }
+
+    mod cached_deadline {
+        use super::*;
+        use proptest::prelude::*;
+
+        #[derive(Clone, Debug)]
+        enum Op {
+            Expect(u32, u8),
+            ExpectMin(u32, u8, u64),
+            Receive(u32, u8),
+            /// Advance the clock by this many 250µs quarters, then poll —
+            /// zero re-polls the same instant, four lands exactly on an
+            /// initial 1ms deadline.
+            Poll(u64),
+            Cancel,
+            Detected(u32),
+        }
+
+        fn op() -> impl Strategy<Value = Op> {
+            prop_oneof![
+                (2u32..=4, 0u8..3).prop_map(|(p, m)| Op::Expect(p, m)),
+                (2u32..=4, 0u8..3, 0u64..6).prop_map(|(p, m, q)| Op::ExpectMin(p, m, q)),
+                (2u32..=4, 0u8..3).prop_map(|(p, m)| Op::Receive(p, m)),
+                (2u32..=4, 0u8..3).prop_map(|(p, m)| Op::Receive(p, m)),
+                (0u64..7).prop_map(Op::Poll),
+                (0u64..7).prop_map(Op::Poll),
+                Just(Op::Cancel),
+                (2u32..=4).prop_map(Op::Detected),
+            ]
+        }
+
+        /// Outputs in comparable form (`FdOutput` holds no `PartialEq`).
+        fn view(out: Vec<FdOutput<u8>>) -> Vec<String> {
+            out.iter().map(|o| format!("{o:?}")).collect()
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// Two detectors take the same operations; one polls through the
+            /// cached deadline, the other through the scan it replaced. After
+            /// every step the cache equals a fresh scan, and outputs, stats
+            /// and `suspicion_changed` records never differ.
+            #[test]
+            fn cache_equals_scan_and_poll_equals_scanning_poll(
+                ops in proptest::collection::vec(op(), 0..80),
+            ) {
+                let (cached_sink, scanned_sink) = (TraceSink::unbounded(), TraceSink::unbounded());
+                let mut cached: FailureDetector<u8> =
+                    FailureDetector::new(ProcessId(1), 4, FdConfig::default());
+                let mut scanned: FailureDetector<u8> =
+                    FailureDetector::new(ProcessId(1), 4, FdConfig::default());
+                cached.set_trace_sink(cached_sink.clone());
+                scanned.set_trace_sink(scanned_sink.clone());
+                let mut now = SimTime::ZERO;
+                for op in ops {
+                    let quarter = SimDuration::micros(250);
+                    let (a, b) = match op {
+                        Op::Expect(p, m) => {
+                            cached.expect(now, ProcessId(p), "m", move |x| *x == m);
+                            scanned.expect(now, ProcessId(p), "m", move |x| *x == m);
+                            (Vec::new(), Vec::new())
+                        }
+                        Op::ExpectMin(p, m, q) => {
+                            let min = quarter.saturating_mul(q);
+                            cached.expect_with_min(now, ProcessId(p), min, "min", move |x| *x == m);
+                            scanned.expect_with_min(now, ProcessId(p), min, "min", move |x| *x == m);
+                            (Vec::new(), Vec::new())
+                        }
+                        Op::Receive(p, m) => (
+                            cached.on_receive(now, ProcessId(p), m),
+                            scanned.on_receive(now, ProcessId(p), m),
+                        ),
+                        Op::Poll(quarters) => {
+                            now += quarter.saturating_mul(quarters);
+                            (cached.poll(now), scanned.poll_scanning(now))
+                        }
+                        Op::Cancel => (cached.cancel_all(now), scanned.cancel_all(now)),
+                        Op::Detected(p) => (
+                            cached.detected(now, ProcessId(p)),
+                            scanned.detected(now, ProcessId(p)),
+                        ),
+                    };
+                    prop_assert_eq!(view(a), view(b));
+                    prop_assert_eq!(cached.next_deadline(), cached.scan_deadline());
+                    prop_assert_eq!(cached.next_deadline(), scanned.next_deadline());
+                    prop_assert_eq!(cached.suspected_set(), scanned.suspected_set());
+                    prop_assert_eq!(cached.stats(), scanned.stats());
+                }
+                prop_assert_eq!(cached_sink.export_jsonl(), scanned_sink.export_jsonl());
+            }
+        }
     }
 
     #[test]

@@ -32,6 +32,7 @@
 //!    reference a slot below *b* (nothing references a
 //!    garbage-collected slot).
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
@@ -41,38 +42,19 @@ use crate::event::{TraceEvent, TraceRecord};
 // JSONL parsing
 // ---------------------------------------------------------------------------
 
-/// A parsed flat JSON value — exactly the subset the writer emits.
-enum Val {
+/// A parsed flat JSON value — exactly the subset the writer emits. A
+/// string borrows from the input line unless it contains an escape.
+enum Val<'a> {
     U64(u64),
-    Str(String),
+    Str(Cow<'a, str>),
     Arr(Vec<u32>),
 }
 
-impl Val {
-    fn as_u64(&self) -> Option<u64> {
-        match self {
-            Val::U64(v) => Some(*v),
-            _ => None,
-        }
-    }
-    fn as_u32(&self) -> Option<u32> {
-        self.as_u64().and_then(|v| u32::try_from(v).ok())
-    }
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Val::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-    fn as_arr(&self) -> Option<&[u32]> {
-        match self {
-            Val::Arr(a) => Some(a),
-            _ => None,
-        }
-    }
-}
+/// One `"key":value` pair of a record, in input order.
+type Field<'a> = (Cow<'a, str>, Val<'a>);
 
 struct Cursor<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -118,13 +100,25 @@ impl<'a> Cursor<'a> {
         Ok(v)
     }
 
-    fn parse_string(&mut self) -> Result<String, String> {
+    fn parse_string(&mut self) -> Result<Cow<'a, str>, String> {
         self.expect(b'"')?;
-        let mut s = String::new();
+        let start = self.pos;
+        // Up to the first escape the string is a span of the input (both
+        // ends sit next to an ASCII byte, so on character boundaries).
         loop {
             match self.bump() {
                 None => return Err("unterminated string".into()),
-                Some(b'"') => return Ok(s),
+                Some(b'"') => return Ok(Cow::Borrowed(&self.text[start..self.pos - 1])),
+                Some(b'\\') => break,
+                Some(_) => {}
+            }
+        }
+        self.pos -= 1;
+        let mut s = String::from(&self.text[start..self.pos]);
+        loop {
+            match self.bump() {
+                None => return Err("unterminated string".into()),
+                Some(b'"') => return Ok(Cow::Owned(s)),
                 Some(b'\\') => match self.bump() {
                     Some(b'"') => s.push('"'),
                     Some(b'\\') => s.push('\\'),
@@ -165,7 +159,7 @@ impl<'a> Cursor<'a> {
         }
     }
 
-    fn parse_value(&mut self) -> Result<Val, String> {
+    fn parse_value(&mut self) -> Result<Val<'a>, String> {
         match self.peek() {
             Some(b'"') => Ok(Val::Str(self.parse_string()?)),
             Some(b'[') => {
@@ -200,12 +194,13 @@ impl<'a> Cursor<'a> {
         }
     }
 
-    fn parse_object(&mut self) -> Result<Vec<(String, Val)>, String> {
+    /// Appends the object's fields to `fields` (the caller's scratch
+    /// vector, reused from line to line).
+    fn parse_object(&mut self, fields: &mut Vec<Field<'a>>) -> Result<(), String> {
         self.expect(b'{')?;
-        let mut fields = Vec::new();
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(fields);
+            return Ok(());
         }
         loop {
             let key = self.parse_string()?;
@@ -214,7 +209,7 @@ impl<'a> Cursor<'a> {
             fields.push((key, val));
             match self.bump() {
                 Some(b',') => continue,
-                Some(b'}') => return Ok(fields),
+                Some(b'}') => return Ok(()),
                 other => {
                     return Err(format!(
                         "expected ',' or '}}' in object, got {:?}",
@@ -226,7 +221,7 @@ impl<'a> Cursor<'a> {
     }
 }
 
-fn field<'a>(fields: &'a [(String, Val)], key: &str, line: usize) -> Result<&'a Val, String> {
+fn field<'f, 'a>(fields: &'f [Field<'a>], key: &str, line: usize) -> Result<&'f Val<'a>, String> {
     fields
         .iter()
         .find(|(k, _)| k == key)
@@ -234,30 +229,37 @@ fn field<'a>(fields: &'a [(String, Val)], key: &str, line: usize) -> Result<&'a 
         .ok_or_else(|| format!("line {line}: missing field \"{key}\""))
 }
 
-fn u64_field(fields: &[(String, Val)], key: &str, line: usize) -> Result<u64, String> {
-    field(fields, key, line)?
-        .as_u64()
-        .ok_or_else(|| format!("line {line}: field \"{key}\" is not a number"))
+fn u64_field(fields: &[Field<'_>], key: &str, line: usize) -> Result<u64, String> {
+    match field(fields, key, line)? {
+        Val::U64(v) => Ok(*v),
+        _ => Err(format!("line {line}: field \"{key}\" is not a number")),
+    }
 }
 
-fn u32_field(fields: &[(String, Val)], key: &str, line: usize) -> Result<u32, String> {
-    field(fields, key, line)?
-        .as_u32()
-        .ok_or_else(|| format!("line {line}: field \"{key}\" is not a u32"))
+fn u32_field(fields: &[Field<'_>], key: &str, line: usize) -> Result<u32, String> {
+    match field(fields, key, line)? {
+        Val::U64(v) => u32::try_from(*v).ok(),
+        _ => None,
+    }
+    .ok_or_else(|| format!("line {line}: field \"{key}\" is not a u32"))
 }
 
-fn str_field(fields: &[(String, Val)], key: &str, line: usize) -> Result<String, String> {
-    Ok(field(fields, key, line)?
-        .as_str()
-        .ok_or_else(|| format!("line {line}: field \"{key}\" is not a string"))?
-        .to_string())
+fn str_ref<'f>(fields: &'f [Field<'_>], key: &str, line: usize) -> Result<&'f str, String> {
+    match field(fields, key, line)? {
+        Val::Str(s) => Ok(s),
+        _ => Err(format!("line {line}: field \"{key}\" is not a string")),
+    }
 }
 
-fn arr_field(fields: &[(String, Val)], key: &str, line: usize) -> Result<Vec<u32>, String> {
-    Ok(field(fields, key, line)?
-        .as_arr()
-        .ok_or_else(|| format!("line {line}: field \"{key}\" is not an array"))?
-        .to_vec())
+fn str_field(fields: &[Field<'_>], key: &str, line: usize) -> Result<String, String> {
+    str_ref(fields, key, line).map(str::to_string)
+}
+
+fn arr_field(fields: &[Field<'_>], key: &str, line: usize) -> Result<Vec<u32>, String> {
+    match field(fields, key, line)? {
+        Val::Arr(a) => Ok(a.clone()),
+        _ => Err(format!("line {line}: field \"{key}\" is not an array")),
+    }
 }
 
 /// Parses a JSONL trace export back into records.
@@ -268,6 +270,7 @@ fn arr_field(fields: &[(String, Val)], key: &str, line: usize) -> Result<Vec<u32
 /// versioned by this crate, not forward-compatible).
 pub fn parse_jsonl(text: &str) -> Result<Vec<TraceRecord>, String> {
     let mut records = Vec::new();
+    let mut fields: Vec<Field<'_>> = Vec::new();
     for (i, line) in text.lines().enumerate() {
         let line_no = i + 1;
         let line = line.trim();
@@ -275,19 +278,19 @@ pub fn parse_jsonl(text: &str) -> Result<Vec<TraceRecord>, String> {
             continue;
         }
         let mut cur = Cursor {
+            text: line,
             bytes: line.as_bytes(),
             pos: 0,
         };
-        let fields = cur
-            .parse_object()
+        fields.clear();
+        cur.parse_object(&mut fields)
             .map_err(|e| format!("line {line_no}: {e}"))?;
         if cur.pos != cur.bytes.len() {
             return Err(format!("line {line_no}: trailing garbage after object"));
         }
         let seq = u64_field(&fields, "seq", line_no)?;
         let t = u64_field(&fields, "t", line_no)?;
-        let ev = str_field(&fields, "ev", line_no)?;
-        let event = match ev.as_str() {
+        let event = match str_ref(&fields, "ev", line_no)? {
             "msg_send" => TraceEvent::MsgSend {
                 from: u32_field(&fields, "from", line_no)?,
                 to: u32_field(&fields, "to", line_no)?,
@@ -951,6 +954,99 @@ mod tests {
         assert!(parse_jsonl("{\"seq\":0,").is_err());
         assert!(parse_jsonl("{\"seq\":0,\"t\":0,\"ev\":\"crash\",\"p\":1}x").is_err());
         assert!(parse_jsonl("{\"t\":0,\"ev\":\"crash\",\"p\":1}").is_err());
+    }
+
+    /// Every error site of the parser, with the exact text the original
+    /// field-map parser produced (accept/reject set and messages are part
+    /// of the trace format's contract).
+    #[test]
+    fn malformed_lines_keep_their_exact_errors() {
+        let cases: &[(&str, &str)] = &[
+            ("{\"seq\":0,", "line 1: expected '\"' at byte 8, got None"),
+            ("{\"seq\":0,\"t\":0,\"ev\":\"crash\",\"p\":1}x", "line 1: trailing garbage after object"),
+            ("{\"t\":0,\"ev\":\"crash\",\"p\":1}", "line 1: missing field \"seq\""),
+            ("{}", "line 1: missing field \"seq\""),
+            ("{\"seq\":\"x\",\"t\":0,\"ev\":\"crash\",\"p\":1}", "line 1: field \"seq\" is not a number"),
+            ("{\"seq\":0,\"t\":[1],\"ev\":\"crash\",\"p\":1}", "line 1: field \"t\" is not a number"),
+            ("{\"seq\":0,\"t\":0,\"ev\":\"crash\",\"p\":4294967296}", "line 1: field \"p\" is not a u32"),
+            ("{\"seq\":0,\"t\":0,\"ev\":\"crash\",\"p\":\"1\"}", "line 1: field \"p\" is not a u32"),
+            ("{\"seq\":0,\"t\":0,\"ev\":5,\"p\":1}", "line 1: field \"ev\" is not a string"),
+            ("{\"seq\":0,\"t\":0,\"ev\":\"suspicion_changed\",\"p\":1,\"suspected\":3}", "line 1: field \"suspected\" is not an array"),
+            ("{\"seq\":0,\"t\":0,\"ev\":\"msg_send\",\"from\":1,\"to\":2,\"kind\":7}", "line 1: field \"kind\" is not a string"),
+            ("{\"seq\":0,\"t\":0,\"ev\":\"msg_send\",\"from\":1,\"to\":2}", "line 1: missing field \"kind\""),
+            ("{\"seq\":0,\"t\":0,\"ev\":\"warp_core_breach\"}", "line 1: unknown event \"warp_core_breach\""),
+            ("{\"seq\":99999999999999999999999,\"t\":0,\"ev\":\"crash\",\"p\":1}", "line 1: number overflow at byte 7"),
+            ("{\"seq\":0,\"t\":0,\"ev\":\"suspicion_changed\",\"p\":1,\"suspected\":[1,]}", "line 1: expected digit at byte 61"),
+            ("{\"seq\":0,\"t\":0,\"ev\":\"suspicion_changed\",\"p\":1,\"suspected\":[4294967296]}", "line 1: array element exceeds u32"),
+            ("{\"seq\":0,\"t\":0,\"ev\":\"suspicion_changed\",\"p\":1,\"suspected\":[1 2]}", "line 1: expected ',' or ']' in array, got Some(' ')"),
+            ("{\"seq\":0,\"t\":0,\"ev\":\"suspicion_changed\",\"p\":1,\"suspected\":[1", "line 1: expected ',' or ']' in array, got None"),
+            ("{\"seq\":0,\"t\":0,\"ev\":\"crash", "line 1: unterminated string"),
+            ("{\"seq\":0,\"t\":0,\"ev\":\"cr\\nash", "line 1: unterminated string"),
+            ("{\"seq\":0,\"t\":0,\"ev\":\"cra\\qsh\",\"p\":1}", "line 1: bad escape Some('q')"),
+            ("{\"seq\":0,\"t\":0,\"ev\":\"cra\\u00\",\"p\":1}", "line 1: bad hex digit '\"'"),
+            ("{\"seq\":0,\"t\":0,\"ev\":\"cra\\u00zz\",\"p\":1}", "line 1: bad hex digit 'z'"),
+            ("{\"seq\":0,\"t\":0,\"ev\":\"cra\\ud800\",\"p\":1}", "line 1: bad \\u code point"),
+            ("{\"seq\":0,\"t\":0,\"ev\":\"cra\\", "line 1: bad escape None"),
+            ("{\"seq\":0,\"t\":0,\"ev\":\"crash\",\"p\":-1}", "line 1: unexpected value start Some('-')"),
+            ("{\"seq\":0,\"t\":0,\"ev\":\"crash\",\"p\":{}}", "line 1: unexpected value start Some('{')"),
+            ("{\"seq\":0,\"t\":0,\"ev\":\"crash\",\"p\":}", "line 1: unexpected value start Some('}')"),
+            ("{\"seq\":0,\"t\":0,\"ev\":\"crash\",\"p\":1 }", "line 1: expected ',' or '}' in object, got Some(' ')"),
+            ("{\"seq\":0,\"t\":0,\"ev\":\"crash\",\"p\":1", "line 1: expected ',' or '}' in object, got None"),
+            ("{\"seq\":0,\"t\":0,\"ev\":\"crash\",\"p\" 1}", "line 1: expected ':' at byte 31, got Some(' ')"),
+            ("{\"seq\":0,\"t\":0,\"ev\":\"crash\",p:1}", "line 1: expected '\"' at byte 28, got Some('p')"),
+            ("{\"seq\":0,\"t\":0,\"ev\":\"crash\",\"p\":1,}", "line 1: expected '\"' at byte 34, got Some('}')"),
+            ("[1]", "line 1: expected '{' at byte 0, got Some('[')"),
+            ("x", "line 1: expected '{' at byte 0, got Some('x')"),
+            ("{ \"seq\":0,\"t\":0,\"ev\":\"crash\",\"p\":1}", "line 1: expected '\"' at byte 1, got Some(' ')"),
+            ("{\"seq\":0,\"t\":0,\"ev\":\"crash\",\"p\":1}{\"seq\":1,\"t\":0,\"ev\":\"crash\",\"p\":1}", "line 1: trailing garbage after object"),
+            ("{\"seq\":0,\"t\":0,\"ev\":\"crash\",\"p\":01x}", "line 1: expected ',' or '}' in object, got Some('x')"),
+            ("{\"seq\":0,\"t\":0,\"ev\":\"restart\",\"p\":1}", "line 1: missing field \"incarnation\""),
+            ("{\"seq\":0,\"t\":0,\"ev\":\"quorum_issued\",\"p\":1,\"epoch\":2,\"algo\":\"qs\",\"members\":\"x\"}", "line 1: field \"members\" is not an array"),
+            // A syntax error anywhere in the object wins over a missing or
+            // mistyped field before it.
+            ("{\"t\":0,\"ev\":\"crash\",\"p\":1,\"\\u00zz\":1}", "line 1: bad hex digit 'z'"),
+            // Line numbers count blank and whitespace-only lines, and `\r\n`.
+            ("\n{\"seq\":0,\"t\":0,\"ev\":\"crash\",\"p\":1}\n\n  \n{\"seq\":1,\"t\":0,\"ev\":\"crash\"}\n", "line 5: missing field \"p\""),
+            ("{\"seq\":0,\"t\":0,\"ev\":\"crash\",\"p\":1}\r\n{\"seq\":1,\"t\":0,\"ev\":\"crash\",\"p\":2}x\r\n", "line 2: trailing garbage after object"),
+        ];
+        for (input, want) in cases {
+            assert_eq!(parse_jsonl(input).unwrap_err(), *want, "input {input:?}");
+        }
+    }
+
+    /// What the parser accepts beyond the writer's own output: any field
+    /// order, unknown extra fields, duplicate keys (the first wins),
+    /// escapes in keys, and surrounding whitespace.
+    #[test]
+    fn lenient_inputs_still_parse_to_the_same_records() {
+        let crash = |seq, p| vec![rec(seq, 5, TraceEvent::Crash { p })];
+        let cases: Vec<(&str, Vec<TraceRecord>)> = vec![
+            ("{\"p\":1,\"ev\":\"crash\",\"t\":5,\"seq\":3}", crash(3, 1)),
+            ("{\"seq\":3,\"t\":5,\"ev\":\"crash\",\"p\":1,\"extra\":[1,2],\"more\":\"x\"}", crash(3, 1)),
+            ("{\"seq\":3,\"seq\":4,\"t\":5,\"ev\":\"crash\",\"p\":1,\"p\":2}", crash(3, 1)),
+            ("{\"\\u0073eq\":3,\"t\":5,\"ev\":\"cr\\u0061sh\",\"p\":1}", crash(3, 1)),
+            ("  \t{\"seq\":3,\"t\":5,\"ev\":\"crash\",\"p\":1}  ", crash(3, 1)),
+            ("{\"seq\":18446744073709551615,\"t\":5,\"ev\":\"crash\",\"p\":4294967295}", crash(u64::MAX, u32::MAX)),
+            (
+                "{\"seq\":3,\"t\":5,\"ev\":\"fault\",\"desc\":\"héllo \\\"q\\\" \\\\ \\n\\r\\t \\u0001 ✓\"}",
+                vec![rec(3, 5, TraceEvent::FaultApplied { desc: "héllo \"q\" \\ \n\r\t \u{1} ✓".into() })],
+            ),
+            (
+                "{\"seq\":3,\"t\":5,\"ev\":\"fault\",\"desc\":\"✓ no escape é\"}",
+                vec![rec(3, 5, TraceEvent::FaultApplied { desc: "✓ no escape é".into() })],
+            ),
+            (
+                "{\"seq\":3,\"t\":5,\"ev\":\"suspicion_changed\",\"p\":1,\"suspected\":[]}",
+                vec![rec(3, 5, TraceEvent::SuspicionChanged { p: 1, suspected: vec![] })],
+            ),
+            (
+                "{\"seq\":3,\"t\":5,\"ev\":\"msg_send\",\"from\":1,\"to\":2,\"kind\":\"\"}",
+                vec![rec(3, 5, TraceEvent::MsgSend { from: 1, to: 2, kind: String::new() })],
+            ),
+        ];
+        for (input, want) in cases {
+            assert_eq!(parse_jsonl(input).as_ref(), Ok(&want), "input {input:?}");
+        }
     }
 
     #[test]

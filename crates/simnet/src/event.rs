@@ -15,14 +15,17 @@ use crate::time::SimTime;
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct TimerId(pub u64);
 
-#[derive(Debug)]
-pub(crate) enum Payload<M> {
-    Deliver { from: ProcessId, msg: M },
+/// What a queued event does. A delivery names its message body by slab
+/// slot, so the key the heap sifts stays small whatever `M` is.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum EventKind {
+    Deliver { from: ProcessId, body: u32 },
     Timer { id: TimerId },
 }
 
-#[derive(Debug)]
-pub(crate) struct QueuedEvent<M> {
+/// A queued event: everything but the message body (40 bytes).
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct EventKey {
     pub time: SimTime,
     pub seq: u64,
     pub to: ProcessId,
@@ -31,24 +34,24 @@ pub(crate) struct QueuedEvent<M> {
     /// must not observe timer callbacks armed by its previous life.
     /// Messages ignore this field — the network outlives crashes.
     pub inc: u32,
-    pub payload: Payload<M>,
+    pub kind: EventKind,
 }
 
-impl<M> PartialEq for QueuedEvent<M> {
+impl PartialEq for EventKey {
     fn eq(&self, other: &Self) -> bool {
         self.time == other.time && self.seq == other.seq
     }
 }
 
-impl<M> Eq for QueuedEvent<M> {}
+impl Eq for EventKey {}
 
-impl<M> PartialOrd for QueuedEvent<M> {
+impl PartialOrd for EventKey {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
-impl<M> Ord for QueuedEvent<M> {
+impl Ord for EventKey {
     /// Reversed so that `BinaryHeap` pops the *earliest* event; ties break
     /// on insertion order for determinism.
     fn cmp(&self, other: &Self) -> Ordering {
@@ -59,26 +62,93 @@ impl<M> Ord for QueuedEvent<M> {
     }
 }
 
+/// Message bodies of the deliveries in flight, addressed by the slot an
+/// [`EventKind::Deliver`] carries. Vacated slots are reused, so the slab
+/// grows to the most bodies ever in flight at once and no further.
+#[derive(Debug)]
+pub(crate) struct Slab<M> {
+    bodies: Vec<Option<M>>,
+    free: Vec<u32>,
+}
+
+impl<M> Slab<M> {
+    pub fn new() -> Self {
+        Slab {
+            bodies: Vec::new(),
+            free: Vec::new(),
+        }
+    }
+
+    /// Stores `body`, returning its slot.
+    pub fn insert(&mut self, body: M) -> u32 {
+        if let Some(slot) = self.free.pop() {
+            self.bodies[slot as usize] = Some(body);
+            return slot;
+        }
+        let slot = u32::try_from(self.bodies.len()).expect("more than 2^32 messages in flight");
+        self.bodies.push(Some(body));
+        slot
+    }
+
+    /// Removes and returns the body at `slot`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slot is vacant: every delivery key owns exactly one
+    /// body, so a vacant slot is a simulator bug.
+    pub fn take(&mut self, slot: u32) -> M {
+        let body = self.bodies[slot as usize]
+            .take()
+            .expect("delivery key names a vacant slab slot");
+        self.free.push(slot);
+        body
+    }
+
+    /// Bodies currently stored.
+    #[cfg(test)]
+    pub fn len(&self) -> usize {
+        self.bodies.len() - self.free.len()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::collections::BinaryHeap;
 
     #[test]
+    fn key_stays_small() {
+        assert!(std::mem::size_of::<EventKey>() <= 40);
+    }
+
+    #[test]
     fn heap_pops_earliest_first_then_fifo() {
-        let mut heap: BinaryHeap<QueuedEvent<()>> = BinaryHeap::new();
+        let mut heap: BinaryHeap<EventKey> = BinaryHeap::new();
         for (time, seq) in [(5u64, 0u64), (3, 1), (3, 2), (4, 3)] {
-            heap.push(QueuedEvent {
+            heap.push(EventKey {
                 time: SimTime::from_micros(time),
                 seq,
                 to: ProcessId(1),
                 inc: 0,
-                payload: Payload::Timer { id: TimerId(seq) },
+                kind: EventKind::Timer { id: TimerId(seq) },
             });
         }
         let order: Vec<(u64, u64)> = std::iter::from_fn(|| heap.pop())
             .map(|e| (e.time.as_micros(), e.seq))
             .collect();
         assert_eq!(order, vec![(3, 1), (3, 2), (4, 3), (5, 0)]);
+    }
+
+    #[test]
+    fn slab_reuses_vacated_slots() {
+        let mut slab = Slab::new();
+        let a = slab.insert("a");
+        let b = slab.insert("b");
+        assert_eq!(slab.len(), 2);
+        assert_eq!(slab.take(a), "a");
+        assert_eq!(slab.insert("c"), a, "the vacated slot is reused");
+        assert_eq!(slab.take(b), "b");
+        assert_eq!(slab.take(a), "c");
+        assert_eq!(slab.len(), 0);
     }
 }

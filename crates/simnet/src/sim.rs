@@ -10,7 +10,7 @@ use qsel_obs::{TraceEvent, TraceSink};
 use qsel_types::ProcessId;
 
 use crate::delay::DelayModel;
-use crate::event::{Payload, QueuedEvent, TimerId};
+use crate::event::{EventKey, EventKind, Slab, TimerId};
 use crate::fault::{FaultEvent, FaultPlan};
 use crate::time::{SimDuration, SimTime};
 
@@ -257,7 +257,7 @@ pub struct Simulation<M, A> {
     incarnation: Vec<u32>,
     /// Events that arrived while their target was paused, replayed in
     /// arrival order on resume.
-    pause_buf: Vec<VecDeque<QueuedEvent<M>>>,
+    pause_buf: Vec<VecDeque<EventKey>>,
     /// Scripted faults not yet applied, sorted by time (stable).
     pending_faults: VecDeque<(SimTime, FaultEvent)>,
     links: Vec<LinkState>,
@@ -265,7 +265,13 @@ pub struct Simulation<M, A> {
     /// Per-process earliest time the NIC is free to transmit the next
     /// message; only consulted when `cfg.tx_cost > ZERO`.
     next_free_tx: Vec<SimTime>,
-    queue: BinaryHeap<QueuedEvent<M>>,
+    /// Pending events without their message bodies: the heap moves a key
+    /// at every sift level, so keys stay small and `bodies` holds the rest.
+    queue: BinaryHeap<EventKey>,
+    /// Bodies of the deliveries in `queue` and `pause_buf`. A body leaves
+    /// when its key is delivered, dropped at a crashed target, or drained
+    /// by [`Simulation::crash`].
+    bodies: Slab<M>,
     seq: u64,
     now: SimTime,
     rng: StdRng,
@@ -302,6 +308,7 @@ impl<M: Clone, A: Actor<M>> Simulation<M, A> {
             fifo_last: vec![SimTime::ZERO; k * k],
             next_free_tx: vec![SimTime::ZERO; k],
             queue: BinaryHeap::new(),
+            bodies: Slab::new(),
             seq: 0,
             now: SimTime::ZERO,
             rng,
@@ -374,16 +381,22 @@ impl<M: Clone, A: Actor<M>> Simulation<M, A> {
         self.crashed[p.index()] = true;
         self.paused[p.index()] = false;
         self.trace.emit(|| TraceEvent::Crash { p: p.0 });
-        for ev in self.pause_buf[p.index()].drain(..) {
-            if let Payload::Deliver { from, .. } = &ev.payload {
-                self.stats.messages_dropped += 1;
-                let from = from.0;
-                self.trace.emit(|| TraceEvent::MsgDrop {
-                    from,
-                    to: p.0,
-                    reason: "crashed".into(),
-                });
-            }
+        while let Some(ev) = self.pause_buf[p.index()].pop_front() {
+            self.drop_at_crashed(ev);
+        }
+    }
+
+    /// Discards an event addressed to a crashed process; an undelivered
+    /// message counts as dropped and its body leaves the slab.
+    fn drop_at_crashed(&mut self, ev: EventKey) {
+        if let EventKind::Deliver { from, body } = ev.kind {
+            drop(self.bodies.take(body));
+            self.stats.messages_dropped += 1;
+            self.trace.emit(|| TraceEvent::MsgDrop {
+                from: from.0,
+                to: ev.to.0,
+                reason: "crashed".into(),
+            });
         }
     }
 
@@ -438,8 +451,7 @@ impl<M: Clone, A: Actor<M>> Simulation<M, A> {
         }
         self.paused[p.index()] = false;
         self.trace.emit(|| TraceEvent::Resume { p: p.0 });
-        let buffered: Vec<QueuedEvent<M>> = self.pause_buf[p.index()].drain(..).collect();
-        for mut ev in buffered {
+        while let Some(mut ev) = self.pause_buf[p.index()].pop_front() {
             ev.time = self.now;
             ev.seq = self.next_seq();
             self.queue.push(ev);
@@ -527,14 +539,7 @@ impl<M: Clone, A: Actor<M>> Simulation<M, A> {
     /// outside the simulated cluster) for delivery at `at`.
     pub fn inject_at(&mut self, at: SimTime, from: ProcessId, to: ProcessId, msg: M) {
         debug_assert!(at >= self.now, "cannot inject into the past");
-        let seq = self.next_seq();
-        self.queue.push(QueuedEvent {
-            time: at.max(self.now),
-            seq,
-            to,
-            inc: 0,
-            payload: Payload::Deliver { from, msg },
-        });
+        self.enqueue_message(at.max(self.now), from, to, msg);
     }
 
     /// Runs `on_start` on every actor if not yet done. Called implicitly by
@@ -619,18 +624,10 @@ impl<M: Clone, A: Actor<M>> Simulation<M, A> {
         self.trace.set_now(self.now.as_micros());
         let to = ev.to;
         if self.crashed[to.index()] {
-            if let Payload::Deliver { from, .. } = &ev.payload {
-                self.stats.messages_dropped += 1;
-                let from = from.0;
-                self.trace.emit(|| TraceEvent::MsgDrop {
-                    from,
-                    to: to.0,
-                    reason: "crashed".into(),
-                });
-            }
+            self.drop_at_crashed(ev);
             return true;
         }
-        if let Payload::Timer { .. } = ev.payload {
+        if let EventKind::Timer { .. } = ev.kind {
             // A restarted process must not see its previous life's timers.
             if ev.inc != self.incarnation[to.index()] {
                 self.stats.stale_timers_dropped += 1;
@@ -646,8 +643,9 @@ impl<M: Clone, A: Actor<M>> Simulation<M, A> {
             self.pause_buf[to.index()].push_back(ev);
             return true;
         }
-        match ev.payload {
-            Payload::Deliver { from, msg } => {
+        match ev.kind {
+            EventKind::Deliver { from, body } => {
+                let msg = self.bodies.take(body);
                 self.stats.messages_delivered += 1;
                 if self.trace.enabled() {
                     let kind = self.classifier.as_ref().map_or("", |c| c(&msg));
@@ -659,7 +657,7 @@ impl<M: Clone, A: Actor<M>> Simulation<M, A> {
                 }
                 self.dispatch(to, |actor, ctx| actor.on_message(ctx, from, msg));
             }
-            Payload::Timer { id } => {
+            EventKind::Timer { id } => {
                 self.stats.timers_fired += 1;
                 self.trace.emit(|| TraceEvent::TimerFired { at: to.0 });
                 self.dispatch(to, |actor, ctx| actor.on_timer(ctx, id));
@@ -730,12 +728,12 @@ impl<M: Clone, A: Actor<M>> Simulation<M, A> {
         }
         for (after, tid) in timers.drain(..) {
             let seq = self.next_seq();
-            self.queue.push(QueuedEvent {
+            self.queue.push(EventKey {
                 time: self.now + after,
                 seq,
                 to: id,
                 inc: self.incarnation[id.index()],
-                payload: Payload::Timer { id: tid },
+                kind: EventKind::Timer { id: tid },
             });
         }
         for (to, msg) in sends.drain(..) {
@@ -838,13 +836,19 @@ impl<M: Clone, A: Actor<M>> Simulation<M, A> {
             }
             self.fifo_last[idx] = deliver_at;
         }
+        self.enqueue_message(deliver_at, from, to, msg);
+    }
+
+    /// Parks `msg` in the slab and queues the key that delivers it at `at`.
+    fn enqueue_message(&mut self, at: SimTime, from: ProcessId, to: ProcessId, msg: M) {
         let seq = self.next_seq();
-        self.queue.push(QueuedEvent {
-            time: deliver_at,
+        let body = self.bodies.insert(msg);
+        self.queue.push(EventKey {
+            time: at,
             seq,
             to,
             inc: 0,
-            payload: Payload::Deliver { from, msg },
+            kind: EventKind::Deliver { from, body },
         });
     }
 
@@ -1414,6 +1418,344 @@ mod tests {
             )
         };
         assert_eq!(run(77), run(77));
+    }
+
+    /// The queue against a reference that keeps whole events — body
+    /// included — in one `BinaryHeap` ordered by `(time, seq)`, the shape
+    /// the slab-keyed queue replaced.
+    mod queue_model {
+        use super::*;
+        use proptest::prelude::*;
+        use std::cmp::Reverse;
+
+        const ACTORS: u32 = 4;
+        const LINK_DELAY: u64 = 10;
+
+        /// What an actor was called with.
+        #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+        enum Input {
+            Start,
+            Recover,
+            Message(ProcessId, u64),
+            Timer(TimerId),
+        }
+
+        /// Reacts to every callback with sends and timers drawn from its
+        /// own call counter, until its fuel runs out (so runs quiesce).
+        struct Scripted {
+            calls: u64,
+            fuel: u32,
+            seen: Vec<(SimTime, Input)>,
+        }
+
+        type Effects = (Vec<(ProcessId, u64)>, Vec<(SimDuration, TimerId)>);
+
+        impl Scripted {
+            fn new() -> Self {
+                Scripted { calls: 0, fuel: 40, seen: Vec::new() }
+            }
+
+            fn react(&mut self, me: ProcessId, now: SimTime, input: Input) -> Effects {
+                self.seen.push((now, input));
+                self.calls += 1;
+                let mut x = (u64::from(me.0) << 32 | self.calls).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                let mut draw = |n: u64| {
+                    x ^= x >> 29;
+                    x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                    (x >> 33) % n
+                };
+                let (mut sends, mut timers) = (Vec::new(), Vec::new());
+                for _ in 0..draw(3) {
+                    if self.fuel > 0 {
+                        self.fuel -= 1;
+                        sends.push((ProcessId(1 + draw(u64::from(ACTORS)) as u32), draw(1 << 20)));
+                    }
+                }
+                if draw(2) == 0 && self.fuel > 0 {
+                    self.fuel -= 1;
+                    timers.push((SimDuration::micros(draw(25)), TimerId(draw(9))));
+                }
+                (sends, timers)
+            }
+
+            fn replay(&mut self, ctx: &mut Context<'_, u64>, input: Input) {
+                let (sends, timers) = self.react(ctx.me(), ctx.now(), input);
+                for (after, id) in timers {
+                    ctx.set_timer(after, id);
+                }
+                for (to, msg) in sends {
+                    ctx.send(to, msg);
+                }
+            }
+        }
+
+        impl Actor<u64> for Scripted {
+            fn on_start(&mut self, ctx: &mut Context<'_, u64>) {
+                self.replay(ctx, Input::Start);
+            }
+            fn on_message(&mut self, ctx: &mut Context<'_, u64>, from: ProcessId, msg: u64) {
+                self.replay(ctx, Input::Message(from, msg));
+            }
+            fn on_timer(&mut self, ctx: &mut Context<'_, u64>, timer: TimerId) {
+                self.replay(ctx, Input::Timer(timer));
+            }
+            fn on_recover(&mut self, ctx: &mut Context<'_, u64>) {
+                self.replay(ctx, Input::Recover);
+            }
+        }
+
+        fn link_extra(from: ProcessId, to: ProcessId) -> u64 {
+            u64::from((from.0 * 7 + to.0 * 3) % 5) * 3
+        }
+
+        /// A whole event: `(time, seq)` first, so the derived order is the
+        /// queue's order; the body travels with the key.
+        type FullEvent = Reverse<(SimTime, u64, u32, u32, Option<(u32, u64)>, u64)>;
+
+        /// The reference simulator.
+        struct Model {
+            actors: Vec<Scripted>,
+            crashed: Vec<bool>,
+            paused: Vec<bool>,
+            incarnation: Vec<u32>,
+            pause_buf: Vec<VecDeque<FullEvent>>,
+            fifo_last: Vec<SimTime>,
+            queue: BinaryHeap<FullEvent>,
+            seq: u64,
+            now: SimTime,
+            stats: NetStats,
+        }
+
+        impl Model {
+            fn new() -> Self {
+                let k = ACTORS as usize;
+                let mut m = Model {
+                    actors: (0..k).map(|_| Scripted::new()).collect(),
+                    crashed: vec![false; k],
+                    paused: vec![false; k],
+                    incarnation: vec![0; k],
+                    pause_buf: vec![VecDeque::new(); k],
+                    fifo_last: vec![SimTime::ZERO; k * k],
+                    queue: BinaryHeap::new(),
+                    seq: 0,
+                    now: SimTime::ZERO,
+                    stats: NetStats::default(),
+                };
+                for id in 1..=ACTORS {
+                    m.dispatch(ProcessId(id), Input::Start);
+                }
+                m
+            }
+
+            fn push(&mut self, time: SimTime, to: ProcessId, inc: u32, body: Option<(u32, u64)>, timer: u64) {
+                self.queue.push(Reverse((time, self.seq, to.0, inc, body, timer)));
+                self.seq += 1;
+            }
+
+            fn dispatch(&mut self, id: ProcessId, input: Input) {
+                let (sends, timers) = self.actors[id.index()].react(id, self.now, input);
+                for (after, tid) in timers {
+                    self.push(self.now + after, id, self.incarnation[id.index()], None, tid.0);
+                }
+                for (to, msg) in sends {
+                    self.stats.messages_sent += 1;
+                    let idx = id.index() * ACTORS as usize + to.index();
+                    let mut at = self.now + SimDuration::micros(LINK_DELAY + link_extra(id, to));
+                    at = at.max(self.fifo_last[idx] + SimDuration::micros(1));
+                    self.fifo_last[idx] = at;
+                    self.push(at, to, 0, Some((id.0, msg)), 0);
+                }
+            }
+
+            fn drop_at_crashed(&mut self, ev: &FullEvent) {
+                if ev.0 .4.is_some() {
+                    self.stats.messages_dropped += 1;
+                }
+            }
+
+            fn step(&mut self) -> bool {
+                let Some(ev) = self.queue.pop() else {
+                    return false;
+                };
+                let Reverse((time, _, to, inc, body, timer)) = ev;
+                self.now = time;
+                let to = ProcessId(to);
+                if self.crashed[to.index()] {
+                    self.drop_at_crashed(&ev);
+                } else if body.is_none() && inc != self.incarnation[to.index()] {
+                    self.stats.stale_timers_dropped += 1;
+                } else if self.paused[to.index()] {
+                    self.stats.events_buffered_paused += 1;
+                    self.pause_buf[to.index()].push_back(ev);
+                } else if let Some((from, msg)) = body {
+                    self.stats.messages_delivered += 1;
+                    self.dispatch(to, Input::Message(ProcessId(from), msg));
+                } else {
+                    self.stats.timers_fired += 1;
+                    self.dispatch(to, Input::Timer(TimerId(timer)));
+                }
+                true
+            }
+
+            fn crash(&mut self, p: ProcessId) {
+                self.crashed[p.index()] = true;
+                self.paused[p.index()] = false;
+                for ev in std::mem::take(&mut self.pause_buf[p.index()]) {
+                    self.drop_at_crashed(&ev);
+                }
+            }
+
+            fn restart(&mut self, p: ProcessId) {
+                if self.crashed[p.index()] {
+                    self.crashed[p.index()] = false;
+                    self.incarnation[p.index()] += 1;
+                    self.stats.restarts += 1;
+                    self.dispatch(p, Input::Recover);
+                }
+            }
+
+            fn pause(&mut self, p: ProcessId) {
+                self.paused[p.index()] |= !self.crashed[p.index()];
+            }
+
+            fn resume(&mut self, p: ProcessId) {
+                if std::mem::take(&mut self.paused[p.index()]) {
+                    for Reverse((_, _, to, inc, body, timer)) in std::mem::take(&mut self.pause_buf[p.index()]) {
+                        self.push(self.now, ProcessId(to), inc, body, timer);
+                    }
+                }
+            }
+
+            fn in_flight(&self) -> usize {
+                let bodies = |ev: &&FullEvent| ev.0 .4.is_some();
+                self.queue.iter().filter(bodies).count()
+                    + self.pause_buf.iter().flatten().filter(bodies).count()
+            }
+        }
+
+        fn real() -> Simulation<u64, Scripted> {
+            let cfg = SimConfig::new(ACTORS, 0)
+                .with_delay(DelayModel::Constant(SimDuration::micros(LINK_DELAY)));
+            let mut sim = Simulation::new(cfg, (0..ACTORS).map(|_| Scripted::new()).collect());
+            for from in sim.ids() {
+                for to in sim.ids() {
+                    let extra_delay = SimDuration::micros(link_extra(from, to));
+                    sim.set_link(from, to, LinkState { extra_delay, ..Default::default() });
+                }
+            }
+            sim.start();
+            sim
+        }
+
+        #[derive(Clone, Debug)]
+        enum Op {
+            Steps(u32),
+            Pause(u32),
+            Resume(u32),
+            Crash(u32),
+            Restart(u32),
+            Inject(u32, u32, u64, u64),
+        }
+
+        fn op() -> impl Strategy<Value = Op> {
+            let p = || 1u32..=ACTORS;
+            prop_oneof![
+                (1u32..12).prop_map(Op::Steps),
+                (1u32..12).prop_map(Op::Steps),
+                p().prop_map(Op::Pause),
+                p().prop_map(Op::Resume),
+                p().prop_map(Op::Crash),
+                p().prop_map(Op::Restart),
+                (p(), p(), 0u64..30, 0u64..1000).prop_map(|(f, t, d, m)| Op::Inject(f, t, d, m)),
+            ]
+        }
+
+        fn assert_same(sim: &Simulation<u64, Scripted>, model: &Model) -> Result<(), TestCaseError> {
+            prop_assert_eq!(sim.stats(), &model.stats);
+            prop_assert_eq!(sim.now(), model.now);
+            for id in sim.ids() {
+                prop_assert_eq!(&sim.actor(id).seen, &model.actors[id.index()].seen);
+            }
+            // One body per delivery in flight — never more, never fewer.
+            prop_assert_eq!(sim.bodies.len(), model.in_flight());
+            Ok(())
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(128))]
+
+            #[test]
+            fn same_deliveries_same_stats_and_no_body_outlives_its_event(
+                ops in proptest::collection::vec(op(), 0..60),
+            ) {
+                let (mut sim, mut model) = (real(), Model::new());
+                assert_same(&sim, &model)?;
+                for op in ops {
+                    match op {
+                        Op::Steps(n) => {
+                            for _ in 0..n {
+                                prop_assert_eq!(sim.step(), model.step());
+                            }
+                        }
+                        Op::Pause(p) => {
+                            sim.pause(ProcessId(p));
+                            model.pause(ProcessId(p));
+                        }
+                        Op::Resume(p) => {
+                            sim.resume(ProcessId(p));
+                            model.resume(ProcessId(p));
+                        }
+                        Op::Crash(p) => {
+                            sim.crash(ProcessId(p));
+                            model.crash(ProcessId(p));
+                        }
+                        Op::Restart(p) => {
+                            sim.restart(ProcessId(p));
+                            model.restart(ProcessId(p));
+                        }
+                        Op::Inject(from, to, delay, msg) => {
+                            let at = sim.now() + SimDuration::micros(delay);
+                            sim.inject_at(at, ProcessId(from), ProcessId(to), msg);
+                            model.push(at, ProcessId(to), 0, Some((from, msg)), 0);
+                        }
+                    }
+                    assert_same(&sim, &model)?;
+                }
+                // Quiescence: whatever is still parked at a paused process
+                // is all the slab may hold; crashing those drains it.
+                while sim.step() {
+                    prop_assert!(model.step());
+                }
+                prop_assert!(!model.step());
+                assert_same(&sim, &model)?;
+                let parked = sim.pause_buf.iter().flatten();
+                let parked = parked.filter(|ev| matches!(ev.kind, EventKind::Deliver { .. }));
+                prop_assert_eq!(sim.bodies.len(), parked.count());
+                for p in sim.ids() {
+                    sim.crash(p);
+                    model.crash(p);
+                }
+                assert_same(&sim, &model)?;
+                prop_assert_eq!(sim.bodies.len(), 0);
+            }
+        }
+
+        #[test]
+        fn crash_with_a_non_empty_pause_buffer_empties_the_slab() {
+            let mut sim = real();
+            sim.pause(ProcessId(2));
+            for n in 0..5 {
+                sim.inject_at(sim.now(), ProcessId(1), ProcessId(2), n);
+            }
+            sim.run_to_quiescence();
+            assert!(sim.pause_buf[ProcessId(2).index()].len() >= 5);
+            let parked = sim.bodies.len();
+            assert!(parked >= 5, "buffered deliveries keep their bodies");
+            let dropped = sim.stats().messages_dropped;
+            sim.crash(ProcessId(2));
+            assert_eq!(sim.bodies.len(), 0);
+            assert_eq!(sim.stats().messages_dropped, dropped + parked as u64);
+        }
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! sign payloads they computed by executing the prefix themselves.
 
 use crate::crypto::{sha256, Digest};
-use crate::encode::{encode_to_vec, Decode, DecodeError, Encode, Reader};
+use crate::encode::{with_encoded, Decode, DecodeError, Encode, Reader};
 
 /// The signed content of a checkpoint. See the [module docs](self).
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -30,7 +30,7 @@ impl CheckpointPayload {
     /// Collision-resistant identity of this checkpoint — what trace
     /// events and cross-replica agreement checks compare.
     pub fn digest(&self) -> Digest {
-        sha256(&encode_to_vec(self))
+        with_encoded(self, sha256)
     }
 }
 
@@ -60,7 +60,7 @@ impl Decode for CheckpointPayload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::encode::decode_from_slice;
+    use crate::encode::{decode_from_slice, encode_to_vec};
 
     #[test]
     fn roundtrip_and_digest_injectivity() {

@@ -5,7 +5,7 @@
 use std::error::Error;
 use std::fmt;
 
-use crate::encode::{encode_to_vec, Decode, DecodeError, Encode, Reader};
+use crate::encode::{with_encoded, Decode, DecodeError, Encode, Reader};
 use crate::id::{ClusterConfig, ProcessId};
 
 use super::sha256::{Digest, Sha256};
@@ -156,7 +156,7 @@ impl Signer {
         h.update(b"qsel-sig");
         h.update(self.secret.as_bytes());
         h.update(&self.id.0.to_le_bytes());
-        h.update(&encode_to_vec(payload));
+        with_encoded(payload, |bytes| h.update(bytes));
         SigTag(h.finalize())
     }
 }

@@ -54,6 +54,24 @@ pub fn encode_to_vec<T: Encode + ?Sized>(value: &T) -> Vec<u8> {
     buf
 }
 
+thread_local! {
+    /// The buffer [`with_encoded`] encodes into, kept between calls.
+    static ENCODE_BUF: std::cell::Cell<Vec<u8>> = const { std::cell::Cell::new(Vec::new()) };
+}
+
+/// Calls `f` on the canonical encoding of `value`, written into a
+/// per-thread buffer reused across calls — for digests and signature
+/// tags, which read the bytes once and keep none. A nested call (an
+/// `encode` that itself hashes) finds the buffer taken and starts empty.
+pub fn with_encoded<T: Encode + ?Sized, R>(value: &T, f: impl FnOnce(&[u8]) -> R) -> R {
+    let mut buf = ENCODE_BUF.take();
+    buf.clear();
+    value.encode(&mut buf);
+    let out = f(&buf);
+    ENCODE_BUF.set(buf);
+    out
+}
+
 /// Decoding failure: the input is not a canonical encoding of the target
 /// type.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]

@@ -239,7 +239,7 @@ impl CorruptTransferPeer {
             let Ok(proof) = log.mmr().proof_at(slot, proof_slot) else {
                 break;
             };
-            let mut reqs = batch.reqs.clone();
+            let mut reqs = batch.reqs().to_vec();
             if let Some(r) = reqs.first_mut() {
                 r.payload ^= 0xBAD;
             }

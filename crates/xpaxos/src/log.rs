@@ -12,7 +12,7 @@ use crate::messages::{Batch, Request, SignedCommit, SignedPrepare};
 /// Inserts the dedup assignment of every request in `prepare`'s batch.
 // lint: allow(D1, lookup-only dedup index; never iterated) lint: allow(S1, σ_l checked at the replica boundary before log admission)
 fn assign_batch(assigned: &mut HashMap<(ProcessId, u64), u64>, prepare: &SignedPrepare) {
-    for req in &prepare.payload.batch.reqs {
+    for req in prepare.payload.batch.reqs() {
         assigned.insert((req.client, req.op), prepare.payload.slot);
     }
 }
@@ -193,26 +193,30 @@ impl Log {
     /// The slot advances the cursor either way.
     pub fn execute_ready(&mut self) -> Vec<(u64, Request)> {
         let mut out = Vec::new();
-        while let Some(s) = self.slots.get(&self.exec_cursor) {
-            if !s.decided {
-                break;
-            }
-            let batch_digest = s.prepare.payload.batch.digest();
-            for req in s.prepare.payload.batch.reqs.clone() {
-                if self.executed_ops.insert((req.client, req.op)) {
-                    self.state = self
-                        .state
-                        .wrapping_mul(1099511628211)
-                        .wrapping_add(req.payload);
-                    out.push((self.exec_cursor, req.clone()));
-                    self.executed.push((self.exec_cursor, req));
-                }
-            }
-            self.mmr.push(leaf_hash(self.exec_cursor, &batch_digest));
-            self.exec_cursor += 1;
-            self.maybe_capture_checkpoint();
+        while let Some(s) = self.slots.get(&self.exec_cursor).filter(|s| s.decided) {
+            let batch = s.prepare.payload.batch.clone();
+            self.execute_at_cursor(&batch, &mut out);
         }
         out
+    }
+
+    /// Executes `batch` as the cursor's slot — requests not executed
+    /// before fold into the state and are appended to `out` — then
+    /// appends the slot's MMR leaf and advances the cursor.
+    fn execute_at_cursor(&mut self, batch: &Batch, out: &mut Vec<(u64, Request)>) {
+        for req in batch.reqs() {
+            if self.executed_ops.insert((req.client, req.op)) {
+                self.state = self
+                    .state
+                    .wrapping_mul(1099511628211)
+                    .wrapping_add(req.payload);
+                out.push((self.exec_cursor, req.clone()));
+                self.executed.push((self.exec_cursor, req.clone()));
+            }
+        }
+        self.mmr.push(leaf_hash(self.exec_cursor, &batch.digest()));
+        self.exec_cursor += 1;
+        self.maybe_capture_checkpoint();
     }
 
     /// Slots at or above `from` that hold a prepare but are not yet
@@ -339,23 +343,12 @@ impl Log {
         if slot != self.exec_cursor {
             return None;
         }
-        let mut out = Vec::new();
-        let batch_digest = batch.digest();
-        for req in &batch.reqs {
+        for req in batch.reqs() {
             self.assigned.insert((req.client, req.op), slot);
-            if self.executed_ops.insert((req.client, req.op)) {
-                self.state = self
-                    .state
-                    .wrapping_mul(1099511628211)
-                    .wrapping_add(req.payload);
-                out.push((slot, req.clone()));
-                self.executed.push((slot, req.clone()));
-            }
         }
-        self.mmr.push(leaf_hash(slot, &batch_digest));
-        self.exec_cursor += 1;
+        let mut out = Vec::new();
+        self.execute_at_cursor(batch, &mut out);
         self.archive.insert(slot, batch.clone());
-        self.maybe_capture_checkpoint();
         Some(out)
     }
 
@@ -531,7 +524,7 @@ mod tests {
         let p = prep(&c, 1, 0, 0, 5);
         assert!(log.accept_prepare(p.clone()));
         assert!(log.accept_prepare(p.clone())); // idempotent
-        assert_eq!(log.slot_of(&p.payload.batch.reqs[0]), Some(0));
+        assert_eq!(log.slot_of(&p.payload.batch.reqs()[0]), Some(0));
         // Conflicting prepare in the same view is rejected.
         let conflicting = prep(&c, 1, 0, 0, 6);
         assert!(!log.accept_prepare(conflicting));

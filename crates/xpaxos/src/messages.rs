@@ -1,9 +1,11 @@
 //! XPaxos wire messages (Fig. 2 / Fig. 3 of the paper, plus view change).
 
+use std::sync::Arc;
+
 use qsel::messages::SignedUpdate;
 use qsel_mmr::MmrProof;
 use qsel_types::crypto::{sha256, Digest};
-use qsel_types::encode::{encode_to_vec, Decode, DecodeError, Encode, Reader};
+use qsel_types::encode::{with_encoded, Decode, DecodeError, Encode, Reader};
 use qsel_types::{CheckpointPayload, ProcessId, Signed};
 
 /// Consumes a 4-byte domain-separation tag, rejecting a mismatch.
@@ -32,7 +34,7 @@ pub struct Request {
 impl Request {
     /// Digest of the request (carried in COMMIT messages, §V-A).
     pub fn digest(&self) -> Digest {
-        sha256(&encode_to_vec(self))
+        with_encoded(self, sha256)
     }
 }
 
@@ -61,28 +63,43 @@ impl Decode for Request {
 /// batch's requests in batch order, so a batch is the unit of agreement
 /// while the request stays the unit of execution (and of the `Executed`
 /// trace event).
+///
+/// Clones share the requests, and the digest is computed once, when the
+/// batch is built or decoded (it is never read from the wire); the fields
+/// are private so the two always agree. Equality is by content.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Batch {
-    /// The batched requests, in proposal order.
-    pub reqs: Vec<Request>,
+    reqs: Arc<[Request]>,
+    digest: Digest,
 }
 
 impl Batch {
     /// A batch over `reqs` in the given order.
     pub fn new(reqs: Vec<Request>) -> Self {
-        Batch { reqs }
+        let mut batch = Batch {
+            reqs: reqs.into(),
+            digest: Digest([0; 32]),
+        };
+        batch.digest = with_encoded(&batch, sha256);
+        batch
     }
 
     /// The single-request batch the passthrough (default) policy proposes.
     pub fn single(req: Request) -> Self {
-        Batch { reqs: vec![req] }
+        Batch::new(vec![req])
     }
 
-    /// Digest of the whole batch (carried in COMMIT messages, §V-A). The
-    /// encoding is length-prefixed, so a batch of one request and the bare
-    /// request digest differently, and no two distinct batches collide.
+    /// The batched requests, in proposal order.
+    pub fn reqs(&self) -> &[Request] {
+        &self.reqs
+    }
+
+    /// Digest of the whole batch's encoding (carried in COMMIT messages,
+    /// §V-A). The encoding is length-prefixed, so a batch of one request
+    /// and the bare request digest differently, and no two distinct
+    /// batches collide.
     pub fn digest(&self) -> Digest {
-        sha256(&encode_to_vec(self))
+        self.digest
     }
 
     /// Number of requests in the batch.
@@ -111,9 +128,7 @@ impl Encode for Batch {
 impl Decode for Batch {
     fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
         expect_tag(r, b"BTCH")?;
-        Ok(Batch {
-            reqs: Vec::decode(r)?,
-        })
+        Ok(Batch::new(Vec::decode(r)?))
     }
 }
 
@@ -690,6 +705,7 @@ impl Decode for XpMsg {
 mod tests {
     use super::*;
     use qsel_types::crypto::Keychain;
+    use qsel_types::encode::encode_to_vec;
     use qsel_types::ClusterConfig;
 
     #[test]

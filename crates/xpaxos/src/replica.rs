@@ -491,14 +491,12 @@ impl Replica {
                 // verifies. A StateBatch additionally fulfils the fetch
                 // expectation, which flows through the detector below.
                 self.adopt_entries(ctx.now(), entries, &mut outs);
-                if let Some(origin) = Some(link_sender) {
-                    let fd_out = self.fd.on_receive(
-                        ctx.now(),
-                        origin,
-                        XpMsg::StateBatch { entries: Vec::new() },
-                    );
-                    self.pump_fd(ctx.now(), fd_out, &mut outs);
-                }
+                let fd_out = self.fd.on_receive(
+                    ctx.now(),
+                    link_sender,
+                    XpMsg::StateBatch { entries: Vec::new() },
+                );
+                self.pump_fd(ctx.now(), fd_out, &mut outs);
                 self.sync_progress(ctx.now(), &mut outs);
             }
             XpMsg::SyncQuery { watermark } => {
@@ -624,9 +622,14 @@ impl Replica {
         // Send to every replica, not just our effective group: during a
         // view change different processes briefly disagree on the group,
         // and a member-set mismatch must not look like an omission fault.
+        self.broadcast(outs, || hb.clone());
+    }
+
+    /// Queues one `make()` for every other replica, in id order.
+    fn broadcast(&self, outs: &mut Outs, make: impl Fn() -> XpMsg) {
         for k in self.cfg.processes() {
             if k != self.me {
-                outs.sends.push((k, hb.clone()));
+                outs.sends.push((k, make()));
             }
         }
     }
@@ -740,7 +743,7 @@ impl Replica {
         }
         // Request-level slot binding for causal span reconstruction: one
         // event per request, in every mode (passthrough included).
-        for r in &batch.reqs {
+        for r in batch.reqs() {
             self.trace.emit(|| TraceEvent::ReqProposed {
                 p: self.me.0,
                 slot,
@@ -822,7 +825,7 @@ impl Replica {
     fn on_commit(&mut self, now: qsel_simnet::SimTime, sc: SignedCommit, outs: &mut Outs) {
         // Malformed COMMIT: authenticated but without a valid embedded
         // PREPARE → the sender is detected (paper §V-A).
-        let embedded_ok = self.verifier.verify(&sc.payload.prepare).is_ok()
+        let embedded_ok = self.verify_prepare_once(&sc.payload.prepare)
             && sc.payload.prepare.payload.view == sc.payload.view
             && sc.payload.prepare.payload.slot == sc.payload.slot
             && sc.payload.prepare.signer == self.views.leader(sc.payload.view)
@@ -1006,14 +1009,13 @@ impl Replica {
                 slot,
             });
             if !self.rcfg.batch.is_passthrough() {
-                if let Some(s) = self.log.slot(slot) {
-                    let size = s.prepare.payload.batch.len() as u64;
-                    let digest = digest_fingerprint(&s.prepare.payload.batch.digest());
+                if let Some(sp) = self.log.prepare_at(slot) {
+                    let batch = &sp.payload.batch;
                     self.trace.emit(|| TraceEvent::BatchCommitted {
                         p: self.me.0,
                         slot,
-                        size,
-                        digest,
+                        size: batch.len() as u64,
+                        digest: digest_fingerprint(&batch.digest()),
                     });
                 }
             }
@@ -1021,6 +1023,12 @@ impl Replica {
             // close now.
             self.pump_batches(now, outs);
         }
+        self.execute_and_reply(now, outs);
+    }
+
+    /// Executes every slot that became ready, answers the clients, and
+    /// signs any checkpoint the execution crossed.
+    fn execute_and_reply(&mut self, now: qsel_simnet::SimTime, outs: &mut Outs) {
         for (s, req) in self.log.execute_ready() {
             self.stats.executed += 1;
             self.trace.emit(|| TraceEvent::Executed {
@@ -1078,11 +1086,7 @@ impl Replica {
             watermark,
             prepared: self.log.prepared_entries_from(watermark),
         });
-        for k in self.cfg.processes() {
-            if k != self.me {
-                outs.sends.push((k, XpMsg::ViewChange(vc.clone())));
-            }
-        }
+        self.broadcast(outs, || XpMsg::ViewChange(vc.clone()));
         self.collected_vc
             .entry(target)
             .or_default()
@@ -1206,11 +1210,7 @@ impl Replica {
             base,
             reproposals,
         });
-        for k in self.cfg.processes() {
-            if k != self.me {
-                outs.sends.push((k, XpMsg::NewView(nv.clone())));
-            }
-        }
+        self.broadcast(outs, || XpMsg::NewView(nv.clone()));
         self.install_new_view(now, nv, outs);
     }
 
@@ -1419,29 +1419,7 @@ impl Replica {
             }
             self.log.adopt_decided(entry.prepare, entry.commits);
         }
-        for (s, req) in self.log.execute_ready() {
-            self.stats.executed += 1;
-            self.trace.emit(|| TraceEvent::Executed {
-                p: self.me.0,
-                slot: s,
-                digest: digest_fingerprint(&req.digest()),
-            });
-            self.trace.emit(|| TraceEvent::ReplySent {
-                p: self.me.0,
-                client: req.client.0,
-                op: req.op,
-                slot: s,
-            });
-            outs.sends.push((
-                req.client,
-                XpMsg::Reply(Reply {
-                    view: self.view,
-                    op: req.op,
-                    result: s,
-                }),
-            ));
-        }
-        self.pump_checkpoints(now, outs);
+        self.execute_and_reply(now, outs);
     }
 
     /// A certificate is valid iff the prepare is signed by its view's
@@ -1450,7 +1428,7 @@ impl Replica {
     /// slot rests on, so not even a Byzantine sender can forge one.
     fn verify_certificate(&self, entry: &DecidedEntry) -> bool {
         let sp = &entry.prepare;
-        if self.verifier.verify(sp).is_err() {
+        if !self.verify_prepare_once(sp) {
             return false;
         }
         let view = sp.payload.view;
@@ -1488,11 +1466,7 @@ impl Replica {
                 continue;
             }
             let vote = self.signer.sign(payload);
-            for k in self.cfg.processes() {
-                if k != self.me {
-                    outs.sends.push((k, XpMsg::Checkpoint(vote.clone())));
-                }
-            }
+            self.broadcast(outs, || XpMsg::Checkpoint(vote.clone()));
             self.on_checkpoint(now, vote, outs);
         }
     }
@@ -1559,18 +1533,7 @@ impl Replica {
         self.stats.checkpoints_stable += 1;
         let p = self.me.0;
         self.trace.emit(|| TraceEvent::CheckpointStable { p, slot, digest });
-        let bound = slot.min(self.log.watermark());
-        let collected = self
-            .log
-            .gc_below(slot, self.rcfg.checkpoint.archive_retain);
-        if collected > 0 {
-            let len = self.log.log_len() as u64;
-            self.trace.emit(|| TraceEvent::LogGc {
-                p,
-                below: bound,
-                len,
-            });
-        }
+        self.gc_log_below(slot);
         self.ckpt_votes = self.ckpt_votes.split_off(&(slot + 1));
         // Far behind the certified frontier? The quorum moved on without
         // us (lazy replication lagging, long partition, …): catch up now
@@ -1578,6 +1541,16 @@ impl Replica {
         let horizon = 2 * self.rcfg.checkpoint.interval;
         if slot > self.log.watermark().saturating_add(horizon) {
             self.begin_sync(now, outs);
+        }
+    }
+
+    /// Compacts the log below the stable checkpoint at `slot` (bounded by
+    /// our own executed prefix) and traces the collection if any.
+    fn gc_log_below(&mut self, slot: u64) {
+        let below = slot.min(self.log.watermark());
+        if self.log.gc_below(slot, self.rcfg.checkpoint.archive_retain) > 0 {
+            let (p, len) = (self.me.0, self.log.log_len() as u64);
+            self.trace.emit(|| TraceEvent::LogGc { p, below, len });
         }
     }
 
@@ -1627,11 +1600,7 @@ impl Replica {
         self.sync = SyncState::Probing { retries };
         self.sync_gen += 1;
         let watermark = self.log.watermark();
-        for k in self.cfg.processes() {
-            if k != self.me {
-                outs.sends.push((k, XpMsg::SyncQuery { watermark }));
-            }
-        }
+        self.broadcast(outs, || XpMsg::SyncQuery { watermark });
         outs.timers.push((
             self.sync_backoff(retries),
             TimerId(TIMER_SYNC_BASE + self.sync_gen),
@@ -2104,24 +2073,8 @@ impl Replica {
         // collect below our *then* watermark; now that the gap is closed,
         // compact everything below it so the recovered replica's resident
         // log is bounded by the checkpoint interval again.
-        if let Some(ckpt_slot) = self
-            .stable_ckpt
-            .as_ref()
-            .and_then(|c| c.payload())
-            .map(|pl| pl.slot)
-        {
-            let bound = ckpt_slot.min(self.log.watermark());
-            let collected = self
-                .log
-                .gc_below(ckpt_slot, self.rcfg.checkpoint.archive_retain);
-            if collected > 0 {
-                let len = self.log.log_len() as u64;
-                self.trace.emit(|| TraceEvent::LogGc {
-                    p,
-                    below: bound,
-                    len,
-                });
-            }
+        if self.stable_ckpt.is_some() {
+            self.gc_log_below(self.stable_checkpoint_slot());
         }
     }
 
@@ -2205,13 +2158,7 @@ impl Replica {
     fn pump_qs(&mut self, now: qsel_simnet::SimTime, qs_out: Vec<QsOutput>, outs: &mut Outs) {
         for o in qs_out {
             match o {
-                QsOutput::Broadcast(u) => {
-                    for k in self.cfg.processes() {
-                        if k != self.me {
-                            outs.sends.push((k, XpMsg::Update(u.clone())));
-                        }
-                    }
-                }
+                QsOutput::Broadcast(u) => self.broadcast(outs, || XpMsg::Update(u.clone())),
                 QsOutput::Quorum(q) => {
                     // §V-B: jump to the view of the selected quorum,
                     // suspecting all quorums ordered before it.
@@ -2226,6 +2173,15 @@ impl Replica {
                 }
             }
         }
+    }
+
+    /// Whether `sp` carries a valid signature. A PREPARE equal in signer,
+    /// tag and every payload byte to the one the log holds for its slot
+    /// was verified before it was admitted (every `Log::accept_prepare` /
+    /// `adopt_decided` caller verifies first); any other is verified now.
+    // lint: allow(S1, reads only the slot number, to find the already-verified log entry the PREPARE is compared with; everything else falls through to verify)
+    fn verify_prepare_once(&self, sp: &SignedPrepare) -> bool {
+        self.log.prepare_at(sp.payload.slot) == Some(sp) || self.verifier.verify(sp).is_ok()
     }
 
     fn authenticate(&self, msg: &XpMsg) -> Option<ProcessId> {

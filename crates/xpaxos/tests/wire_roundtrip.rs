@@ -8,7 +8,7 @@ use proptest::prelude::*;
 use qsel::messages::UpdateRow;
 use qsel_mmr::{leaf_hash, Mmr};
 use qsel_types::CheckpointPayload;
-use qsel_types::crypto::Keychain;
+use qsel_types::crypto::{sha256, Keychain};
 use qsel_types::encode::{decode_from_slice, encode_to_vec};
 use qsel_types::{ClusterConfig, Epoch, ProcessId};
 use qsel_xpaxos::messages::{
@@ -159,6 +159,17 @@ proptest! {
             let bytes = encode_to_vec(&msg);
             let back: XpMsg = decode_from_slice(&bytes)
                 .unwrap_or_else(|e| panic!("decode failed for {msg:?}: {e}"));
+            // A decoded batch carries the digest of its own bytes (the
+            // digest is recomputed at decode, never read from the wire).
+            let decoded_batch = match &back {
+                XpMsg::Prepare(sp) => Some(&sp.payload.batch),
+                XpMsg::Commit(sc) => Some(&sc.payload.prepare.payload.batch),
+                XpMsg::SyncChunk { entries, .. } => entries.first().map(|e| &e.batch),
+                _ => None,
+            };
+            if let Some(batch) = decoded_batch {
+                prop_assert_eq!(batch.digest(), sha256(&encode_to_vec(batch)));
+            }
             prop_assert_eq!(back, msg);
         }
     }
@@ -227,4 +238,69 @@ fn forged_batch_length_is_rejected_without_allocating() {
     bytes[4..12].copy_from_slice(&u64::MAX.to_le_bytes());
     let r: Result<Batch, _> = decode_from_slice(&bytes);
     assert!(r.is_err(), "forged length accepted");
+}
+
+fn fixed_requests() -> Vec<Request> {
+    (0..3)
+        .map(|i| Request {
+            client: ProcessId(10 + i),
+            op: u64::from(i) * 7,
+            payload: 0xABCD_0000 + u64::from(i),
+        })
+        .collect()
+}
+
+/// `(kind, encoded length, SHA-256 of the encoding)` of every message
+/// `all_variants(3, 17, fixed_requests())` builds, computed at the commit
+/// before `Batch` shared its requests and memoized its digest.
+const PINNED_WIRE: &[(&str, usize, &str)] = &[
+    ("request", 25, "7d6430c763d4cf95af1163abc1470153a230e513ddf2e7c8c730864828ec3824"),
+    ("prepare", 141, "ae3eb0fadd63d7d5a4729e4ba2ee9b851f5dd48e887ac5c3b375f46f3c956107"),
+    ("commit", 229, "21af499a9a1be3ef19ab895ca9a57c1b52bf937b603a5950301e9235c9a626f8"),
+    ("reply", 25, "327d81e49c53e15c09c9947f99755ab1607ae00b946d7bbe5f3b1162ca330db6"),
+    ("view-change", 205, "edb5d4d0ae1a5c6c86fdb5a2d1c40f9d3a9ace748f2688036cc46494f53b4fe0"),
+    ("new-view", 205, "e06c19cca59276236bea8abc809dccf57de468017fd891414df8a766b82e8f4c"),
+    ("update", 81, "b722b19d11dd24ae269f76e6b78140bff660082f038509d39e0a463814464b0f"),
+    ("heartbeat", 49, "025c117a740ad8ea8eb47ea92553104edfe65327ecc205762420dae8d507d738"),
+    ("lazy-update", 389, "ec079f913f0efebbcd8a174cf53b5160454049dffb826450b19d95cfb671ca25"),
+    ("state-fetch", 17, "c82a64c48848b5f6a03a5518b05aa468e07412c1374dc013eb30cba902642f85"),
+    ("state-batch", 161, "06c18f25901a07d5db5365912eeee9002653f5eb2d267b6b833159f9d9b72960"),
+    ("checkpoint", 129, "21ada19c282f56222cdb7e77bd28a53d62c0471e40821babd6455e643cd4b4d2"),
+    ("sync-query", 9, "d09f1e618674c45e24fe3359a31c0be90b381fda9dbc33561fd89b52108668b9"),
+    ("sync-info", 286, "759e67f0e8294dffd506a2422868a0ec8a02566961a54e31300562eb06a3499b"),
+    ("sync-info", 18, "0ba26595d7b70b38eb07e64234c4894eba3a10bfe8bac64247841bf64be4fae3"),
+    ("sync-fetch", 25, "0126ed7df94490968b0576a22ac78229c1d0c3fe852bc81638d9198c6c8d2b00"),
+    ("sync-chunk", 597, "15f004bd5af839fc26cf1d3c24f3b792724cfbc0358bf1ace6a5bbc603a1b571"),
+];
+
+/// Sharing the requests and memoizing the digest are in-memory changes
+/// only: every variant still encodes to the bytes it had before.
+#[test]
+fn encodings_are_byte_identical_to_the_pinned_wire_format() {
+    let msgs = all_variants(3, 17, fixed_requests());
+    assert_eq!(msgs.len(), PINNED_WIRE.len());
+    for (msg, (kind, len, hash)) in msgs.iter().zip(PINNED_WIRE) {
+        let bytes = encode_to_vec(msg);
+        assert_eq!(msg.kind(), *kind);
+        assert_eq!(bytes.len(), *len, "{kind}");
+        assert_eq!(sha256(&bytes).to_string(), *hash, "{kind}");
+    }
+}
+
+/// `Batch` equality is content equality: separately built batches over
+/// equal requests are equal (and digest alike), clones are equal, and one
+/// differing payload bit makes them differ.
+#[test]
+fn batch_equality_is_by_content() {
+    let a = Batch::new(fixed_requests());
+    let b = Batch::new(fixed_requests());
+    assert_eq!(a, b);
+    assert_eq!(a.digest(), b.digest());
+    assert_eq!(a, a.clone());
+    let mut other = fixed_requests();
+    other[2].payload ^= 1;
+    let c = Batch::new(other);
+    assert_ne!(a, c);
+    assert_ne!(a.digest(), c.digest());
+    assert_ne!(a, Batch::new(fixed_requests()[..2].to_vec()));
 }
