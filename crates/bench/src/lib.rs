@@ -1,4 +1,4 @@
-//! Experiment harness shared by the `exp-*` binaries and Criterion benches.
+//! Experiment harness shared by the `exp-*` binaries.
 //!
 //! Each binary regenerates one experiment from `EXPERIMENTS.md` (which maps
 //! them to the paper's claims) and prints a markdown table to stdout.

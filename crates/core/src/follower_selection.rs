@@ -27,7 +27,8 @@ use qsel_types::crypto::{Signer, Verifier};
 use qsel_types::{thresholds, ClusterConfig, Epoch, LeaderQuorum, ProcessId, ProcessSet};
 
 use crate::matrix::SuspectMatrix;
-use crate::messages::{FollowersPayload, SignedFollowers, SignedUpdate, UpdateRow};
+use crate::messages::{FollowersPayload, SignedFollowers, SignedUpdate};
+use crate::propagation::Propagation;
 use crate::stats::SelectionStats;
 
 /// Output events of [`FollowerSelection`].
@@ -89,18 +90,10 @@ pub enum FsOutput {
 /// ```
 #[derive(Debug)]
 pub struct FollowerSelection {
-    cfg: ClusterConfig,
-    me: ProcessId,
-    signer: Signer,
-    verifier: Verifier,
-    epoch: Epoch,
-    suspecting: ProcessSet,
-    matrix: SuspectMatrix,
+    base: Propagation,
     leader: ProcessId,
     stable: bool,
     q_last: ProcessSet,
-    stats: SelectionStats,
-    trace: TraceSink,
 }
 
 impl FollowerSelection {
@@ -122,33 +115,24 @@ impl FollowerSelection {
             cfg.n(),
             cfg.f()
         );
-        assert_eq!(signer.id(), me, "signer identity mismatch");
         FollowerSelection {
-            me,
-            signer,
-            verifier,
-            epoch: Epoch::initial(),
-            suspecting: ProcessSet::new(),
-            matrix: SuspectMatrix::new(cfg.n()),
+            base: Propagation::new(cfg, me, signer, verifier),
             leader: ProcessId(1),
             stable: true,
             q_last: cfg.default_quorum_members().into_iter().collect(),
-            stats: SelectionStats::default(),
-            trace: TraceSink::disabled(),
-            cfg,
         }
     }
 
     /// Installs a trace sink (typically a clone of the simulation's, so
     /// events carry the ambient simulated time).
     pub fn set_trace_sink(&mut self, sink: TraceSink) {
-        self.trace = sink;
+        self.base.trace = sink;
     }
 
     /// `⟨SUSPECTED, S⟩` from the failure detector.
     pub fn on_suspected(&mut self, s: ProcessSet) -> Vec<FsOutput> {
         let mut out = Vec::new();
-        self.update_suspicions(s, &mut out);
+        out.push(FsOutput::BroadcastUpdate(self.base.stamp_and_sign_row(s)));
         self.update_quorum(&mut out);
         out
     }
@@ -157,13 +141,7 @@ impl FollowerSelection {
     /// with Algorithm 1).
     pub fn on_update(&mut self, update: SignedUpdate) -> Vec<FsOutput> {
         let mut out = Vec::new();
-        if self.verifier.verify(&update).is_err() || !update.payload.is_valid_for(self.cfg.n()) {
-            self.stats.invalid_updates += 1;
-            return out;
-        }
-        let changed = self.matrix.merge_row(update.signer, &update.payload.row);
-        if changed {
-            self.stats.updates_forwarded += 1;
+        if self.base.merge_update(&update) {
             // Forward *before* any FOLLOWERS broadcast so FIFO receivers
             // see the graph change first (needed for Lemma 7 / Def. 3 b).
             out.push(FsOutput::BroadcastUpdate(update));
@@ -176,21 +154,16 @@ impl FollowerSelection {
     /// lines 27–37).
     pub fn on_followers(&mut self, msg: SignedFollowers) -> Vec<FsOutput> {
         let mut out = Vec::new();
-        if self.verifier.verify(&msg).is_err() {
-            self.stats.invalid_followers += 1;
+        if self.base.verifier.verify(&msg).is_err() {
+            self.base.stats.invalid_followers += 1;
             return out;
         }
         let sender = msg.signer;
-        if sender != self.leader || msg.payload.epoch != self.epoch {
+        if sender != self.leader || msg.payload.epoch != self.base.epoch {
             return out; // stale or not from the current leader (line 28)
         }
         if !self.is_well_formed(&msg.payload, sender) {
-            self.stats.detections_raised += 1;
-            self.trace.emit(|| TraceEvent::DetectionRaised {
-                p: self.me.0,
-                against: sender.0,
-            });
-            out.push(FsOutput::Detected(sender));
+            self.detect(sender, &mut out);
             return out;
         }
         let quorum: ProcessSet = msg
@@ -204,12 +177,7 @@ impl FollowerSelection {
             if quorum != self.q_last {
                 // Two different FOLLOWERS for the same leader and epoch:
                 // equivocation (line 32).
-                self.stats.detections_raised += 1;
-                self.trace.emit(|| TraceEvent::DetectionRaised {
-                    p: self.me.0,
-                    against: sender.0,
-                });
-                out.push(FsOutput::Detected(sender));
+                self.detect(sender, &mut out);
             }
             return out;
         }
@@ -222,40 +190,34 @@ impl FollowerSelection {
         out
     }
 
-    fn update_suspicions(&mut self, s: ProcessSet, out: &mut Vec<FsOutput>) {
-        self.suspecting = s;
-        for j in self.suspecting.iter() {
-            if j != self.me {
-                self.matrix.stamp(self.me, j, self.epoch);
-            }
-        }
-        self.stats.updates_sent += 1;
-        out.push(FsOutput::BroadcastUpdate(self.signer.sign(UpdateRow {
-            row: self.matrix.row(self.me).to_vec(),
-        })));
+    /// `⟨DETECTED, sender⟩`: a malformed or equivocating FOLLOWERS message
+    /// is proof of misbehaviour (lines 30 and 32).
+    fn detect(&mut self, sender: ProcessId, out: &mut Vec<FsOutput>) {
+        self.base.stats.detections_raised += 1;
+        self.base.trace.emit(|| TraceEvent::DetectionRaised {
+            p: self.base.me.0,
+            against: sender.0,
+        });
+        out.push(FsOutput::Detected(sender));
     }
 
     /// `updateQuorum()` (Algorithm 2 lines 7–26), looping where the paper
     /// re-enters through the self-addressed UPDATE.
     fn update_quorum(&mut self, out: &mut Vec<FsOutput>) {
         loop {
-            let g = self.matrix.build_graph(self.epoch);
-            if !g.has_independent_set(self.cfg.quorum_size()) {
+            let g = self.base.matrix.build_graph(self.base.epoch);
+            if !g.has_independent_set(self.base.cfg.quorum_size()) {
                 // Lines 9–16: next epoch, default leader and quorum.
-                self.epoch = self.epoch.next();
-                self.stats.epochs_entered += 1;
-                self.trace.emit(|| TraceEvent::EpochEntered {
-                    p: self.me.0,
-                    epoch: self.epoch.get(),
-                    algo: "fs".into(),
-                });
+                self.base.enter_next_epoch("fs");
                 out.push(FsOutput::Cancel);
                 self.leader = ProcessId(1);
                 self.stable = true;
-                self.q_last = self.cfg.default_quorum_members().into_iter().collect();
+                self.q_last = self.base.cfg.default_quorum_members().into_iter().collect();
                 self.issue_quorum(out);
-                let suspecting = self.suspecting;
-                self.update_suspicions(suspecting, out);
+                let suspecting = self.base.suspecting;
+                out.push(FsOutput::BroadcastUpdate(
+                    self.base.stamp_and_sign_row(suspecting),
+                ));
                 continue;
             }
             let m = g.maximal_line_subgraph();
@@ -263,32 +225,26 @@ impl FollowerSelection {
                 // Cannot happen while an independent set of size q exists
                 // (Lemma 8 b); treat defensively as an inconsistent epoch.
                 debug_assert!(false, "line subgraph covered all nodes despite IS");
-                self.epoch = self.epoch.next();
-                self.stats.epochs_entered += 1;
-                self.trace.emit(|| TraceEvent::EpochEntered {
-                    p: self.me.0,
-                    epoch: self.epoch.get(),
-                    algo: "fs".into(),
-                });
+                self.base.enter_next_epoch("fs");
                 continue;
             };
             if self.leader != new_leader {
                 self.stable = false;
                 self.leader = new_leader;
                 out.push(FsOutput::Cancel);
-                if new_leader != self.me {
+                if new_leader != self.base.me {
                     out.push(FsOutput::Expect {
                         leader: new_leader,
-                        epoch: self.epoch,
+                        epoch: self.base.epoch,
                     });
                 } else {
-                    let fw = select_followers(&m.forest, new_leader, self.cfg.quorum_size());
+                    let fw = select_followers(&m.forest, new_leader, self.base.cfg.quorum_size());
                     let payload = FollowersPayload {
                         followers: fw,
                         line_edges: m.forest.edges(),
-                        epoch: self.epoch,
+                        epoch: self.base.epoch,
                     };
-                    let signed = self.signer.sign(payload);
+                    let signed = self.base.signer.sign(payload);
                     out.push(FsOutput::BroadcastFollowers(signed.clone()));
                     // The paper broadcasts "including self": the leader
                     // accepts its own message immediately.
@@ -298,7 +254,7 @@ impl FollowerSelection {
                         .followers
                         .iter()
                         .copied()
-                        .chain(std::iter::once(self.me))
+                        .chain(std::iter::once(self.base.me))
                         .collect();
                     self.issue_quorum(out);
                 }
@@ -310,21 +266,21 @@ impl FollowerSelection {
     /// Definition 3 well-formedness, checked against the local suspect
     /// graph `G_i`.
     fn is_well_formed(&self, p: &FollowersPayload, sender: ProcessId) -> bool {
-        let q = self.cfg.quorum_size();
+        let q = self.base.cfg.quorum_size();
         // a) leader not among followers, exactly q − 1 distinct followers.
         let fw: ProcessSet = p.followers.iter().copied().collect();
         if fw.contains(sender)
             || fw.len() != (q - 1) as usize
             || p.followers.len() != fw.len()
-            || !p.followers.iter().all(|f| self.cfg.contains(*f))
+            || !p.followers.iter().all(|f| self.base.cfg.contains(*f))
         {
             return false;
         }
         // b) L' is a line subgraph and L' ⊆ G_i.
-        let Ok(forest) = LinearForest::from_edge_list(self.cfg.n(), &p.line_edges) else {
+        let Ok(forest) = LinearForest::from_edge_list(self.base.cfg.n(), &p.line_edges) else {
             return false;
         };
-        let g = self.matrix.build_graph(self.epoch);
+        let g = self.base.matrix.build_graph(self.base.epoch);
         if !forest.is_subgraph_of(&g) {
             return false;
         }
@@ -338,22 +294,16 @@ impl FollowerSelection {
     }
 
     fn issue_quorum(&mut self, out: &mut Vec<FsOutput>) {
-        let quorum = LeaderQuorum::of(&self.cfg, self.leader, self.q_last.iter())
+        let quorum = LeaderQuorum::of(&self.base.cfg, self.leader, self.q_last.iter())
             // lint: allow(S2, q_last is maintained at size n-t by construction; a malformed quorum here is unrecoverable state corruption)
             .expect("internal quorum invariants violated");
-        self.stats.record_quorum(self.epoch, *quorum.quorum().members());
-        self.trace.emit(|| TraceEvent::QuorumIssued {
-            p: self.me.0,
-            epoch: self.epoch.get(),
-            algo: "fs".into(),
-            members: quorum.quorum().members().iter().map(|p| p.0).collect(),
-        });
+        self.base.record_quorum("fs", *quorum.quorum().members());
         out.push(FsOutput::Quorum(quorum));
     }
 
     /// Current epoch.
     pub fn epoch(&self) -> Epoch {
-        self.epoch
+        self.base.epoch
     }
 
     /// The current leader.
@@ -374,27 +324,27 @@ impl FollowerSelection {
 
     /// A copy of the suspect graph at the current epoch.
     pub fn suspect_graph(&self) -> SuspectGraph {
-        self.matrix.build_graph(self.epoch)
+        self.base.matrix.build_graph(self.base.epoch)
     }
 
     /// Read access to the suspicion matrix.
     pub fn matrix(&self) -> &SuspectMatrix {
-        &self.matrix
+        &self.base.matrix
     }
 
     /// The owning process.
     pub fn me(&self) -> ProcessId {
-        self.me
+        self.base.me
     }
 
     /// The cluster configuration.
     pub fn config(&self) -> &ClusterConfig {
-        &self.cfg
+        &self.base.cfg
     }
 
     /// Behaviour counters.
     pub fn stats(&self) -> &SelectionStats {
-        &self.stats
+        &self.base.stats
     }
 }
 
@@ -424,6 +374,7 @@ fn select_followers(forest: &LinearForest, leader: ProcessId, q: u32) -> Vec<Pro
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::messages::UpdateRow;
     use qsel_types::crypto::Keychain;
 
     fn setup(n: u32, f: u32) -> (ClusterConfig, Keychain, Vec<FollowerSelection>) {

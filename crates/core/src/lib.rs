@@ -58,6 +58,7 @@ mod follower_selection;
 mod matrix;
 pub mod messages;
 pub mod node;
+mod propagation;
 mod quorum_selection;
 mod stats;
 

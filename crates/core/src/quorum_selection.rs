@@ -19,12 +19,13 @@
 //!   set, so processes with equal matrices output equal quorums.
 
 use qsel_graph::SuspectGraph;
-use qsel_obs::{TraceEvent, TraceSink};
+use qsel_obs::TraceSink;
 use qsel_types::crypto::{Signer, Verifier};
 use qsel_types::{thresholds, ClusterConfig, Epoch, ProcessId, ProcessSet, Quorum};
 
 use crate::matrix::SuspectMatrix;
-use crate::messages::{SignedUpdate, UpdateRow};
+use crate::messages::SignedUpdate;
+use crate::propagation::Propagation;
 use crate::stats::SelectionStats;
 
 /// Output events of [`QuorumSelection`].
@@ -69,16 +70,8 @@ pub enum QsOutput {
 /// ```
 #[derive(Debug)]
 pub struct QuorumSelection {
-    cfg: ClusterConfig,
-    me: ProcessId,
-    signer: Signer,
-    verifier: Verifier,
-    epoch: Epoch,
-    suspecting: ProcessSet,
-    matrix: SuspectMatrix,
+    base: Propagation,
     q_last: Quorum,
-    stats: SelectionStats,
-    trace: TraceSink,
 }
 
 impl QuorumSelection {
@@ -95,31 +88,22 @@ impl QuorumSelection {
             thresholds::tolerates_faults(cfg.f()),
             "quorum selection requires f >= 1"
         );
-        assert_eq!(signer.id(), me, "signer identity mismatch");
         QuorumSelection {
-            me,
-            signer,
-            verifier,
-            epoch: Epoch::initial(),
-            suspecting: ProcessSet::new(),
-            matrix: SuspectMatrix::new(cfg.n()),
+            base: Propagation::new(cfg, me, signer, verifier),
             q_last: Quorum::initial(&cfg),
-            stats: SelectionStats::default(),
-            trace: TraceSink::disabled(),
-            cfg,
         }
     }
 
     /// Installs a trace sink (typically a clone of the simulation's, so
     /// events carry the ambient simulated time).
     pub fn set_trace_sink(&mut self, sink: TraceSink) {
-        self.trace = sink;
+        self.base.trace = sink;
     }
 
     /// `⟨SUSPECTED, S⟩` from the failure detector (Algorithm 1 line 9).
     pub fn on_suspected(&mut self, s: ProcessSet) -> Vec<QsOutput> {
         let mut out = Vec::new();
-        self.update_suspicions(s, &mut out);
+        out.push(QsOutput::Broadcast(self.base.stamp_and_sign_row(s)));
         // The paper broadcasts "to all including self"; handling our own
         // UPDATE is what triggers updateQuorum, so run it locally now.
         self.update_quorum(&mut out);
@@ -131,32 +115,11 @@ impl QuorumSelection {
     /// unauthenticated message cannot be attributed to anyone.
     pub fn on_update(&mut self, update: SignedUpdate) -> Vec<QsOutput> {
         let mut out = Vec::new();
-        if self.verifier.verify(&update).is_err() || !update.payload.is_valid_for(self.cfg.n()) {
-            self.stats.invalid_updates += 1;
-            return out;
-        }
-        let changed = self.matrix.merge_row(update.signer, &update.payload.row);
-        if changed {
-            self.stats.updates_forwarded += 1;
+        if self.base.merge_update(&update) {
             out.push(QsOutput::Broadcast(update)); // forward (line 23)
             self.update_quorum(&mut out); // line 24
         }
         out
-    }
-
-    /// `updateSuspicions(S)` (Algorithm 1 lines 11–15): replace the current
-    /// suspicion set, stamp it in the current epoch, broadcast our row.
-    fn update_suspicions(&mut self, s: ProcessSet, out: &mut Vec<QsOutput>) {
-        self.suspecting = s;
-        for j in self.suspecting.iter() {
-            if j != self.me {
-                self.matrix.stamp(self.me, j, self.epoch);
-            }
-        }
-        self.stats.updates_sent += 1;
-        out.push(QsOutput::Broadcast(self.signer.sign(UpdateRow {
-            row: self.matrix.row(self.me).to_vec(),
-        })));
     }
 
     /// `updateQuorum()` (Algorithm 1 lines 25–34). The paper re-enters the
@@ -164,33 +127,23 @@ impl QuorumSelection {
     /// this implementation loops directly.
     fn update_quorum(&mut self, out: &mut Vec<QsOutput>) {
         loop {
-            let g = self.matrix.build_graph(self.epoch);
-            match g.first_independent_set(self.cfg.quorum_size()) {
+            let g = self.base.matrix.build_graph(self.base.epoch);
+            match g.first_independent_set(self.base.cfg.quorum_size()) {
                 None => {
                     // Suspicions in the current epoch are inconsistent with
                     // any quorum: enter the next epoch and re-issue our
                     // current suspicions there (lines 28–29).
-                    self.epoch = self.epoch.next();
-                    self.stats.epochs_entered += 1;
-                    self.trace.emit(|| TraceEvent::EpochEntered {
-                        p: self.me.0,
-                        epoch: self.epoch.get(),
-                        algo: "qs".into(),
-                    });
-                    let suspecting = self.suspecting;
-                    self.update_suspicions(suspecting, out);
+                    self.base.enter_next_epoch("qs");
+                    let suspecting = self.base.suspecting;
+                    out.push(QsOutput::Broadcast(
+                        self.base.stamp_and_sign_row(suspecting),
+                    ));
                 }
                 Some(set) => {
                     let q = Quorum::from_set_unchecked(set);
                     if q != self.q_last {
                         self.q_last = q;
-                        self.stats.record_quorum(self.epoch, *q.members());
-                        self.trace.emit(|| TraceEvent::QuorumIssued {
-                            p: self.me.0,
-                            epoch: self.epoch.get(),
-                            algo: "qs".into(),
-                            members: q.members().iter().map(|p| p.0).collect(),
-                        });
+                        self.base.record_quorum("qs", *q.members());
                         out.push(QsOutput::Quorum(q));
                     }
                     return;
@@ -201,7 +154,7 @@ impl QuorumSelection {
 
     /// Current epoch.
     pub fn epoch(&self) -> Epoch {
-        self.epoch
+        self.base.epoch
     }
 
     /// The last issued (or initial) quorum.
@@ -211,38 +164,39 @@ impl QuorumSelection {
 
     /// The processes this module's failure detector currently suspects.
     pub fn suspecting(&self) -> ProcessSet {
-        self.suspecting
+        self.base.suspecting
     }
 
     /// A copy of the suspect graph at the current epoch.
     pub fn suspect_graph(&self) -> SuspectGraph {
-        self.matrix.build_graph(self.epoch)
+        self.base.matrix.build_graph(self.base.epoch)
     }
 
     /// Read access to the suspicion matrix.
     pub fn matrix(&self) -> &SuspectMatrix {
-        &self.matrix
+        &self.base.matrix
     }
 
     /// The cluster configuration.
     pub fn config(&self) -> &ClusterConfig {
-        &self.cfg
+        &self.base.cfg
     }
 
     /// The owning process.
     pub fn me(&self) -> ProcessId {
-        self.me
+        self.base.me
     }
 
     /// Behaviour counters (quorums per epoch, etc.).
     pub fn stats(&self) -> &SelectionStats {
-        &self.stats
+        &self.base.stats
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::messages::UpdateRow;
     use qsel_types::crypto::Keychain;
 
     fn setup(n: u32, f: u32) -> (ClusterConfig, Keychain, Vec<QuorumSelection>) {

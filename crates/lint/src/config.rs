@@ -6,8 +6,8 @@
 //! * protocol/simulation crates must be reproducible byte-for-byte, so
 //!   they get the determinism lints (D1–D3) and the protocol-safety
 //!   lints (S1–S2);
-//! * `bench` and the vendored `criterion` shim measure wall-clock time
-//!   on purpose — they are the only places D2 permits `Instant`;
+//! * `bench` measures wall-clock time on purpose — it is the only place
+//!   D2 permits `Instant`;
 //! * the vendored `rand` shim *implements* the seeded generators all
 //!   randomness must flow from, so it is exempt from D3 by definition.
 
@@ -69,9 +69,6 @@ pub struct LintConfig {
     pub p4_event_crate: String,
     /// The trace-event enum's name (P4).
     pub p4_event_enum: String,
-    /// Path substrings of the files that *consume* trace events (P4):
-    /// every variant must be referenced in at least one of them.
-    pub p4_consumer_paths: Vec<String>,
 }
 
 impl Default for LintConfig {
@@ -83,7 +80,7 @@ impl Default for LintConfig {
             // specs into fault plans and actor placements, so its iteration
             // order reaches the trace too.
             d1_crates: v(&["core", "xpaxos", "pbft", "detector", "simnet", "scenario", "mmr"]),
-            d2_exempt_crates: v(&["bench", "criterion"]),
+            d2_exempt_crates: v(&["bench"]),
             d3_exempt_crates: v(&["rand"]),
             // Crates that handle signed protocol messages.
             s1_crates: v(&["core", "xpaxos", "pbft", "detector"]),
@@ -114,13 +111,12 @@ impl Default for LintConfig {
                 "types", "core", "detector", "graph", "xpaxos", "pbft", "mmr", "obs", "simnet",
                 "scenario", "adversary", "bench",
             ]),
-            p3_boundary_crates: v(&["criterion"]),
+            p3_boundary_crates: Vec::new(),
             // The experiment driver's whole job is writing result files;
             // it still must not open sockets or spawn threads.
             p3_fs_exempt_crates: v(&["bench"]),
             p4_event_crate: "obs".into(),
             p4_event_enum: "TraceEvent".into(),
-            p4_consumer_paths: v(&["crates/obs/src/replay.rs", "crates/obs/src/span.rs"]),
         }
     }
 }

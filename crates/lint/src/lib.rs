@@ -13,7 +13,7 @@
 //! | id | name | invariant |
 //! |----|------|-----------|
 //! | D1 | nondeterministic-iteration | no `HashMap`/`HashSet` in crates whose iteration order can reach messages, traces, or stats |
-//! | D2 | wall-clock | no `std::time::{Instant, SystemTime}` outside `bench`/`criterion` |
+//! | D2 | wall-clock | no `std::time::{Instant, SystemTime}` outside `bench` |
 //! | D3 | ambient-rng | no `thread_rng`/`from_entropy`/`OsRng`; randomness flows from seeded generators |
 //! | S1 | verify-before-use | a fn reading a `Signed*` payload is dominated by a verify-family call — in its own body or in every caller (interprocedural, depth-bounded) |
 //! | S2 | panic-in-protocol | no `unwrap()`/`expect(_)`/`panic!` family in protocol crates outside tests |
@@ -21,7 +21,7 @@
 //! | P1 | handler-exhaustiveness | every wire-enum variant (`XpMsg`, `PbftMsg`) is named in code reachable from its message handler |
 //! | P2 | quorum-arithmetic | no hand-written `f + 1` / `2*f` / `n - f` threshold math outside `qsel_types::thresholds` |
 //! | P3 | sans-io-purity | no call chain from a pure protocol crate reaches `std::net`/`std::thread`/`std::fs` or wall-clock types |
-//! | P4 | trace-coverage | every `TraceEvent` variant is emitted outside its crate and consumed by the replay/span tooling |
+//! | P4 | trace-coverage | every `TraceEvent` variant is emitted outside its crate |
 //! | A1 | stale-allow | every `// lint: allow(...)` annotation matches a live finding |
 //!
 //! Escape hatch: `// lint: allow(ID, reason)` on the finding's line or

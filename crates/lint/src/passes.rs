@@ -18,8 +18,9 @@
 //!   types. This is the precondition for running the same state
 //!   machines under a wall-clock backend and replaying against the DES.
 //! * **P4 trace-vocabulary coverage**: every trace-event variant is
-//!   emitted outside its defining crate and consumed by the
-//!   replay/span tooling.
+//!   emitted outside its defining crate. (That every variant is written
+//!   and parsed is a compile-time fact of the `trace_events!` table in
+//!   `qsel-obs`, not a lint.)
 //! * **A1 stale-allow**: an `allow` annotation that matches no finding
 //!   is noise that hides real suppressions — remove it. A1 is itself
 //!   not suppressible.
@@ -658,8 +659,8 @@ fn pass_p3(ws: &Workspace, cfg: &LintConfig, findings: &mut Vec<Finding>) {
     }
 
     // 2. Taint: reverse-propagate anchors up the call graph. Edges out
-    // of boundary crates (measurement shims like `criterion`) stop the
-    // propagation — their impurity is their contract.
+    // of boundary crates (none today; a measurement shim would be one)
+    // stop the propagation — their impurity is their contract.
     let mut tainted: BTreeMap<usize, Option<usize>> = BTreeMap::new(); // id → taint parent
     let mut frontier: Vec<usize> = anchor.keys().copied().collect();
     for &id in &frontier {
@@ -772,16 +773,10 @@ fn pass_p4(ws: &Workspace, cfg: &LintConfig, findings: &mut Vec<Finding>) {
         });
         return;
     };
-    // Collect `Enum::Variant` references per file class.
+    // Collect `Enum::Variant` references outside the defining crate.
     let mut emitted: BTreeSet<String> = BTreeSet::new();
-    let mut consumed: BTreeSet<String> = BTreeSet::new();
     for file in &ws.files {
-        let is_consumer = cfg
-            .p4_consumer_paths
-            .iter()
-            .any(|p| file.meta.path.contains(p.as_str()));
-        let is_emitter_site = file.meta.krate != cfg.p4_event_crate;
-        if !is_consumer && !is_emitter_site {
+        if file.meta.krate == cfg.p4_event_crate {
             continue;
         }
         let code = &file.code;
@@ -789,37 +784,25 @@ fn pass_p4(ws: &Workspace, cfg: &LintConfig, findings: &mut Vec<Finding>) {
             if ident_at(code, i) == Some(cfg.p4_event_enum.as_str())
                 && punct_at(code, i + 1, ':')
                 && punct_at(code, i + 2, ':')
+                && !file.in_test(i)
             {
                 if let Some(v) = ident_at(code, i + 3) {
-                    if is_consumer {
-                        consumed.insert(v.to_string());
-                    }
-                    if is_emitter_site && !file.in_test(i) {
-                        emitted.insert(v.to_string());
-                    }
+                    emitted.insert(v.to_string());
                 }
             }
         }
     }
     for (v, line) in &enum_item.variants {
-        let e = emitted.contains(v);
-        let c = consumed.contains(v);
-        if e && c {
+        if emitted.contains(v) {
             continue;
         }
-        let gap = match (e, c) {
-            (false, false) => "is neither emitted outside its crate nor consumed by the replay/span tooling",
-            (false, true) => "is never emitted outside its defining crate",
-            (true, false) => "is not consumed by the replay/span tooling",
-            _ => unreachable!(),
-        };
         findings.push(Finding {
             lint: "P4",
             file: enum_path.clone(),
             line: *line,
             message: format!(
-                "trace event `{}::{v}` {gap} — dead vocabulary rots the observability \
-                 contract (emit it, consume it, or delete the variant)",
+                "trace event `{}::{v}` is never emitted outside its defining crate — dead \
+                 vocabulary rots the observability contract (emit it or delete the variant)",
                 cfg.p4_event_enum
             ),
             suppressed: None,

@@ -140,31 +140,26 @@ fn p3_chains_through_three_files() {
 }
 
 fn p4_cfg() -> LintConfig {
-    let mut cfg = LintConfig::default();
-    cfg.p4_event_crate = "tracefix".into();
-    cfg.p4_event_enum = "Ev".into();
-    cfg.p4_consumer_paths = vec!["p4_consumer".into()];
-    cfg
+    LintConfig {
+        p4_event_crate: "tracefix".into(),
+        p4_event_enum: "Ev".into(),
+        ..LintConfig::default()
+    }
 }
 
 #[test]
-fn p4_flags_unemitted_and_unconsumed_variants() {
+fn p4_flags_unemitted_variants() {
     let files = vec![
         fixture("p4_enum.rs", "tracefix", true),
         fixture("p4_emit_bad.rs", "emit", false),
-        fixture("p4_consumer_bad.rs", "replayfix", false),
     ];
     let report = lint_paths(&files, &p4_cfg()).unwrap();
     let p4: Vec<_> = report.findings.iter().filter(|f| f.lint == "P4").collect();
-    assert_eq!(p4.len(), 2, "{:?}", report.findings);
-    // `Delivered` (line 6): emitted, never consumed.
-    assert!(p4.iter().any(|f| f.line == 6
-        && f.message.contains("`Ev::Delivered`")
-        && f.message.contains("not consumed")));
-    // `Dropped` (line 7): neither emitted nor consumed.
-    assert!(p4.iter().any(|f| f.line == 7
-        && f.message.contains("`Ev::Dropped`")
-        && f.message.contains("neither emitted")));
+    assert_eq!(p4.len(), 1, "{:?}", report.findings);
+    // `Dropped` (line 7) is the one variant the emitter never names.
+    assert_eq!(p4[0].line, 7);
+    assert!(p4[0].message.contains("`Ev::Dropped`"));
+    assert!(p4[0].message.contains("never emitted"));
 }
 
 #[test]
@@ -172,7 +167,6 @@ fn p4_accepts_full_coverage() {
     let files = vec![
         fixture("p4_enum.rs", "tracefix", true),
         fixture("p4_emit_good.rs", "emit", false),
-        fixture("p4_consumer_good.rs", "replayfix", false),
     ];
     let report = lint_paths(&files, &p4_cfg()).unwrap();
     assert!(

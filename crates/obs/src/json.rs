@@ -1,15 +1,20 @@
-//! Shared hand-rolled JSON primitives.
+//! The crate's one hand-rolled JSON reader and string escaper.
 //!
-//! One byte-cursor serves every JSON artifact this crate pins
-//! (`verdict.json` via [`crate::verdict`], the metrics snapshot via
-//! [`crate::metrics`], `latency_report.json` via [`crate::span`]): the
-//! same strict subset — objects, arrays, strings with the escapes
-//! [`json_str`] emits, integers, one-decimal floats and booleans — parsed
-//! without any external dependency.
+//! One byte cursor serves every JSON artifact this crate pins. The
+//! documents (`verdict.json` via [`crate::verdict`], the metrics snapshot
+//! via [`crate::metrics`]) use the whitespace-tolerant walkers
+//! [`Cursor::object`] / [`Cursor::array`] over objects, arrays, strings,
+//! integers, one-decimal floats and booleans; a trace line
+//! ([`crate::event`]) is one *flat* object read strictly — no whitespace,
+//! values limited to unsigned integers, strings and arrays of unsigned
+//! integers ([`Cursor::parse_flat_object`]). Every string the crate writes
+//! goes through [`push_json_str`].
 
-/// Escapes a string as a JSON string literal.
-pub(crate) fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
+use std::borrow::Cow;
+use std::fmt::Write as _;
+
+/// Appends `s` to `out` as a JSON string literal, quotes included.
+pub(crate) fn push_json_str(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -18,30 +23,59 @@ pub(crate) fn json_str(s: &str) -> String {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
             c => out.push(c),
         }
     }
     out.push('"');
+}
+
+/// Escapes a string as a JSON string literal.
+pub(crate) fn json_str(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    push_json_str(&mut out, s);
     out
+}
+
+/// A value of a flat trace record — exactly the subset the trace writer
+/// emits.
+pub(crate) enum Val<'a> {
+    U64(u64),
+    Str(Cow<'a, str>),
+    Arr(Vec<u32>),
+}
+
+/// One `"key":value` pair of a flat trace record, in input order.
+pub(crate) type Member<'a> = (Cow<'a, str>, Val<'a>);
+
+/// The first member named `key` (duplicates: the first wins).
+pub(crate) fn member<'m, 'a>(
+    members: &'m [Member<'a>],
+    key: &str,
+    line: usize,
+) -> Result<&'m Val<'a>, String> {
+    members
+        .iter()
+        .find(|(k, _)| k == key)
+        .map(|(_, v)| v)
+        .ok_or_else(|| format!("line {line}: missing field \"{key}\""))
 }
 
 /// A byte cursor over a JSON document.
 pub(crate) struct Cursor<'a> {
-    pub(crate) bytes: &'a [u8],
+    text: &'a str,
     pub(crate) pos: usize,
 }
 
 impl<'a> Cursor<'a> {
     pub(crate) fn new(text: &'a str) -> Self {
-        Cursor {
-            bytes: text.as_bytes(),
-            pos: 0,
-        }
+        Cursor { text, pos: 0 }
     }
 
     pub(crate) fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     pub(crate) fn bump(&mut self) -> Option<u8> {
@@ -50,6 +84,11 @@ impl<'a> Cursor<'a> {
             self.pos += 1;
         }
         b
+    }
+
+    /// Whether the whole input has been consumed.
+    pub(crate) fn at_end(&self) -> bool {
+        self.pos == self.text.len()
     }
 
     pub(crate) fn skip_ws(&mut self) {
@@ -86,21 +125,20 @@ impl<'a> Cursor<'a> {
         Ok(v)
     }
 
-    /// Parses an integer with an optional leading minus (gauges).
+    /// Parses an integer with an optional leading minus (gauges). The
+    /// magnitude is read unsigned, so `i64::MIN` round-trips.
     pub(crate) fn parse_i64(&mut self) -> Result<i64, String> {
         let neg = self.peek() == Some(b'-');
         if neg {
             self.bump();
         }
         let mag = self.parse_u64()?;
-        if neg {
-            // i64::MIN magnitude still fits via unsigned negation.
-            i64::try_from(mag)
-                .map(|v| -v)
-                .map_err(|_| format!("number overflow at byte {}", self.pos))
+        let v = if neg {
+            0i64.checked_sub_unsigned(mag)
         } else {
-            i64::try_from(mag).map_err(|_| format!("number overflow at byte {}", self.pos))
-        }
+            i64::try_from(mag).ok()
+        };
+        v.ok_or_else(|| format!("number overflow at byte {}", self.pos))
     }
 
     /// Parses a JSON number (optional sign, digits, optional fraction)
@@ -120,15 +158,14 @@ impl<'a> Cursor<'a> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|e| format!("bad UTF-8 in number: {e}"))?;
-        text.parse::<f64>()
+        self.text[start..self.pos]
+            .parse::<f64>()
             .map_err(|_| format!("expected number at byte {start}"))
     }
 
     pub(crate) fn parse_bool(&mut self) -> Result<bool, String> {
         for (lit, val) in [("true", true), ("false", false)] {
-            if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
+            if self.text.as_bytes()[self.pos..].starts_with(lit.as_bytes()) {
                 self.pos += lit.len();
                 return Ok(val);
             }
@@ -136,28 +173,29 @@ impl<'a> Cursor<'a> {
         Err(format!("expected bool at byte {}", self.pos))
     }
 
-    pub(crate) fn parse_string(&mut self) -> Result<String, String> {
+    /// Parses a string literal. The result borrows from the input unless
+    /// the literal contains an escape. Quotes and backslashes are ASCII, so
+    /// every span cut at one sits on a character boundary.
+    pub(crate) fn parse_string(&mut self) -> Result<Cow<'a, str>, String> {
         self.expect(b'"')?;
-        let mut s = String::new();
-        let mut utf8 = Vec::new();
+        let mut run = self.pos;
+        let mut owned: Option<String> = None;
         loop {
             match self.bump() {
                 None => return Err("unterminated string".into()),
                 Some(b'"') => {
-                    if !utf8.is_empty() {
-                        s.push_str(
-                            std::str::from_utf8(&utf8).map_err(|e| format!("bad UTF-8: {e}"))?,
-                        );
-                    }
-                    return Ok(s);
+                    let tail = &self.text[run..self.pos - 1];
+                    return Ok(match owned {
+                        None => Cow::Borrowed(tail),
+                        Some(mut s) => {
+                            s.push_str(tail);
+                            Cow::Owned(s)
+                        }
+                    });
                 }
                 Some(b'\\') => {
-                    if !utf8.is_empty() {
-                        s.push_str(
-                            std::str::from_utf8(&utf8).map_err(|e| format!("bad UTF-8: {e}"))?,
-                        );
-                        utf8.clear();
-                    }
+                    let s = owned.get_or_insert_with(String::new);
+                    s.push_str(&self.text[run..self.pos - 1]);
                     match self.bump() {
                         Some(b'"') => s.push('"'),
                         Some(b'\\') => s.push('\\'),
@@ -179,8 +217,121 @@ impl<'a> Cursor<'a> {
                             return Err(format!("bad escape {:?}", other.map(|b| b as char)));
                         }
                     }
+                    run = self.pos;
                 }
-                Some(b) => utf8.push(b),
+                Some(_) => {}
+            }
+        }
+    }
+
+    /// Walks a bracketed sequence, calling `each` with the cursor on each
+    /// item. Any whitespace layout is accepted and commas are optional.
+    fn sequence(
+        &mut self,
+        open: u8,
+        close: u8,
+        mut each: impl FnMut(&mut Self) -> Result<(), String>,
+    ) -> Result<(), String> {
+        self.expect(open)?;
+        loop {
+            self.skip_ws();
+            if self.peek() == Some(close) {
+                self.bump();
+                return Ok(());
+            }
+            each(self)?;
+            self.skip_ws();
+            if self.peek() == Some(b',') {
+                self.bump();
+            }
+        }
+    }
+
+    /// Walks `[ <element>, … ]`, calling `each` with the cursor on each
+    /// element.
+    pub(crate) fn array(
+        &mut self,
+        each: impl FnMut(&mut Self) -> Result<(), String>,
+    ) -> Result<(), String> {
+        self.sequence(b'[', b']', each)
+    }
+
+    /// Walks `{ "key": <value>, … }`, calling `each` with the cursor on
+    /// each value.
+    pub(crate) fn object(
+        &mut self,
+        mut each: impl FnMut(Cow<'a, str>, &mut Self) -> Result<(), String>,
+    ) -> Result<(), String> {
+        self.sequence(b'{', b'}', |cur| {
+            let key = cur.parse_string()?;
+            cur.skip_ws();
+            cur.expect(b':')?;
+            cur.skip_ws();
+            each(key, cur)
+        })
+    }
+
+    fn parse_flat_value(&mut self) -> Result<Val<'a>, String> {
+        match self.peek() {
+            Some(b'"') => Ok(Val::Str(self.parse_string()?)),
+            Some(b'[') => {
+                self.pos += 1;
+                let mut arr = Vec::new();
+                if self.peek() == Some(b']') {
+                    self.pos += 1;
+                    return Ok(Val::Arr(arr));
+                }
+                loop {
+                    let v = self.parse_u64()?;
+                    arr.push(
+                        u32::try_from(v).map_err(|_| "array element exceeds u32".to_string())?,
+                    );
+                    match self.bump() {
+                        Some(b',') => continue,
+                        Some(b']') => return Ok(Val::Arr(arr)),
+                        other => {
+                            return Err(format!(
+                                "expected ',' or ']' in array, got {:?}",
+                                other.map(|b| b as char)
+                            ));
+                        }
+                    }
+                }
+            }
+            Some(b'0'..=b'9') => Ok(Val::U64(self.parse_u64()?)),
+            other => Err(format!(
+                "unexpected value start {:?}",
+                other.map(|b| b as char)
+            )),
+        }
+    }
+
+    /// Reads one flat trace record strictly (no whitespace anywhere),
+    /// appending its members to `members` — the caller's scratch vector,
+    /// reused from line to line.
+    pub(crate) fn parse_flat_object(
+        &mut self,
+        members: &mut Vec<Member<'a>>,
+    ) -> Result<(), String> {
+        self.expect(b'{')?;
+        if self.peek() == Some(b'}') {
+            self.pos += 1;
+            return Ok(());
+        }
+        loop {
+            let key = self.parse_string()?;
+            self.expect(b':')?;
+            let val = self.parse_flat_value()?;
+            members.push((key, val));
+            match self.bump() {
+                Some(b',') => continue,
+                Some(b'}') => return Ok(()),
+                other => {
+                    return Err(format!(
+                        "expected ',' or '}}' in object, got {:?}",
+                        other.map(|b| b as char)
+                    ));
+                }
             }
         }
     }
@@ -207,5 +358,13 @@ mod tests {
             let v = c.parse_f64().unwrap();
             assert_eq!(format!("{v:.1}"), text);
         }
+    }
+
+    #[test]
+    fn strings_borrow_unless_escaped() {
+        let plain = Cursor::new("\"héllo ✓\"").parse_string().unwrap();
+        assert!(matches!(plain, Cow::Borrowed("héllo ✓")));
+        let escaped = Cursor::new("\"é\\n✓\\u0041\\\\\"").parse_string().unwrap();
+        assert!(matches!(&escaped, Cow::Owned(s) if s == "é\n✓A\\"));
     }
 }

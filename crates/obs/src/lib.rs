@@ -59,7 +59,7 @@ pub mod verdict;
 
 pub use event::{TraceEvent, TraceRecord};
 pub use metrics::{Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
-pub use replay::{ReplayConfig, ReplayReport, Violation};
+pub use replay::{ReplayConfig, ReplayReport, Violation, ViolationKind};
 pub use sink::{TraceConfig, TraceSink};
 pub use span::{RequestSpan, SpanReport, PHASES};
 pub use verdict::{Check, Verdict};

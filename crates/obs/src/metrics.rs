@@ -102,6 +102,27 @@ impl Histogram {
         }
     }
 
+    /// The summary the JSON snapshot keeps of this histogram (a `u64::MAX`
+    /// edge is the overflow bucket, as in [`Histogram::buckets`]).
+    fn snapshot(&self) -> HistogramSnapshot {
+        let edges = self.bounds.iter().copied().chain(std::iter::once(u64::MAX));
+        let mut sorted = self.samples.clone();
+        sorted.sort_unstable();
+        HistogramSnapshot {
+            count: self.count(),
+            min: self.min(),
+            mean: self.mean(),
+            max: self.max(),
+            p50: percentile_sorted(&sorted, 50),
+            p90: percentile_sorted(&sorted, 90),
+            p99: percentile_sorted(&sorted, 99),
+            buckets: edges
+                .map(|e| (e != u64::MAX).then_some(e))
+                .zip(self.counts.iter().copied())
+                .collect(),
+        }
+    }
+
     /// `(upper_edge, count)` pairs; the final pair has edge `u64::MAX`
     /// (the overflow bucket).
     pub fn buckets(&self) -> Vec<(u64, u64)> {
@@ -207,50 +228,52 @@ impl MetricsRegistry {
     /// order: names sorted, fixed key order inside each histogram).
     pub fn render_json(&self) -> String {
         let mut out = String::from("{\"counters\":{");
-        for (i, (name, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{name}\":{v}");
-        }
+        write_scalars(&mut out, &self.counters);
         out.push_str("},\"gauges\":{");
-        for (i, (name, v)) in self.gauges.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{name}\":{v}");
-        }
+        write_scalars(&mut out, &self.gauges);
         out.push_str("},\"histograms\":{");
         for (i, (name, h)) in self.histograms.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            let _ = write!(
-                out,
-                "\"{name}\":{{\"count\":{},\"min\":{},\"mean\":{:.1},\"max\":{},\"p50\":{},\"p90\":{},\"p99\":{},\"buckets\":[",
-                h.count(),
-                h.min(),
-                h.mean(),
-                h.max(),
-                h.percentile(50),
-                h.percentile(90),
-                h.percentile(99)
-            );
-            for (j, (edge, c)) in h.buckets().into_iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                if edge == u64::MAX {
-                    let _ = write!(out, "[\"+inf\",{c}]");
-                } else {
-                    let _ = write!(out, "[{edge},{c}]");
-                }
-            }
-            out.push_str("]}");
+            write_histogram(&mut out, name, &h.snapshot());
         }
         out.push_str("}}");
         out
     }
+}
+
+/// Writes one scalar section's `"name":value` members.
+fn write_scalars<V: std::fmt::Display>(out: &mut String, section: &BTreeMap<String, V>) {
+    for (i, (name, v)) in section.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        let _ = write!(out, "\"{name}\":{v}");
+    }
+}
+
+/// Writes one member of the histogram section.
+fn write_histogram(out: &mut String, name: &str, h: &HistogramSnapshot) {
+    let _ = write!(
+        out,
+        "\"{name}\":{{\"count\":{},\"min\":{},\"mean\":{:.1},\"max\":{},\"p50\":{},\"p90\":{},\"p99\":{},\"buckets\":[",
+        h.count, h.min, h.mean, h.max, h.p50, h.p90, h.p99
+    );
+    for (j, (edge, c)) in h.buckets.iter().enumerate() {
+        if j > 0 {
+            out.push(',');
+        }
+        match edge {
+            None => {
+                let _ = write!(out, "[\"+inf\",{c}]");
+            }
+            Some(e) => {
+                let _ = write!(out, "[{e},{c}]");
+            }
+        }
+    }
+    out.push_str("]}");
 }
 
 /// Nearest-rank index into a sorted sample set of size `n` for the q-th
@@ -324,51 +347,33 @@ impl MetricsSnapshot {
         let mut snap = MetricsSnapshot::default();
         let mut seen = [false; 3];
         cur.skip_ws();
-        cur.expect(b'{')?;
-        loop {
-            cur.skip_ws();
-            if cur.peek() == Some(b'}') {
-                cur.bump();
-                break;
+        cur.object(|key, cur| match &*key {
+            "counters" => {
+                seen[0] = true;
+                cur.object(|name, cur| {
+                    snap.counters.insert(name.into_owned(), cur.parse_u64()?);
+                    Ok(())
+                })
             }
-            let key = cur.parse_string()?;
-            cur.skip_ws();
-            cur.expect(b':')?;
-            cur.skip_ws();
-            match key.as_str() {
-                "counters" => {
-                    seen[0] = true;
-                    parse_flat_object(&mut cur, |name, c| {
-                        let v = c.parse_u64()?;
-                        snap.counters.insert(name, v);
-                        Ok(())
-                    })?;
-                }
-                "gauges" => {
-                    seen[1] = true;
-                    parse_flat_object(&mut cur, |name, c| {
-                        let v = c.parse_i64()?;
-                        snap.gauges.insert(name, v);
-                        Ok(())
-                    })?;
-                }
-                "histograms" => {
-                    seen[2] = true;
-                    parse_flat_object(&mut cur, |name, c| {
-                        let h = parse_histogram(c)?;
-                        snap.histograms.insert(name, h);
-                        Ok(())
-                    })?;
-                }
-                other => return Err(format!("unknown metrics key {other:?}")),
+            "gauges" => {
+                seen[1] = true;
+                cur.object(|name, cur| {
+                    snap.gauges.insert(name.into_owned(), cur.parse_i64()?);
+                    Ok(())
+                })
             }
-            cur.skip_ws();
-            if cur.peek() == Some(b',') {
-                cur.bump();
+            "histograms" => {
+                seen[2] = true;
+                cur.object(|name, cur| {
+                    snap.histograms
+                        .insert(name.into_owned(), parse_histogram(cur)?);
+                    Ok(())
+                })
             }
-        }
+            other => Err(format!("unknown metrics key {other:?}")),
+        })?;
         cur.skip_ws();
-        if cur.peek().is_some() {
+        if !cur.at_end() {
             return Err(format!("trailing bytes at {}", cur.pos));
         }
         if !seen.iter().all(|s| *s) {
@@ -382,70 +387,18 @@ impl MetricsSnapshot {
     /// registry.
     pub fn render_json(&self) -> String {
         let mut out = String::from("{\"counters\":{");
-        for (i, (name, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{name}\":{v}");
-        }
+        write_scalars(&mut out, &self.counters);
         out.push_str("},\"gauges\":{");
-        for (i, (name, v)) in self.gauges.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{name}\":{v}");
-        }
+        write_scalars(&mut out, &self.gauges);
         out.push_str("},\"histograms\":{");
         for (i, (name, h)) in self.histograms.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            let _ = write!(
-                out,
-                "\"{name}\":{{\"count\":{},\"min\":{},\"mean\":{:.1},\"max\":{},\"p50\":{},\"p90\":{},\"p99\":{},\"buckets\":[",
-                h.count, h.min, h.mean, h.max, h.p50, h.p90, h.p99
-            );
-            for (j, (edge, c)) in h.buckets.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                match edge {
-                    None => {
-                        let _ = write!(out, "[\"+inf\",{c}]");
-                    }
-                    Some(e) => {
-                        let _ = write!(out, "[{e},{c}]");
-                    }
-                }
-            }
-            out.push_str("]}");
+            write_histogram(&mut out, name, h);
         }
         out.push_str("}}");
         out
-    }
-}
-
-/// Parses `{ "name": <value>, ... }` where `each` consumes one value.
-fn parse_flat_object(
-    cur: &mut Cursor<'_>,
-    mut each: impl FnMut(String, &mut Cursor<'_>) -> Result<(), String>,
-) -> Result<(), String> {
-    cur.expect(b'{')?;
-    loop {
-        cur.skip_ws();
-        if cur.peek() == Some(b'}') {
-            cur.bump();
-            return Ok(());
-        }
-        let name = cur.parse_string()?;
-        cur.skip_ws();
-        cur.expect(b':')?;
-        cur.skip_ws();
-        each(name, cur)?;
-        cur.skip_ws();
-        if cur.peek() == Some(b',') {
-            cur.bump();
-        }
     }
 }
 
@@ -461,18 +414,8 @@ fn parse_histogram(cur: &mut Cursor<'_>) -> Result<HistogramSnapshot, String> {
         buckets: Vec::new(),
     };
     let mut seen: Vec<String> = Vec::new();
-    cur.expect(b'{')?;
-    loop {
-        cur.skip_ws();
-        if cur.peek() == Some(b'}') {
-            cur.bump();
-            break;
-        }
-        let key = cur.parse_string()?;
-        cur.skip_ws();
-        cur.expect(b':')?;
-        cur.skip_ws();
-        match key.as_str() {
+    cur.object(|key, cur| {
+        match &*key {
             "count" => h.count = cur.parse_u64()?,
             "min" => h.min = cur.parse_u64()?,
             "mean" => h.mean = cur.parse_f64()?,
@@ -480,46 +423,32 @@ fn parse_histogram(cur: &mut Cursor<'_>) -> Result<HistogramSnapshot, String> {
             "p50" => h.p50 = cur.parse_u64()?,
             "p90" => h.p90 = cur.parse_u64()?,
             "p99" => h.p99 = cur.parse_u64()?,
-            "buckets" => {
+            "buckets" => cur.array(|cur| {
                 cur.expect(b'[')?;
-                loop {
-                    cur.skip_ws();
-                    if cur.peek() == Some(b']') {
-                        cur.bump();
-                        break;
+                cur.skip_ws();
+                let edge = if cur.peek() == Some(b'"') {
+                    let lit = cur.parse_string()?;
+                    if lit != "+inf" {
+                        return Err(format!("bad bucket edge {lit:?}"));
                     }
-                    cur.expect(b'[')?;
-                    cur.skip_ws();
-                    let edge = if cur.peek() == Some(b'"') {
-                        let lit = cur.parse_string()?;
-                        if lit != "+inf" {
-                            return Err(format!("bad bucket edge {lit:?}"));
-                        }
-                        None
-                    } else {
-                        Some(cur.parse_u64()?)
-                    };
-                    cur.skip_ws();
-                    cur.expect(b',')?;
-                    cur.skip_ws();
-                    let c = cur.parse_u64()?;
-                    cur.skip_ws();
-                    cur.expect(b']')?;
-                    h.buckets.push((edge, c));
-                    cur.skip_ws();
-                    if cur.peek() == Some(b',') {
-                        cur.bump();
-                    }
-                }
-            }
+                    None
+                } else {
+                    Some(cur.parse_u64()?)
+                };
+                cur.skip_ws();
+                cur.expect(b',')?;
+                cur.skip_ws();
+                let c = cur.parse_u64()?;
+                cur.skip_ws();
+                cur.expect(b']')?;
+                h.buckets.push((edge, c));
+                Ok(())
+            })?,
             other => return Err(format!("unknown histogram key {other:?}")),
         }
-        seen.push(key);
-        cur.skip_ws();
-        if cur.peek() == Some(b',') {
-            cur.bump();
-        }
-    }
+        seen.push(key.into_owned());
+        Ok(())
+    })?;
     for required in ["count", "min", "mean", "max", "p50", "p90", "p99", "buckets"] {
         if !seen.iter().any(|k| k == required) {
             return Err(format!("histogram missing key {required:?}"));
@@ -781,6 +710,8 @@ mod tests {
         m.counter_add("batch.requests_decided", 12);
         m.gauge_set("trace.records", 512);
         m.gauge_set("negative", -7);
+        m.gauge_set("lowest", i64::MIN);
+        m.gauge_set("highest", i64::MAX);
         for v in [50, 150, 2_000_000] {
             m.histogram_record("commit_latency_us", &LATENCY_BOUNDS_US, v);
         }
@@ -788,6 +719,8 @@ mod tests {
         let snap = MetricsSnapshot::parse_json(&text).expect("parse");
         assert_eq!(snap.counters.get("events.prepare"), Some(&41));
         assert_eq!(snap.gauges.get("negative"), Some(&-7));
+        assert_eq!(snap.gauges.get("lowest"), Some(&i64::MIN));
+        assert_eq!(snap.gauges.get("highest"), Some(&i64::MAX));
         let h = &snap.histograms["commit_latency_us"];
         assert_eq!(h.count, 3);
         assert_eq!(h.p50, 150);
@@ -801,6 +734,15 @@ mod tests {
         let err = MetricsSnapshot::parse_json("{\"counters\":{},\"gauges\":{},\"bogus\":{}}")
             .expect_err("unknown key must fail");
         assert!(err.contains("bogus"), "{err}");
+    }
+
+    #[test]
+    fn snapshot_rejects_gauges_one_past_the_i64_range() {
+        for gauge in ["-9223372036854775809", "9223372036854775808"] {
+            let text = format!("{{\"counters\":{{}},\"gauges\":{{\"g\":{gauge}}},\"histograms\":{{}}}}");
+            let err = MetricsSnapshot::parse_json(&text).expect_err("out of range must fail");
+            assert!(err.contains("number overflow"), "{gauge}: {err}");
+        }
     }
 
     #[test]

@@ -32,429 +32,25 @@
 //!    reference a slot below *b* (nothing references a
 //!    garbage-collected slot).
 
-use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
 use crate::event::{TraceEvent, TraceRecord};
 
-// ---------------------------------------------------------------------------
-// JSONL parsing
-// ---------------------------------------------------------------------------
-
-/// A parsed flat JSON value — exactly the subset the writer emits. A
-/// string borrows from the input line unless it contains an escape.
-enum Val<'a> {
-    U64(u64),
-    Str(Cow<'a, str>),
-    Arr(Vec<u32>),
-}
-
-/// One `"key":value` pair of a record, in input order.
-type Field<'a> = (Cow<'a, str>, Val<'a>);
-
-struct Cursor<'a> {
-    text: &'a str,
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn bump(&mut self) -> Option<u8> {
-        let b = self.peek();
-        if b.is_some() {
-            self.pos += 1;
-        }
-        b
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        match self.bump() {
-            Some(got) if got == b => Ok(()),
-            got => Err(format!(
-                "expected {:?} at byte {}, got {:?}",
-                b as char,
-                self.pos.saturating_sub(1),
-                got.map(|g| g as char)
-            )),
-        }
-    }
-
-    fn parse_u64(&mut self) -> Result<u64, String> {
-        let start = self.pos;
-        let mut v: u64 = 0;
-        while let Some(b @ b'0'..=b'9') = self.peek() {
-            v = v
-                .checked_mul(10)
-                .and_then(|v| v.checked_add(u64::from(b - b'0')))
-                .ok_or_else(|| format!("number overflow at byte {start}"))?;
-            self.pos += 1;
-        }
-        if self.pos == start {
-            return Err(format!("expected digit at byte {start}"));
-        }
-        Ok(v)
-    }
-
-    fn parse_string(&mut self) -> Result<Cow<'a, str>, String> {
-        self.expect(b'"')?;
-        let start = self.pos;
-        // Up to the first escape the string is a span of the input (both
-        // ends sit next to an ASCII byte, so on character boundaries).
-        loop {
-            match self.bump() {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => return Ok(Cow::Borrowed(&self.text[start..self.pos - 1])),
-                Some(b'\\') => break,
-                Some(_) => {}
-            }
-        }
-        self.pos -= 1;
-        let mut s = String::from(&self.text[start..self.pos]);
-        loop {
-            match self.bump() {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => return Ok(Cow::Owned(s)),
-                Some(b'\\') => match self.bump() {
-                    Some(b'"') => s.push('"'),
-                    Some(b'\\') => s.push('\\'),
-                    Some(b'n') => s.push('\n'),
-                    Some(b'r') => s.push('\r'),
-                    Some(b't') => s.push('\t'),
-                    Some(b'u') => {
-                        let mut code = 0u32;
-                        for _ in 0..4 {
-                            let d = self.bump().ok_or("truncated \\u escape")?;
-                            code = code * 16
-                                + (d as char)
-                                    .to_digit(16)
-                                    .ok_or_else(|| format!("bad hex digit {:?}", d as char))?;
-                        }
-                        s.push(char::from_u32(code).ok_or("bad \\u code point")?);
-                    }
-                    other => {
-                        return Err(format!("bad escape {:?}", other.map(|b| b as char)));
-                    }
-                },
-                Some(b) => {
-                    // The writer only emits ASCII unescaped below 0x80;
-                    // pass multi-byte UTF-8 through byte-wise.
-                    if b < 0x80 {
-                        s.push(b as char);
-                    } else {
-                        let rest = &self.bytes[self.pos - 1..];
-                        let ch = std::str::from_utf8(rest)
-                            .ok()
-                            .and_then(|t| t.chars().next())
-                            .ok_or("invalid UTF-8 in string")?;
-                        s.push(ch);
-                        self.pos += ch.len_utf8() - 1;
-                    }
-                }
-            }
-        }
-    }
-
-    fn parse_value(&mut self) -> Result<Val<'a>, String> {
-        match self.peek() {
-            Some(b'"') => Ok(Val::Str(self.parse_string()?)),
-            Some(b'[') => {
-                self.pos += 1;
-                let mut arr = Vec::new();
-                if self.peek() == Some(b']') {
-                    self.pos += 1;
-                    return Ok(Val::Arr(arr));
-                }
-                loop {
-                    let v = self.parse_u64()?;
-                    arr.push(
-                        u32::try_from(v).map_err(|_| "array element exceeds u32".to_string())?,
-                    );
-                    match self.bump() {
-                        Some(b',') => continue,
-                        Some(b']') => return Ok(Val::Arr(arr)),
-                        other => {
-                            return Err(format!(
-                                "expected ',' or ']' in array, got {:?}",
-                                other.map(|b| b as char)
-                            ));
-                        }
-                    }
-                }
-            }
-            Some(b'0'..=b'9') => Ok(Val::U64(self.parse_u64()?)),
-            other => Err(format!(
-                "unexpected value start {:?}",
-                other.map(|b| b as char)
-            )),
-        }
-    }
-
-    /// Appends the object's fields to `fields` (the caller's scratch
-    /// vector, reused from line to line).
-    fn parse_object(&mut self, fields: &mut Vec<Field<'a>>) -> Result<(), String> {
-        self.expect(b'{')?;
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(());
-        }
-        loop {
-            let key = self.parse_string()?;
-            self.expect(b':')?;
-            let val = self.parse_value()?;
-            fields.push((key, val));
-            match self.bump() {
-                Some(b',') => continue,
-                Some(b'}') => return Ok(()),
-                other => {
-                    return Err(format!(
-                        "expected ',' or '}}' in object, got {:?}",
-                        other.map(|b| b as char)
-                    ));
-                }
-            }
-        }
-    }
-}
-
-fn field<'f, 'a>(fields: &'f [Field<'a>], key: &str, line: usize) -> Result<&'f Val<'a>, String> {
-    fields
-        .iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| v)
-        .ok_or_else(|| format!("line {line}: missing field \"{key}\""))
-}
-
-fn u64_field(fields: &[Field<'_>], key: &str, line: usize) -> Result<u64, String> {
-    match field(fields, key, line)? {
-        Val::U64(v) => Ok(*v),
-        _ => Err(format!("line {line}: field \"{key}\" is not a number")),
-    }
-}
-
-fn u32_field(fields: &[Field<'_>], key: &str, line: usize) -> Result<u32, String> {
-    match field(fields, key, line)? {
-        Val::U64(v) => u32::try_from(*v).ok(),
-        _ => None,
-    }
-    .ok_or_else(|| format!("line {line}: field \"{key}\" is not a u32"))
-}
-
-fn str_ref<'f>(fields: &'f [Field<'_>], key: &str, line: usize) -> Result<&'f str, String> {
-    match field(fields, key, line)? {
-        Val::Str(s) => Ok(s),
-        _ => Err(format!("line {line}: field \"{key}\" is not a string")),
-    }
-}
-
-fn str_field(fields: &[Field<'_>], key: &str, line: usize) -> Result<String, String> {
-    str_ref(fields, key, line).map(str::to_string)
-}
-
-fn arr_field(fields: &[Field<'_>], key: &str, line: usize) -> Result<Vec<u32>, String> {
-    match field(fields, key, line)? {
-        Val::Arr(a) => Ok(a.clone()),
-        _ => Err(format!("line {line}: field \"{key}\" is not an array")),
-    }
-}
-
-/// Parses a JSONL trace export back into records.
-///
-/// Accepts exactly the subset of JSON the writer emits: one flat object
-/// per line; unsigned-integer, string and array-of-unsigned values. Blank
-/// lines are skipped. Unknown `ev` names are an error (the trace format is
-/// versioned by this crate, not forward-compatible).
+/// Parses a JSONL trace export back into records, one
+/// [`TraceRecord`] per non-blank line (the line grammar and the event
+/// vocabulary belong to [`crate::event`]). Errors name the 1-based line.
 pub fn parse_jsonl(text: &str) -> Result<Vec<TraceRecord>, String> {
     let mut records = Vec::new();
-    let mut fields: Vec<Field<'_>> = Vec::new();
+    let mut scratch = Vec::new();
     for (i, line) in text.lines().enumerate() {
-        let line_no = i + 1;
         let line = line.trim();
-        if line.is_empty() {
-            continue;
+        if !line.is_empty() {
+            records.push(TraceRecord::parse_line(line, i + 1, &mut scratch)?);
         }
-        let mut cur = Cursor {
-            text: line,
-            bytes: line.as_bytes(),
-            pos: 0,
-        };
-        fields.clear();
-        cur.parse_object(&mut fields)
-            .map_err(|e| format!("line {line_no}: {e}"))?;
-        if cur.pos != cur.bytes.len() {
-            return Err(format!("line {line_no}: trailing garbage after object"));
-        }
-        let seq = u64_field(&fields, "seq", line_no)?;
-        let t = u64_field(&fields, "t", line_no)?;
-        let event = match str_ref(&fields, "ev", line_no)? {
-            "msg_send" => TraceEvent::MsgSend {
-                from: u32_field(&fields, "from", line_no)?,
-                to: u32_field(&fields, "to", line_no)?,
-                kind: str_field(&fields, "kind", line_no)?,
-            },
-            "msg_deliver" => TraceEvent::MsgDeliver {
-                from: u32_field(&fields, "from", line_no)?,
-                to: u32_field(&fields, "to", line_no)?,
-                kind: str_field(&fields, "kind", line_no)?,
-            },
-            "msg_drop" => TraceEvent::MsgDrop {
-                from: u32_field(&fields, "from", line_no)?,
-                to: u32_field(&fields, "to", line_no)?,
-                reason: str_field(&fields, "reason", line_no)?,
-            },
-            "msg_dup" => TraceEvent::MsgDuplicated {
-                from: u32_field(&fields, "from", line_no)?,
-                to: u32_field(&fields, "to", line_no)?,
-            },
-            "msg_reorder" => TraceEvent::MsgReordered {
-                from: u32_field(&fields, "from", line_no)?,
-                to: u32_field(&fields, "to", line_no)?,
-            },
-            "timer_fired" => TraceEvent::TimerFired {
-                at: u32_field(&fields, "at", line_no)?,
-            },
-            "timer_stale" => TraceEvent::TimerStale {
-                at: u32_field(&fields, "at", line_no)?,
-            },
-            "buffered_paused" => TraceEvent::BufferedPaused {
-                at: u32_field(&fields, "at", line_no)?,
-            },
-            "crash" => TraceEvent::Crash {
-                p: u32_field(&fields, "p", line_no)?,
-            },
-            "restart" => TraceEvent::Restart {
-                p: u32_field(&fields, "p", line_no)?,
-                incarnation: u32_field(&fields, "incarnation", line_no)?,
-            },
-            "pause" => TraceEvent::Pause {
-                p: u32_field(&fields, "p", line_no)?,
-            },
-            "resume" => TraceEvent::Resume {
-                p: u32_field(&fields, "p", line_no)?,
-            },
-            "fault" => TraceEvent::FaultApplied {
-                desc: str_field(&fields, "desc", line_no)?,
-            },
-            "epoch_entered" => TraceEvent::EpochEntered {
-                p: u32_field(&fields, "p", line_no)?,
-                epoch: u64_field(&fields, "epoch", line_no)?,
-                algo: str_field(&fields, "algo", line_no)?,
-            },
-            "quorum_issued" => TraceEvent::QuorumIssued {
-                p: u32_field(&fields, "p", line_no)?,
-                epoch: u64_field(&fields, "epoch", line_no)?,
-                algo: str_field(&fields, "algo", line_no)?,
-                members: arr_field(&fields, "members", line_no)?,
-            },
-            "suspicion_changed" => TraceEvent::SuspicionChanged {
-                p: u32_field(&fields, "p", line_no)?,
-                suspected: arr_field(&fields, "suspected", line_no)?,
-            },
-            "detection_raised" => TraceEvent::DetectionRaised {
-                p: u32_field(&fields, "p", line_no)?,
-                against: u32_field(&fields, "against", line_no)?,
-            },
-            "view_change_start" => TraceEvent::ViewChangeStart {
-                p: u32_field(&fields, "p", line_no)?,
-                target: u64_field(&fields, "target", line_no)?,
-            },
-            "view_installed" => TraceEvent::ViewInstalled {
-                p: u32_field(&fields, "p", line_no)?,
-                view: u64_field(&fields, "view", line_no)?,
-            },
-            "decided" => TraceEvent::Decided {
-                p: u32_field(&fields, "p", line_no)?,
-                slot: u64_field(&fields, "slot", line_no)?,
-            },
-            "batch_proposed" => TraceEvent::BatchProposed {
-                p: u32_field(&fields, "p", line_no)?,
-                slot: u64_field(&fields, "slot", line_no)?,
-                size: u64_field(&fields, "size", line_no)?,
-            },
-            "batch_committed" => TraceEvent::BatchCommitted {
-                p: u32_field(&fields, "p", line_no)?,
-                slot: u64_field(&fields, "slot", line_no)?,
-                size: u64_field(&fields, "size", line_no)?,
-                digest: u64_field(&fields, "digest", line_no)?,
-            },
-            "executed" => TraceEvent::Executed {
-                p: u32_field(&fields, "p", line_no)?,
-                slot: u64_field(&fields, "slot", line_no)?,
-                digest: u64_field(&fields, "digest", line_no)?,
-            },
-            "client_commit" => TraceEvent::ClientCommit {
-                client: u32_field(&fields, "client", line_no)?,
-                op: u64_field(&fields, "op", line_no)?,
-                latency_us: u64_field(&fields, "latency_us", line_no)?,
-            },
-            "client_retry" => TraceEvent::ClientRetry {
-                client: u32_field(&fields, "client", line_no)?,
-                op: u64_field(&fields, "op", line_no)?,
-                interval_us: u64_field(&fields, "interval_us", line_no)?,
-            },
-            "checkpoint_stable" => TraceEvent::CheckpointStable {
-                p: u32_field(&fields, "p", line_no)?,
-                slot: u64_field(&fields, "slot", line_no)?,
-                digest: u64_field(&fields, "digest", line_no)?,
-            },
-            "log_gc" => TraceEvent::LogGc {
-                p: u32_field(&fields, "p", line_no)?,
-                below: u64_field(&fields, "below", line_no)?,
-                len: u64_field(&fields, "len", line_no)?,
-            },
-            "state_transfer_start" => TraceEvent::StateTransferStart {
-                p: u32_field(&fields, "p", line_no)?,
-                from: u64_field(&fields, "from", line_no)?,
-                to: u64_field(&fields, "to", line_no)?,
-                mode: str_field(&fields, "mode", line_no)?,
-            },
-            "state_transfer_done" => TraceEvent::StateTransferDone {
-                p: u32_field(&fields, "p", line_no)?,
-                slot: u64_field(&fields, "slot", line_no)?,
-                digest: u64_field(&fields, "digest", line_no)?,
-            },
-            "sync_chunk_rejected" => TraceEvent::SyncChunkRejected {
-                p: u32_field(&fields, "p", line_no)?,
-                from: u32_field(&fields, "from", line_no)?,
-                slot: u64_field(&fields, "slot", line_no)?,
-            },
-            "batch_admitted" => TraceEvent::BatchAdmitted {
-                p: u32_field(&fields, "p", line_no)?,
-                client: u32_field(&fields, "client", line_no)?,
-                op: u64_field(&fields, "op", line_no)?,
-            },
-            "req_proposed" => TraceEvent::ReqProposed {
-                p: u32_field(&fields, "p", line_no)?,
-                slot: u64_field(&fields, "slot", line_no)?,
-                client: u32_field(&fields, "client", line_no)?,
-                op: u64_field(&fields, "op", line_no)?,
-            },
-            "commit_vote" => TraceEvent::CommitVote {
-                p: u32_field(&fields, "p", line_no)?,
-                slot: u64_field(&fields, "slot", line_no)?,
-                from: u32_field(&fields, "from", line_no)?,
-                have: u64_field(&fields, "have", line_no)?,
-            },
-            "reply_sent" => TraceEvent::ReplySent {
-                p: u32_field(&fields, "p", line_no)?,
-                client: u32_field(&fields, "client", line_no)?,
-                op: u64_field(&fields, "op", line_no)?,
-                slot: u64_field(&fields, "slot", line_no)?,
-            },
-            other => return Err(format!("line {line_no}: unknown event \"{other}\"")),
-        };
-        records.push(TraceRecord { seq, t, event });
     }
     Ok(records)
 }
-
-// ---------------------------------------------------------------------------
-// Analysis
-// ---------------------------------------------------------------------------
 
 /// Configuration for [`analyze`].
 #[derive(Clone, Debug)]
@@ -480,6 +76,24 @@ impl ReplayConfig {
     }
 }
 
+/// The invariant a [`Violation`] broke — one per check in the
+/// [module docs](self), in that order.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ViolationKind {
+    /// More quorums in one epoch than Theorem 3 / Theorem 9 allow.
+    QuorumBound,
+    /// Replicas executed or committed different contents for one slot.
+    SlotAgreement,
+    /// A message or timer reached a crashed, not yet restarted process.
+    CrashedDelivery,
+    /// Two stable checkpoints at one slot certify different payloads.
+    CheckpointDivergence,
+    /// A recovered state differs from the checkpoint certified at its slot.
+    TransferDivergence,
+    /// A process referenced a slot below its own GC floor.
+    GcFloor,
+}
+
 /// One invariant violation found in a trace.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Violation {
@@ -487,6 +101,8 @@ pub struct Violation {
     pub seq: u64,
     /// Its simulated timestamp (microseconds).
     pub t: u64,
+    /// Which invariant broke.
+    pub kind: ViolationKind,
     /// Human-readable description.
     pub desc: String,
 }
@@ -521,6 +137,36 @@ impl ReplayReport {
     /// Whether the trace passed every check.
     pub fn ok(&self) -> bool {
         self.violations.is_empty()
+    }
+
+    /// Records a violation completed by record `r`.
+    fn flag(&mut self, r: &TraceRecord, kind: ViolationKind, desc: String) {
+        self.violations.push(Violation {
+            seq: r.seq,
+            t: r.t,
+            kind,
+            desc,
+        });
+    }
+
+    /// Records that `recovered` and `certified` — each a `(process, digest)`
+    /// — disagree about the state at `slot`.
+    fn flag_transfer(
+        &mut self,
+        r: &TraceRecord,
+        slot: u64,
+        recovered: (u32, u64),
+        certified: (u32, u64),
+    ) {
+        let ((rp, rd), (cp, cd)) = (recovered, certified);
+        self.flag(
+            r,
+            ViolationKind::TransferDivergence,
+            format!(
+                "state transfer divergence at slot {slot}: process {rp} recovered digest \
+                 {rd:#018x} but process {cp} certified {cd:#018x}"
+            ),
+        );
     }
 }
 
@@ -584,21 +230,23 @@ pub fn analyze(records: &[TraceRecord], cfg: &ReplayConfig) -> ReplayReport {
     // Check 6 state: per-process GC floor from `log_gc` events.
     let mut gc_floor: HashMap<u32, u64> = HashMap::new();
 
-    let check_floor =
-        |report: &mut ReplayReport, gc_floor: &HashMap<u32, u64>, r: &TraceRecord, p: u32, slot: u64, what: &str| {
-            if let Some(floor) = gc_floor.get(&p) {
-                if slot < *floor {
-                    report.violations.push(Violation {
-                        seq: r.seq,
-                        t: r.t,
-                        desc: format!(
-                            "process {p} {what} references garbage-collected slot {slot} \
-                             below its GC floor {floor}"
-                        ),
-                    });
-                }
-            }
-        };
+    let check_floor = |report: &mut ReplayReport,
+                       gc_floor: &HashMap<u32, u64>,
+                       r: &TraceRecord,
+                       p: u32,
+                       slot: u64| {
+        if let Some(floor) = gc_floor.get(&p).filter(|floor| slot < **floor) {
+            let what = r.event.name();
+            report.flag(
+                r,
+                ViolationKind::GcFloor,
+                format!(
+                    "process {p} {what} references garbage-collected slot {slot} \
+                     below its GC floor {floor}"
+                ),
+            );
+        }
+    };
 
     for r in records {
         match &r.event {
@@ -623,100 +271,75 @@ pub fn analyze(records: &[TraceRecord], cfg: &ReplayConfig) -> ReplayReport {
                         } else {
                             format!("Theorem 3 bound f(f+1)={bound}")
                         };
-                        report.violations.push(Violation {
-                            seq: r.seq,
-                            t: r.t,
-                            desc: format!(
+                        report.flag(
+                            r,
+                            ViolationKind::QuorumBound,
+                            format!(
                                 "process {p} exceeded {thm}: quorum #{c} issued in epoch {epoch} \
                                  (algo {algo}) within the stable window"
                             ),
-                        });
+                        );
                     }
                 }
             }
             TraceEvent::Executed { p, slot, digest } => {
-                check_floor(&mut report, &gc_floor, r, *p, *slot, "executed");
+                check_floor(&mut report, &gc_floor, r, *p, *slot);
                 let (ref_p, seq) = slot_exec.entry(*slot).or_insert_with(|| (*p, Vec::new()));
                 let cursor = exec_cursor.entry((*p, *slot)).or_insert(0);
                 if *ref_p == *p {
                     seq.push(*digest);
                 } else if *cursor >= seq.len() {
-                    report.violations.push(Violation {
-                        seq: r.seq,
-                        t: r.t,
-                        desc: format!(
+                    report.flag(
+                        r,
+                        ViolationKind::SlotAgreement,
+                        format!(
                             "slot {slot} agreement broken: process {p} executed request \
                              #{cursor} (digest {digest:#018x}) but process {ref_p} executed \
                              only {} request(s) in that slot",
                             seq.len()
                         ),
-                    });
+                    );
                 } else if seq[*cursor] != *digest {
                     let d0 = seq[*cursor];
-                    report.violations.push(Violation {
-                        seq: r.seq,
-                        t: r.t,
-                        desc: format!(
+                    report.flag(
+                        r,
+                        ViolationKind::SlotAgreement,
+                        format!(
                             "slot {slot} agreement broken: at position {cursor} process {p} \
                              executed digest {digest:#018x} but process {ref_p} executed \
                              {d0:#018x}"
                         ),
-                    });
+                    );
                 }
                 *cursor += 1;
             }
             TraceEvent::Decided { p, slot } => {
-                check_floor(&mut report, &gc_floor, r, *p, *slot, "decided");
+                check_floor(&mut report, &gc_floor, r, *p, *slot);
             }
             TraceEvent::CheckpointStable { p, slot, digest } => {
-                match ckpt_digest.get(slot) {
-                    None => {
-                        ckpt_digest.insert(*slot, (*digest, *p, r.seq));
-                    }
-                    Some((d0, p0, seq0)) if d0 != digest => {
-                        report.violations.push(Violation {
-                            seq: r.seq,
-                            t: r.t,
-                            desc: format!(
-                                "checkpoint divergence at slot {slot}: process {p} certified \
-                                 digest {digest:#018x} but process {p0} certified {d0:#018x} \
-                                 (seq {seq0})"
-                            ),
-                        });
-                    }
-                    Some(_) => {}
+                let (d0, p0, seq0) = *ckpt_digest.entry(*slot).or_insert((*digest, *p, r.seq));
+                if d0 != *digest {
+                    report.flag(
+                        r,
+                        ViolationKind::CheckpointDivergence,
+                        format!(
+                            "checkpoint divergence at slot {slot}: process {p} certified \
+                             digest {digest:#018x} but process {p0} certified {d0:#018x} \
+                             (seq {seq0})"
+                        ),
+                    );
                 }
                 // A transfer completed at this slot earlier in the trace
                 // must have recomputed this same digest.
-                if let Some(done) = transfer_done.get(slot) {
-                    for (d, dp) in done {
-                        if d != digest {
-                            report.violations.push(Violation {
-                                seq: r.seq,
-                                t: r.t,
-                                desc: format!(
-                                    "state transfer divergence at slot {slot}: process {dp} \
-                                     recovered digest {d:#018x} but process {p} certified \
-                                     {digest:#018x}"
-                                ),
-                            });
-                        }
+                for (d, dp) in transfer_done.get(slot).into_iter().flatten() {
+                    if d != digest {
+                        report.flag_transfer(r, *slot, (*dp, *d), (*p, *digest));
                     }
                 }
             }
             TraceEvent::StateTransferDone { p, slot, digest } => {
-                if let Some((d0, p0, _)) = ckpt_digest.get(slot) {
-                    if d0 != digest {
-                        report.violations.push(Violation {
-                            seq: r.seq,
-                            t: r.t,
-                            desc: format!(
-                                "state transfer divergence at slot {slot}: process {p} \
-                                 recovered digest {digest:#018x} but process {p0} certified \
-                                 {d0:#018x}"
-                            ),
-                        });
-                    }
+                if let Some((d0, p0, _)) = ckpt_digest.get(slot).filter(|(d0, ..)| d0 != digest) {
+                    report.flag_transfer(r, *slot, (*p, *digest), (*p0, *d0));
                 }
                 transfer_done.entry(*slot).or_default().push((*digest, *p));
             }
@@ -725,23 +348,20 @@ pub fn analyze(records: &[TraceRecord], cfg: &ReplayConfig) -> ReplayReport {
                 *floor = (*floor).max(*below);
             }
             TraceEvent::BatchCommitted { p, slot, digest, .. } => {
-                check_floor(&mut report, &gc_floor, r, *p, *slot, "batch_committed");
-                match slot_batch_digest.get(slot) {
-                    None => {
-                        slot_batch_digest.insert(*slot, (*digest, *p, r.seq));
-                    }
-                    Some((d0, p0, seq0)) if d0 != digest => {
-                        report.violations.push(Violation {
-                            seq: r.seq,
-                            t: r.t,
-                            desc: format!(
-                                "slot {slot} batch agreement broken: process {p} committed \
-                                 batch digest {digest:#018x} but process {p0} committed \
-                                 {d0:#018x} (seq {seq0})"
-                            ),
-                        });
-                    }
-                    Some(_) => {}
+                check_floor(&mut report, &gc_floor, r, *p, *slot);
+                let (d0, p0, seq0) = *slot_batch_digest
+                    .entry(*slot)
+                    .or_insert((*digest, *p, r.seq));
+                if d0 != *digest {
+                    report.flag(
+                        r,
+                        ViolationKind::SlotAgreement,
+                        format!(
+                            "slot {slot} batch agreement broken: process {p} committed \
+                             batch digest {digest:#018x} but process {p0} committed \
+                             {d0:#018x} (seq {seq0})"
+                        ),
+                    );
                 }
             }
             TraceEvent::Crash { p } => {
@@ -752,26 +372,26 @@ pub fn analyze(records: &[TraceRecord], cfg: &ReplayConfig) -> ReplayReport {
             }
             TraceEvent::MsgDeliver { from, to, .. } => {
                 if let Some(crash_seq) = down.get(to) {
-                    report.violations.push(Violation {
-                        seq: r.seq,
-                        t: r.t,
-                        desc: format!(
+                    report.flag(
+                        r,
+                        ViolationKind::CrashedDelivery,
+                        format!(
                             "message from {from} delivered to {to}, which crashed at seq \
                              {crash_seq} and has not restarted"
                         ),
-                    });
+                    );
                 }
             }
             TraceEvent::TimerFired { at } => {
                 if let Some(crash_seq) = down.get(at) {
-                    report.violations.push(Violation {
-                        seq: r.seq,
-                        t: r.t,
-                        desc: format!(
+                    report.flag(
+                        r,
+                        ViolationKind::CrashedDelivery,
+                        format!(
                             "timer fired at {at}, which crashed at seq {crash_seq} and has not \
                              restarted"
                         ),
-                    });
+                    );
                 }
             }
             _ => {}
@@ -800,147 +420,6 @@ mod tests {
                 members: vec![1, 2, 3],
             },
         )
-    }
-
-    #[test]
-    fn roundtrip_every_variant() {
-        let events = vec![
-            TraceEvent::MsgSend {
-                from: 1,
-                to: 2,
-                kind: "prepare".into(),
-            },
-            TraceEvent::MsgDeliver {
-                from: 2,
-                to: 1,
-                kind: String::new(),
-            },
-            TraceEvent::MsgDrop {
-                from: 1,
-                to: 3,
-                reason: "link".into(),
-            },
-            TraceEvent::MsgDuplicated { from: 1, to: 2 },
-            TraceEvent::MsgReordered { from: 2, to: 3 },
-            TraceEvent::TimerFired { at: 1 },
-            TraceEvent::TimerStale { at: 2 },
-            TraceEvent::BufferedPaused { at: 3 },
-            TraceEvent::Crash { p: 4 },
-            TraceEvent::Restart {
-                p: 4,
-                incarnation: 2,
-            },
-            TraceEvent::Pause { p: 1 },
-            TraceEvent::Resume { p: 1 },
-            TraceEvent::FaultApplied {
-                desc: "Crash { p: \"4\" }\n".into(),
-            },
-            TraceEvent::EpochEntered {
-                p: 1,
-                epoch: 3,
-                algo: "qs".into(),
-            },
-            TraceEvent::QuorumIssued {
-                p: 1,
-                epoch: 3,
-                algo: "fs".into(),
-                members: vec![1, 2, 4],
-            },
-            TraceEvent::SuspicionChanged {
-                p: 2,
-                suspected: vec![],
-            },
-            TraceEvent::DetectionRaised { p: 2, against: 3 },
-            TraceEvent::ViewChangeStart { p: 1, target: 5 },
-            TraceEvent::ViewInstalled { p: 1, view: 5 },
-            TraceEvent::Decided { p: 1, slot: 9 },
-            TraceEvent::BatchProposed {
-                p: 1,
-                slot: 9,
-                size: 4,
-            },
-            TraceEvent::BatchCommitted {
-                p: 1,
-                slot: 9,
-                size: 4,
-                digest: 77,
-            },
-            TraceEvent::Executed {
-                p: 1,
-                slot: 9,
-                digest: u64::MAX,
-            },
-            TraceEvent::ClientCommit {
-                client: 10,
-                op: 7,
-                latency_us: 1234,
-            },
-            TraceEvent::ClientRetry {
-                client: 10,
-                op: 8,
-                interval_us: 4000,
-            },
-            TraceEvent::CheckpointStable {
-                p: 2,
-                slot: 750,
-                digest: 0xFEED,
-            },
-            TraceEvent::LogGc {
-                p: 2,
-                below: 750,
-                len: 12,
-            },
-            TraceEvent::StateTransferStart {
-                p: 4,
-                from: 250,
-                to: 9_800,
-                mode: "compact".into(),
-            },
-            TraceEvent::StateTransferDone {
-                p: 4,
-                slot: 9_800,
-                digest: 0xFEED,
-            },
-            TraceEvent::SyncChunkRejected {
-                p: 4,
-                from: 1,
-                slot: 300,
-            },
-            TraceEvent::BatchAdmitted {
-                p: 0,
-                client: 10,
-                op: 7,
-            },
-            TraceEvent::ReqProposed {
-                p: 0,
-                slot: 9,
-                client: 10,
-                op: 7,
-            },
-            TraceEvent::CommitVote {
-                p: 0,
-                slot: 9,
-                from: 2,
-                have: 3,
-            },
-            TraceEvent::ReplySent {
-                p: 0,
-                client: 10,
-                op: 7,
-                slot: 9,
-            },
-        ];
-        let records: Vec<TraceRecord> = events
-            .into_iter()
-            .enumerate()
-            .map(|(i, event)| rec(i as u64, i as u64 * 10, event))
-            .collect();
-        let mut jsonl = String::new();
-        for r in &records {
-            r.write_jsonl(&mut jsonl);
-        }
-        let parsed = parse_jsonl(&jsonl).expect("roundtrip parse");
-        assert_eq!(parsed, records);
     }
 
     #[test]
@@ -1066,7 +545,13 @@ mod tests {
         );
         assert!(!report.ok());
         assert_eq!(report.violations.len(), 1);
-        assert!(report.violations[0].desc.contains("Theorem 3"), "{report}");
+        let v = &report.violations[0];
+        assert_eq!((v.seq, v.t, v.kind), (2, 300, ViolationKind::QuorumBound));
+        assert_eq!(
+            v.desc,
+            "process 1 exceeded Theorem 3 bound f(f+1)=2: quorum #3 issued in epoch 5 \
+             (algo qs) within the stable window"
+        );
         assert_eq!(report.max_qs_quorums_per_epoch, 3);
     }
 
@@ -1104,7 +589,12 @@ mod tests {
             },
         );
         assert_eq!(report.violations.len(), 1);
-        assert!(report.violations[0].desc.contains("Theorem 9"), "{report}");
+        assert_eq!(report.violations[0].kind, ViolationKind::QuorumBound);
+        assert_eq!(
+            report.violations[0].desc,
+            "process 2 exceeded Theorem 9 bound 3f+1=4: quorum #5 issued in epoch 7 \
+             (algo fs) within the stable window"
+        );
         assert_eq!(report.max_fs_quorums_per_epoch, 5);
     }
 
@@ -1147,7 +637,12 @@ mod tests {
             },
         );
         assert_eq!(report.violations.len(), 1);
-        assert!(report.violations[0].desc.contains("slot 3"), "{report}");
+        assert_eq!(report.violations[0].kind, ViolationKind::SlotAgreement);
+        assert_eq!(
+            report.violations[0].desc,
+            "slot 3 agreement broken: at position 0 process 3 executed digest \
+             0x00000000000000bb but process 1 executed 0x00000000000000aa"
+        );
         assert_eq!(report.slots_checked, 1);
     }
 
@@ -1209,7 +704,12 @@ mod tests {
             },
         );
         assert_eq!(report.violations.len(), 1, "{report}");
-        assert!(report.violations[0].desc.contains("only 1 request"), "{report}");
+        assert_eq!(report.violations[0].kind, ViolationKind::SlotAgreement);
+        assert_eq!(
+            report.violations[0].desc,
+            "slot 5 agreement broken: process 2 executed request #1 (digest \
+             0x00000000000000a9) but process 1 executed only 1 request(s) in that slot"
+        );
     }
 
     #[test]
@@ -1244,9 +744,11 @@ mod tests {
             },
         );
         assert_eq!(report.violations.len(), 1, "{report}");
-        assert!(
-            report.violations[0].desc.contains("batch agreement"),
-            "{report}"
+        assert_eq!(report.violations[0].kind, ViolationKind::SlotAgreement);
+        assert_eq!(
+            report.violations[0].desc,
+            "slot 2 batch agreement broken: process 2 committed batch digest \
+             0x00000000000000c1 but process 1 committed 0x00000000000000c0 (seq 0)"
         );
         assert_eq!(report.slots_checked, 1);
     }
@@ -1290,7 +792,89 @@ mod tests {
             },
         );
         assert_eq!(report.violations.len(), 1, "{report}");
-        assert_eq!(report.violations[0].seq, 1);
+        let v = &report.violations[0];
+        assert_eq!((v.seq, v.kind), (1, ViolationKind::CrashedDelivery));
+        assert_eq!(
+            v.desc,
+            "message from 1 delivered to 2, which crashed at seq 0 and has not restarted"
+        );
+        // A timer firing at the crashed process is the same invariant.
+        let v = sole_violation(&[records[0].clone(), rec(1, 20, TraceEvent::TimerFired { at: 2 })]);
+        assert_eq!(v.kind, ViolationKind::CrashedDelivery);
+        assert_eq!(v.desc, "timer fired at 2, which crashed at seq 0 and has not restarted");
+    }
+
+    /// The single violation `records` must produce (f = 1, whole trace
+    /// stable).
+    fn sole_violation(records: &[TraceRecord]) -> Violation {
+        let cfg = ReplayConfig {
+            f: 1,
+            stable_from_micros: 0,
+        };
+        let mut report = analyze(records, &cfg);
+        assert_eq!(report.violations.len(), 1, "{report}");
+        report.violations.remove(0)
+    }
+
+    #[test]
+    fn kind_checkpoint_divergence() {
+        let v = sole_violation(&[
+            rec(0, 10, TraceEvent::CheckpointStable { p: 1, slot: 8, digest: 1 }),
+            rec(1, 20, TraceEvent::CheckpointStable { p: 2, slot: 8, digest: 2 }),
+        ]);
+        assert_eq!(v.kind, ViolationKind::CheckpointDivergence);
+        assert_eq!(
+            v.desc,
+            "checkpoint divergence at slot 8: process 2 certified digest \
+             0x0000000000000002 but process 1 certified 0x0000000000000001 (seq 0)"
+        );
+    }
+
+    #[test]
+    fn kind_transfer_divergence() {
+        let ckpt = rec(0, 10, TraceEvent::CheckpointStable { p: 1, slot: 8, digest: 1 });
+        let done = TraceEvent::StateTransferDone { p: 4, slot: 8, digest: 9 };
+        // Either trace order: transfer after the checkpoint, or before it.
+        let v = sole_violation(&[ckpt.clone(), rec(1, 20, done.clone())]);
+        assert_eq!(v.kind, ViolationKind::TransferDivergence);
+        assert_eq!(
+            v.desc,
+            "state transfer divergence at slot 8: process 4 recovered digest \
+             0x0000000000000009 but process 1 certified 0x0000000000000001"
+        );
+        let v = sole_violation(&[rec(0, 5, done), ckpt]);
+        assert_eq!(v.kind, ViolationKind::TransferDivergence);
+        assert_eq!(
+            v.desc,
+            "state transfer divergence at slot 8: process 4 recovered digest \
+             0x0000000000000009 but process 1 certified 0x0000000000000001"
+        );
+    }
+
+    #[test]
+    fn kind_gc_floor() {
+        let v = sole_violation(&[
+            rec(0, 10, TraceEvent::LogGc { p: 1, below: 10, len: 2 }),
+            rec(1, 20, TraceEvent::Decided { p: 1, slot: 4 }),
+        ]);
+        assert_eq!(v.kind, ViolationKind::GcFloor);
+        assert_eq!(
+            v.desc,
+            "process 1 decided references garbage-collected slot 4 below its GC floor 10"
+        );
+        // The offending event's own name is the verb.
+        let gc = rec(0, 10, TraceEvent::LogGc { p: 1, below: 10, len: 2 });
+        for (event, what) in [
+            (TraceEvent::Executed { p: 1, slot: 4, digest: 1 }, "executed"),
+            (TraceEvent::BatchCommitted { p: 1, slot: 4, size: 1, digest: 1 }, "batch_committed"),
+        ] {
+            let v = sole_violation(&[gc.clone(), rec(1, 20, event)]);
+            assert_eq!(v.kind, ViolationKind::GcFloor);
+            assert_eq!(
+                v.desc,
+                format!("process 1 {what} references garbage-collected slot 4 below its GC floor 10")
+            );
+        }
     }
 
     #[test]

@@ -119,20 +119,10 @@ impl Verdict {
         let mut have_scenario = false;
         let mut have_seed = false;
         cur.skip_ws();
-        cur.expect(b'{')?;
-        loop {
-            cur.skip_ws();
-            if cur.peek() == Some(b'}') {
-                cur.bump();
-                break;
-            }
-            let key = cur.parse_string()?;
-            cur.skip_ws();
-            cur.expect(b':')?;
-            cur.skip_ws();
-            match key.as_str() {
+        cur.object(|key, cur| {
+            match &*key {
                 "scenario" => {
-                    v.scenario = cur.parse_string()?;
+                    v.scenario = cur.parse_string()?.into_owned();
                     have_scenario = true;
                 }
                 "seed" => {
@@ -142,50 +132,20 @@ impl Verdict {
                 "pass" => {
                     cur.parse_bool()?; // recomputed; parsed to advance
                 }
-                "checks" => {
-                    cur.expect(b'[')?;
-                    loop {
-                        cur.skip_ws();
-                        if cur.peek() == Some(b']') {
-                            cur.bump();
-                            break;
-                        }
-                        v.checks.push(parse_check(&mut cur)?);
-                        cur.skip_ws();
-                        if cur.peek() == Some(b',') {
-                            cur.bump();
-                        }
-                    }
-                }
-                "metrics" => {
-                    cur.expect(b'{')?;
-                    loop {
-                        cur.skip_ws();
-                        if cur.peek() == Some(b'}') {
-                            cur.bump();
-                            break;
-                        }
-                        let name = cur.parse_string()?;
-                        cur.skip_ws();
-                        cur.expect(b':')?;
-                        cur.skip_ws();
-                        let value = cur.parse_u64()?;
-                        v.metrics.insert(name, value);
-                        cur.skip_ws();
-                        if cur.peek() == Some(b',') {
-                            cur.bump();
-                        }
-                    }
-                }
+                "checks" => cur.array(|cur| {
+                    v.checks.push(parse_check(cur)?);
+                    Ok(())
+                })?,
+                "metrics" => cur.object(|name, cur| {
+                    v.metrics.insert(name.into_owned(), cur.parse_u64()?);
+                    Ok(())
+                })?,
                 other => return Err(format!("unknown verdict key {other:?}")),
             }
-            cur.skip_ws();
-            if cur.peek() == Some(b',') {
-                cur.bump();
-            }
-        }
+            Ok(())
+        })?;
         cur.skip_ws();
-        if cur.peek().is_some() {
+        if !cur.at_end() {
             return Err(format!("trailing bytes at {}", cur.pos));
         }
         if !have_scenario || !have_seed {
@@ -221,31 +181,18 @@ impl fmt::Display for Verdict {
 }
 
 fn parse_check(cur: &mut Cursor<'_>) -> Result<Check, String> {
-    cur.expect(b'{')?;
     let mut name = None;
     let mut pass = None;
     let mut detail = None;
-    loop {
-        cur.skip_ws();
-        if cur.peek() == Some(b'}') {
-            cur.bump();
-            break;
-        }
-        let key = cur.parse_string()?;
-        cur.skip_ws();
-        cur.expect(b':')?;
-        cur.skip_ws();
-        match key.as_str() {
-            "name" => name = Some(cur.parse_string()?),
+    cur.object(|key, cur| {
+        match &*key {
+            "name" => name = Some(cur.parse_string()?.into_owned()),
             "pass" => pass = Some(cur.parse_bool()?),
-            "detail" => detail = Some(cur.parse_string()?),
+            "detail" => detail = Some(cur.parse_string()?.into_owned()),
             other => return Err(format!("unknown check key {other:?}")),
         }
-        cur.skip_ws();
-        if cur.peek() == Some(b',') {
-            cur.bump();
-        }
-    }
+        Ok(())
+    })?;
     match (name, pass, detail) {
         (Some(name), Some(pass), Some(detail)) => Ok(Check { name, pass, detail }),
         _ => Err("check missing name, pass, or detail".to_string()),

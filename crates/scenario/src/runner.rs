@@ -22,7 +22,7 @@ use qsel_adversary::registry::Strategy;
 use qsel_obs::metrics::{percentile_sorted, standard_metrics};
 use qsel_obs::replay::{analyze, parse_jsonl};
 use qsel_obs::span::{SpanReport, PHASES};
-use qsel_obs::{ReplayConfig, TraceSink, Verdict};
+use qsel_obs::{ReplayConfig, ReplayReport, TraceSink, Verdict, ViolationKind};
 use qsel_simnet::{DelayModel, FaultEvent, FaultPlan, LinkState, SimDuration, SimTime};
 use qsel_types::{ClusterConfig, ProcessId};
 use qsel_xpaxos::harness::{
@@ -196,103 +196,7 @@ pub fn run_scenario(sc: &Scenario, seed: u64) -> Result<RunArtifacts, String> {
     };
     let report = analyze(&records, &replay_cfg);
 
-    // Violations are classified back to the invariant that produced them
-    // by the analyzer's message vocabulary (each class has a distinctive
-    // phrase); a parallel classification in `Violation` itself would be
-    // nicer but the strings are stable and covered by obs's own tests.
-    let quorum = report
-        .violations
-        .iter()
-        .filter(|v| v.desc.contains("Theorem"))
-        .count();
-    let agreement = report
-        .violations
-        .iter()
-        .filter(|v| v.desc.contains("agreement broken"))
-        .count();
-    let crashed = report
-        .violations
-        .iter()
-        .filter(|v| v.desc.contains("crashed at seq"))
-        .count();
-    let first = |pred: fn(&str) -> bool| {
-        report
-            .violations
-            .iter()
-            .find(|v| pred(&v.desc))
-            .map(|v| format!("; first: {}", v.desc))
-            .unwrap_or_default()
-    };
-    verdict.check(
-        "quorum_bounds",
-        quorum == 0,
-        format!(
-            "max qs {}/{} fs {}/{} quorums per epoch from t={stable_from}us, \
-             {quorum} violation(s){}",
-            report.max_qs_quorums_per_epoch,
-            replay_cfg.qs_bound(),
-            report.max_fs_quorums_per_epoch,
-            replay_cfg.fs_bound(),
-            first(|d| d.contains("Theorem"))
-        ),
-    );
-    verdict.check(
-        "per_slot_agreement",
-        agreement == 0,
-        format!(
-            "{} slot(s) cross-checked, {agreement} violation(s){}",
-            report.slots_checked,
-            first(|d| d.contains("agreement broken"))
-        ),
-    );
-    verdict.check(
-        "no_crashed_delivery",
-        crashed == 0,
-        format!(
-            "{} record(s) scanned, {crashed} violation(s){}",
-            report.records_checked,
-            first(|d| d.contains("crashed at seq"))
-        ),
-    );
-    let ckpt_div = report
-        .violations
-        .iter()
-        .filter(|v| v.desc.contains("checkpoint divergence"))
-        .count();
-    let transfer_div = report
-        .violations
-        .iter()
-        .filter(|v| v.desc.contains("state transfer divergence"))
-        .count();
-    let gc_floor = report
-        .violations
-        .iter()
-        .filter(|v| v.desc.contains("references garbage-collected slot"))
-        .count();
-    verdict.check(
-        "checkpoint_agreement",
-        ckpt_div == 0,
-        format!(
-            "{ckpt_div} divergent checkpoint certificate(s){}",
-            first(|d| d.contains("checkpoint divergence"))
-        ),
-    );
-    verdict.check(
-        "state_transfer_integrity",
-        transfer_div == 0,
-        format!(
-            "{transfer_div} recovered-state mismatch(es){}",
-            first(|d| d.contains("state transfer divergence"))
-        ),
-    );
-    verdict.check(
-        "gc_floor",
-        gc_floor == 0,
-        format!(
-            "{gc_floor} access(es) below a garbage-collected floor{}",
-            first(|d| d.contains("references garbage-collected slot"))
-        ),
-    );
+    invariant_checks(&mut verdict, &report, &replay_cfg);
 
     verdict.metric("expected_ops", expected);
     verdict.metric("committed_ops", committed);
@@ -377,6 +281,74 @@ pub fn run_scenario(sc: &Scenario, seed: u64) -> Result<RunArtifacts, String> {
         metrics_text: metrics.render_text(),
         latency_report,
     })
+}
+
+/// Folds the replay report into one verdict check per analyzer invariant,
+/// in the analyzer's own order: pass iff no violation of that kind, with
+/// the count and the first violation's text as evidence.
+fn invariant_checks(verdict: &mut Verdict, report: &ReplayReport, cfg: &ReplayConfig) {
+    use ViolationKind::*;
+    let kinds = [
+        QuorumBound,
+        SlotAgreement,
+        CrashedDelivery,
+        CheckpointDivergence,
+        TransferDivergence,
+        GcFloor,
+    ];
+    for kind in kinds {
+        let of_kind: Vec<_> = report
+            .violations
+            .iter()
+            .filter(|v| v.kind == kind)
+            .collect();
+        let count = of_kind.len();
+        let first = of_kind
+            .first()
+            .map(|v| format!("; first: {}", v.desc))
+            .unwrap_or_default();
+        let (name, detail) = match kind {
+            QuorumBound => (
+                "quorum_bounds",
+                format!(
+                    "max qs {}/{} fs {}/{} quorums per epoch from t={}us, \
+                     {count} violation(s){first}",
+                    report.max_qs_quorums_per_epoch,
+                    cfg.qs_bound(),
+                    report.max_fs_quorums_per_epoch,
+                    cfg.fs_bound(),
+                    cfg.stable_from_micros
+                ),
+            ),
+            SlotAgreement => (
+                "per_slot_agreement",
+                format!(
+                    "{} slot(s) cross-checked, {count} violation(s){first}",
+                    report.slots_checked
+                ),
+            ),
+            CrashedDelivery => (
+                "no_crashed_delivery",
+                format!(
+                    "{} record(s) scanned, {count} violation(s){first}",
+                    report.records_checked
+                ),
+            ),
+            CheckpointDivergence => (
+                "checkpoint_agreement",
+                format!("{count} divergent checkpoint certificate(s){first}"),
+            ),
+            TransferDivergence => (
+                "state_transfer_integrity",
+                format!("{count} recovered-state mismatch(es){first}"),
+            ),
+            GcFloor => (
+                "gc_floor",
+                format!("{count} access(es) below a garbage-collected floor{first}"),
+            ),
+        };
+        verdict.check(name, count == 0, detail);
+    }
 }
 
 /// Compiles the declarative fault list plus geo matrix into a concrete
@@ -479,4 +451,78 @@ fn geo_states(
         }
     }
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use qsel_obs::{TraceEvent, TraceRecord};
+
+    fn rec(seq: u64, t: u64, event: TraceEvent) -> TraceRecord {
+        TraceRecord { seq, t, event }
+    }
+
+    /// A trace with exactly one violation of each kind.
+    fn one_of_each() -> Vec<TraceRecord> {
+        let quorum = |seq, t| {
+            let (algo, members) = ("qs".into(), vec![1, 2, 3]);
+            rec(seq, t, TraceEvent::QuorumIssued { p: 1, epoch: 5, algo, members })
+        };
+        vec![
+            quorum(0, 100),
+            quorum(1, 200),
+            quorum(2, 300),
+            rec(3, 310, TraceEvent::Executed { p: 1, slot: 3, digest: 0xAA }),
+            rec(4, 320, TraceEvent::Executed { p: 3, slot: 3, digest: 0xBB }),
+            rec(5, 330, TraceEvent::Crash { p: 2 }),
+            rec(6, 340, TraceEvent::MsgDeliver { from: 1, to: 2, kind: "prepare".into() }),
+            rec(7, 350, TraceEvent::CheckpointStable { p: 1, slot: 8, digest: 1 }),
+            rec(8, 360, TraceEvent::CheckpointStable { p: 3, slot: 8, digest: 2 }),
+            rec(9, 370, TraceEvent::StateTransferDone { p: 4, slot: 8, digest: 9 }),
+            rec(10, 380, TraceEvent::LogGc { p: 1, below: 10, len: 2 }),
+            rec(11, 390, TraceEvent::Decided { p: 1, slot: 4 }),
+        ]
+    }
+
+    fn checks_for(records: &[TraceRecord]) -> Vec<(String, bool, String)> {
+        let cfg = ReplayConfig {
+            f: 1,
+            stable_from_micros: 50,
+        };
+        let mut verdict = Verdict::new("unit", 1);
+        invariant_checks(&mut verdict, &analyze(records, &cfg), &cfg);
+        verdict.checks.into_iter().map(|c| (c.name, c.pass, c.detail)).collect()
+    }
+
+    /// The six invariant checks — names, order, pass flags and details —
+    /// exactly as the substring-classifying runner before `ViolationKind`
+    /// produced them for these two traces (recorded from that code).
+    #[test]
+    fn invariant_checks_keep_their_names_order_and_details() {
+        let want = |rows: [(&str, bool, &str); 6]| -> Vec<(String, bool, String)> {
+            rows.iter().map(|(n, p, d)| (n.to_string(), *p, d.to_string())).collect()
+        };
+        assert_eq!(
+            checks_for(&one_of_each()),
+            want([
+                ("quorum_bounds", false, "max qs 3/2 fs 0/4 quorums per epoch from t=50us, 1 violation(s); first: process 1 exceeded Theorem 3 bound f(f+1)=2: quorum #3 issued in epoch 5 (algo qs) within the stable window"),
+                ("per_slot_agreement", false, "1 slot(s) cross-checked, 1 violation(s); first: slot 3 agreement broken: at position 0 process 3 executed digest 0x00000000000000bb but process 1 executed 0x00000000000000aa"),
+                ("no_crashed_delivery", false, "12 record(s) scanned, 1 violation(s); first: message from 1 delivered to 2, which crashed at seq 5 and has not restarted"),
+                ("checkpoint_agreement", false, "1 divergent checkpoint certificate(s); first: checkpoint divergence at slot 8: process 3 certified digest 0x0000000000000002 but process 1 certified 0x0000000000000001 (seq 7)"),
+                ("state_transfer_integrity", false, "1 recovered-state mismatch(es); first: state transfer divergence at slot 8: process 4 recovered digest 0x0000000000000009 but process 1 certified 0x0000000000000001"),
+                ("gc_floor", false, "1 access(es) below a garbage-collected floor; first: process 1 decided references garbage-collected slot 4 below its GC floor 10"),
+            ])
+        );
+        assert_eq!(
+            checks_for(&[]),
+            want([
+                ("quorum_bounds", true, "max qs 0/2 fs 0/4 quorums per epoch from t=50us, 0 violation(s)"),
+                ("per_slot_agreement", true, "0 slot(s) cross-checked, 0 violation(s)"),
+                ("no_crashed_delivery", true, "0 record(s) scanned, 0 violation(s)"),
+                ("checkpoint_agreement", true, "0 divergent checkpoint certificate(s)"),
+                ("state_transfer_integrity", true, "0 recovered-state mismatch(es)"),
+                ("gc_floor", true, "0 access(es) below a garbage-collected floor"),
+            ])
+        );
+    }
 }

@@ -439,22 +439,14 @@ impl Replica {
             // empty batch), so the expectation is accuracy-safe — and a
             // peer that crashed in the meantime is rightly suspected.
             let from_slot = self.log.watermark();
-            let min = self.rcfg.view_change_timeout;
-            for k in self.cfg.processes() {
-                if k == self.me {
-                    continue;
-                }
-                outs.sends.push((
-                    k,
-                    XpMsg::StateFetch {
-                        from_slot,
-                        to_slot: u64::MAX,
-                    },
-                ));
-                self.fd.expect_with_min(now, k, min, "recover-state", |m| {
-                    matches!(m, XpMsg::StateBatch { .. })
-                });
-            }
+            self.fetch_state(
+                now,
+                self.cfg.processes(),
+                from_slot,
+                u64::MAX,
+                "recover-state",
+                &mut outs,
+            );
         }
         // A view change interrupted by the crash is re-entered: the peers
         // may have completed it (or moved past it) while we were down and
@@ -1241,6 +1233,28 @@ impl Replica {
         self.install_new_view(now, nv, outs);
     }
 
+    /// Sends `StateFetch { from_slot, to_slot }` to every target but
+    /// ourselves, in order, and expects a `StateBatch` back from each
+    /// (`label` names the expectation).
+    fn fetch_state(
+        &mut self,
+        now: qsel_simnet::SimTime,
+        targets: impl Iterator<Item = ProcessId>,
+        from_slot: u64,
+        to_slot: u64,
+        label: &'static str,
+        outs: &mut Outs,
+    ) {
+        let min = self.rcfg.view_change_timeout;
+        for k in targets.filter(|k| *k != self.me) {
+            outs.sends
+                .push((k, XpMsg::StateFetch { from_slot, to_slot }));
+            self.fd.expect_with_min(now, k, min, label, |m| {
+                matches!(m, XpMsg::StateBatch { .. })
+            });
+        }
+    }
+
     fn install_new_view(&mut self, now: qsel_simnet::SimTime, nv: SignedNewView, outs: &mut Outs) {
         let target = nv.payload.view;
         self.view = target;
@@ -1264,22 +1278,7 @@ impl Replica {
             // expectation below is accuracy-safe.
             let from_slot = self.log.watermark();
             let members = *self.views.group(target).members();
-            let min = self.rcfg.view_change_timeout;
-            for k in members.iter() {
-                if k == self.me {
-                    continue;
-                }
-                outs.sends.push((
-                    k,
-                    XpMsg::StateFetch {
-                        from_slot,
-                        to_slot: base,
-                    },
-                ));
-                self.fd.expect_with_min(now, k, min, "state-batch", |m| {
-                    matches!(m, XpMsg::StateBatch { .. })
-                });
-            }
+            self.fetch_state(now, members.iter(), from_slot, base, "state-batch", outs);
         }
         // Replay protocol traffic that arrived mid view change FIRST, so
         // the commits it carries are in the log before the re-proposal
