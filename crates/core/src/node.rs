@@ -13,7 +13,7 @@
 
 use std::collections::VecDeque;
 
-use qsel_detector::{FailureDetector, FdConfig, FdOutput};
+use qsel_detector::{FailureDetector, FdConfig, FdOutput, PollSchedule};
 use qsel_simnet::{Actor, Context, SimDuration, SimTime, TimerId};
 use qsel_types::crypto::{Signer, Verifier};
 use qsel_types::encode::Encode;
@@ -134,6 +134,8 @@ pub struct SelectorNode {
     signer: Signer,
     verifier: Verifier,
     fd: FailureDetector<ServiceMsg>,
+    /// The `TIMER_FD_POLL` timers in flight.
+    polls: PollSchedule,
     selector: Selector,
     hb_seq: u64,
     history: Vec<(SimTime, QuorumEvent)>,
@@ -193,6 +195,7 @@ impl SelectorNode {
             signer: chain.signer(me),
             verifier: chain.verifier(),
             fd: FailureDetector::new(me, cfg.n(), node_cfg.fd.clone()),
+            polls: PollSchedule::new(),
             selector,
             hb_seq: 0,
             history: Vec::new(),
@@ -293,12 +296,7 @@ impl SelectorNode {
     }
 
     fn rearm_fd_timer(&mut self, ctx: &mut Context<'_, ServiceMsg>) {
-        if let Some(deadline) = self.fd.next_deadline() {
-            let delay = if deadline > ctx.now() {
-                deadline - ctx.now() + SimDuration::micros(1)
-            } else {
-                SimDuration::micros(1)
-            };
+        if let Some(delay) = self.polls.arm(ctx.now(), self.fd.next_deadline()) {
             ctx.set_timer(delay, TIMER_FD_POLL);
         }
     }
@@ -410,6 +408,17 @@ impl Actor<ServiceMsg> for SelectorNode {
             other => unreachable!("unknown timer {other:?}"),
         }
     }
+
+    /// The timers died with the crashed incarnation, and what the node
+    /// expected before may have been delivered to the void: drop both,
+    /// then restart the heartbeat and poll timers as [`Actor::on_start`]
+    /// does.
+    fn on_recover(&mut self, ctx: &mut Context<'_, ServiceMsg>) {
+        self.polls.reset();
+        let outs = self.fd.cancel_all(ctx.now());
+        self.pump(ctx, Work::Fd(outs));
+        self.heartbeat_tick(ctx);
+    }
 }
 
 #[cfg(test)]
@@ -518,6 +527,26 @@ mod tests {
         let l4 = sim.actor(ProcessId(4)).current_leader_quorum().unwrap();
         assert_eq!(l2, l3);
         assert_eq!(l3, l4);
+    }
+
+    #[test]
+    fn restarted_node_heartbeats_and_detects_again() {
+        let mut sim = cluster(4, 1, 5, false);
+        let (p2, p3) = (ProcessId(2), ProcessId(3));
+        sim.run_until(SimTime::from_micros(20_000));
+        sim.crash(p2);
+        sim.run_until(SimTime::from_micros(60_000));
+        assert!(sim.actor(ProcessId(1)).suspected().contains(p2));
+        sim.restart(p2);
+        sim.run_until(SimTime::from_micros(120_000));
+        // Its heartbeats flow again, so the late ones clear the suspicion…
+        for p in [1, 3, 4].map(ProcessId) {
+            assert!(!sim.actor(p).suspected().contains(p2), "at {p}");
+        }
+        // …and its detector is polled again.
+        sim.crash(p3);
+        sim.run_until(SimTime::from_micros(180_000));
+        assert!(sim.actor(p2).suspected().contains(p3));
     }
 
     #[test]

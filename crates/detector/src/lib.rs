@@ -25,6 +25,8 @@
 //!
 //! The detector is a sans-io state machine: the host (see `qsel::node`)
 //! feeds it receptions and the current time, and forwards its outputs.
+//! [`PollSchedule`] tells the host which poll timers that takes: one per
+//! distinct instant just past a deadline, however many callbacks ask.
 //!
 //! # Example
 //!
@@ -54,7 +56,9 @@
 #![warn(missing_docs)]
 
 mod detector;
+mod schedule;
 mod timeout;
 
 pub use detector::{FailureDetector, FdConfig, FdOutput, FdStats};
+pub use schedule::PollSchedule;
 pub use timeout::TimeoutPolicy;

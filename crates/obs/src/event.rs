@@ -354,7 +354,7 @@ macro_rules! trace_events {
 
         /// One event per table row, every field at its type's sample value.
         #[cfg(test)]
-        fn samples() -> Vec<TraceEvent> {
+        pub(crate) fn samples() -> Vec<TraceEvent> {
             vec![$(TraceEvent::$variant { $($field: Field::sample()),* }),*]
         }
     };

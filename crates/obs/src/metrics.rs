@@ -151,7 +151,12 @@ impl MetricsRegistry {
 
     /// Adds `v` to counter `name` (creating it at zero).
     pub fn counter_add(&mut self, name: &str, v: u64) {
-        *self.counters.entry(name.to_string()).or_insert(0) += v;
+        // Looked up first: only a new name is copied into a `String`.
+        if let Some(c) = self.counters.get_mut(name) {
+            *c += v;
+        } else {
+            self.counters.insert(name.to_string(), v);
+        }
     }
 
     /// Reads counter `name` (0 if absent).
@@ -161,7 +166,11 @@ impl MetricsRegistry {
 
     /// Sets gauge `name` to `v`.
     pub fn gauge_set(&mut self, name: &str, v: i64) {
-        self.gauges.insert(name.to_string(), v);
+        if let Some(g) = self.gauges.get_mut(name) {
+            *g = v;
+        } else {
+            self.gauges.insert(name.to_string(), v);
+        }
     }
 
     /// Reads gauge `name` (0 if absent).
@@ -172,10 +181,13 @@ impl MetricsRegistry {
     /// Records `v` into histogram `name`, creating it with `bounds` on
     /// first use.
     pub fn histogram_record(&mut self, name: &str, bounds: &[u64], v: u64) {
-        self.histograms
-            .entry(name.to_string())
-            .or_insert_with(|| Histogram::new(bounds))
-            .record(v);
+        if let Some(h) = self.histograms.get_mut(name) {
+            h.record(v);
+        } else {
+            let mut h = Histogram::new(bounds);
+            h.record(v);
+            self.histograms.insert(name.to_string(), h);
+        }
     }
 
     /// The histogram `name`, if any sample was recorded.
@@ -486,12 +498,15 @@ pub const BATCH_SIZE_BOUNDS: [u64; 7] = [1, 2, 4, 8, 16, 32, 64];
 /// * `retry_backoff_us` — client retransmission intervals.
 pub fn standard_metrics(records: &[TraceRecord]) -> MetricsRegistry {
     let mut m = MetricsRegistry::new();
+    // Records per event kind; a trace is mostly this loop, so the
+    // `events.*` counter names are built once per kind, after it.
+    let mut per_kind: BTreeMap<&'static str, u64> = BTreeMap::new();
     // Pending view-change start time per replica.
     let mut vc_start: BTreeMap<u32, (u64, u64)> = BTreeMap::new();
     // Quorum issues per (process, epoch, algo).
     let mut per_epoch: BTreeMap<(u32, u64, String), u64> = BTreeMap::new();
     for r in records {
-        m.counter_add(&format!("events.{}", r.event.name()), 1);
+        *per_kind.entry(r.event.name()).or_insert(0) += 1;
         match &r.event {
             TraceEvent::ClientCommit { latency_us, .. } => {
                 m.histogram_record("commit_latency_us", &LATENCY_BOUNDS_US, *latency_us);
@@ -527,6 +542,9 @@ pub fn standard_metrics(records: &[TraceRecord]) -> MetricsRegistry {
             }
             _ => {}
         }
+    }
+    for (kind, count) in per_kind {
+        m.counter_add(&format!("events.{kind}"), count);
     }
     for count in per_epoch.values() {
         m.histogram_record("quorums_per_epoch", &COUNT_BOUNDS, *count);
@@ -609,6 +627,43 @@ mod tests {
         assert_eq!(h.max(), 500, "duration from the first start of the outage");
         assert_eq!(m.counter("events.client_commit"), 1);
         assert_eq!(m.histogram("commit_latency_us").unwrap().count(), 1);
+    }
+
+    /// The `events.*` counters against counting them the way it was done
+    /// before the per-kind tally — one formatted name and one bump per
+    /// record — on a trace holding every event kind, some more than once.
+    #[test]
+    fn standard_metrics_counts_every_kind_like_a_per_record_bump() {
+        let mut events = crate::event::samples();
+        events.extend((1..=3).map(|at| TraceEvent::TimerFired { at }));
+        events.extend((0..2).map(|op| TraceEvent::ClientCommit {
+            client: 9,
+            op,
+            latency_us: 400 + op,
+        }));
+        events.push(TraceEvent::BatchCommitted {
+            p: 1,
+            slot: 0,
+            size: 0,
+            digest: 0,
+        });
+        let records: Vec<TraceRecord> = events
+            .into_iter()
+            .zip(0..)
+            .map(|(event, seq)| TraceRecord { seq, t: seq, event })
+            .collect();
+        let mut naive = MetricsRegistry::new();
+        for r in &records {
+            naive.counter_add(&format!("events.{}", r.event.name()), 1);
+        }
+        naive.counter_add("batch.requests_decided", u64::MAX);
+        let m = standard_metrics(&records);
+        assert_eq!(m.counters, naive.counters);
+        assert_eq!(m.counters.len(), crate::event::samples().len() + 1);
+        assert_eq!(m.counter("events.timer_fired"), 4);
+        assert_eq!(m.counter("events.client_commit"), 3);
+        assert_eq!(m.gauge("trace.records"), records.len() as i64);
+        assert_eq!(m.histogram("commit_latency_us").unwrap().count(), 3);
     }
 
     #[test]

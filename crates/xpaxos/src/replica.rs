@@ -23,7 +23,7 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use qsel::{QsOutput, QuorumSelection};
-use qsel_detector::{FailureDetector, FdConfig, FdOutput};
+use qsel_detector::{FailureDetector, FdConfig, FdOutput, PollSchedule};
 use qsel_obs::{TraceEvent, TraceSink};
 use qsel_simnet::{Context, SimDuration, TimerId};
 use qsel_types::crypto::{Keychain, Signer, Verifier};
@@ -192,6 +192,12 @@ pub struct Replica {
     verifier: Verifier,
     views: ViewPolicy,
     fd: FailureDetector<XpMsg>,
+    /// The `TIMER_FD_POLL` timers in flight.
+    polls: PollSchedule,
+    /// The policy [`PollSchedule`] replaced, kept as the test oracle: arm
+    /// a poll after every callback.
+    #[cfg(test)]
+    arm_every_flush: bool,
     qs: Option<QuorumSelection>,
     log: Log,
     view: u64,
@@ -282,6 +288,9 @@ impl Replica {
             verifier: chain.verifier(),
             views: ViewPolicy::new(&cfg),
             fd: FailureDetector::new(me, cfg.n(), rcfg.fd.clone()),
+            polls: PollSchedule::new(),
+            #[cfg(test)]
+            arm_every_flush: false,
             qs,
             log,
             view: 0,
@@ -415,6 +424,7 @@ impl Replica {
         self.stats.recoveries += 1;
         let now = ctx.now();
         let mut outs = Outs::default();
+        self.polls.reset();
         let fd_out = self.fd.cancel_all(now);
         self.pump_fd(now, fd_out, &mut outs);
         self.heartbeat_tick(now, &mut outs);
@@ -2208,12 +2218,11 @@ impl Replica {
         for (after, id) in outs.timers {
             ctx.set_timer(after, id);
         }
-        if let Some(deadline) = self.fd.next_deadline() {
-            let delay = if deadline > ctx.now() {
-                deadline - ctx.now() + SimDuration::micros(1)
-            } else {
-                SimDuration::micros(1)
-            };
+        #[cfg(test)]
+        if self.arm_every_flush {
+            self.polls.reset();
+        }
+        if let Some(delay) = self.polls.arm(ctx.now(), self.fd.next_deadline()) {
             ctx.set_timer(delay, TIMER_FD_POLL);
         }
     }
@@ -2227,5 +2236,112 @@ impl std::fmt::Debug for Replica {
             .field("phase", &self.phase)
             .field("decided", &self.log.decided_count())
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::harness::{total_committed, ClusterBuilder, XpActor};
+    use qsel_simnet::{FaultEvent, FaultPlan, NetStats, SimTime, Simulation};
+
+    fn ms(ms: u64) -> SimTime {
+        SimTime::from_micros(ms * 1000)
+    }
+
+    /// A seeded n = 7 cluster through crashes, restarts and pauses of
+    /// quorum members, with polls armed per instant or — the oracle — after
+    /// every callback.
+    fn faulted_run(arm_every_flush: bool) -> Simulation<XpMsg, XpActor> {
+        let cfg = ClusterConfig::new(7, 2).unwrap();
+        let mut sim = ClusterBuilder::new(cfg, 11).clients(4, 150).build();
+        for p in cfg.processes() {
+            if let XpActor::Replica(r) = sim.actor_mut(p) {
+                r.arm_every_flush = arm_every_flush;
+            }
+        }
+        let [p1, p2, p3, p4] = [1, 2, 3, 4].map(ProcessId);
+        sim.schedule_plan(
+            FaultPlan::new()
+                .at(ms(5), FaultEvent::Crash(p1))
+                .at(ms(12), FaultEvent::Pause(p3))
+                .at(ms(21), FaultEvent::Resume(p3))
+                .at(ms(30), FaultEvent::Restart(p1))
+                .at(ms(34), FaultEvent::Pause(p2))
+                .at(ms(36), FaultEvent::Crash(p4))
+                .at(ms(37), FaultEvent::Restart(p4))
+                .at(ms(47), FaultEvent::Resume(p2)),
+        );
+        sim.run_until(ms(400));
+        sim
+    }
+
+    /// Everything but the three counters of events that no longer exist.
+    fn without_timer_counts(stats: &NetStats) -> NetStats {
+        NetStats {
+            timers_fired: 0,
+            stale_timers_dropped: 0,
+            events_buffered_paused: 0,
+            ..stats.clone()
+        }
+    }
+
+    #[test]
+    fn arming_per_instant_changes_nothing_but_the_timer_counts() {
+        let (sim, oracle) = (faulted_run(false), faulted_run(true));
+        assert_eq!(total_committed(&sim), 600, "the workload must finish");
+        let (mut expired, mut views) = (0, 0);
+        for p in sim.ids() {
+            let (a, b) = (sim.actor(p), oracle.actor(p));
+            if let (Some(a), Some(b)) = (a.client(), b.client()) {
+                assert_eq!(a.completed, b.completed, "client {p}");
+            }
+            if let (Some(a), Some(b)) = (a.replica(), b.replica()) {
+                assert_eq!(a.view_history(), b.view_history(), "replica {p}");
+                assert_eq!(a.fd_stats(), b.fd_stats(), "replica {p}");
+                expired += a.fd_stats().expiry_log.len();
+                views += a.view_history().len();
+            }
+        }
+        assert!(expired > 0 && views > 0, "the plan must move the cluster");
+        let (stats, oracle) = (sim.stats(), oracle.stats());
+        assert_eq!(without_timer_counts(stats), without_timer_counts(oracle));
+        assert!(stats.events_buffered_paused > 0 && stats.stale_timers_dropped > 0);
+        assert!(
+            stats.timers_fired * 4 < oracle.timers_fired,
+            "{} vs {} timers",
+            stats.timers_fired,
+            oracle.timers_fired
+        );
+    }
+
+    #[test]
+    fn an_unbatched_commit_costs_a_few_timers() {
+        let cfg = ClusterConfig::new(7, 2).unwrap();
+        let mut sim = ClusterBuilder::new(cfg, 3).clients(32, 20).build();
+        sim.run_until(ms(200));
+        assert_eq!(total_committed(&sim), 640);
+        let per_commit = sim.stats().timers_fired as f64 / 640.0;
+        assert!(per_commit < 10.0, "{per_commit} timers per commit");
+    }
+
+    /// Restarting in the instant a poll was armed asks for that very
+    /// instant again, but the armed timer died with the old incarnation:
+    /// a schedule that survived the restart would skip the poll that
+    /// expires the crashed peer's heartbeat.
+    #[test]
+    fn a_restarted_replica_polls_at_its_first_deadline() {
+        let cfg = ClusterConfig::new(5, 1).unwrap();
+        let mut sim = ClusterBuilder::new(cfg, 5).clients(0, 0).build();
+        let (p2, p3) = (ProcessId(2), ProcessId(3));
+        sim.crash(p2);
+        sim.start();
+        sim.crash(p3);
+        sim.restart(p3);
+        sim.run_until(ms(10));
+        let fd = sim.actor(p3).replica().unwrap().fd_stats();
+        let timeout = ReplicaConfig::default().fd.initial_timeout.as_micros();
+        let first = fd.expiry_log.first().map(|(t, p, _)| (*t, *p));
+        assert_eq!(first, Some((SimTime::from_micros(timeout + 1), p2)));
     }
 }

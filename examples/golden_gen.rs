@@ -7,7 +7,10 @@
 //! byte-for-byte by `default_policy_traces_are_byte_identical_to_goldens`.
 //! The goldens track the current trace vocabulary — most recently the
 //! causal-span events (`batch_admitted`, `req_proposed`, `commit_vote`,
-//! `reply_sent`) of DESIGN.md §14.
+//! `reply_sent`) of DESIGN.md §14 — and were last regenerated when the
+//! detector's duplicate poll timers went away (DESIGN.md §16), which only
+//! deleted `timer_fired` lines: `tests/golden/deletions_only.py` is the
+//! check to run against the previous goldens after any regeneration.
 //!
 //! Usage:
 //!
