@@ -317,32 +317,10 @@ pub fn greedy_adversary(algo: &mut dyn QuorumAlgorithm, n: u32, f: u32) -> GameR
     }
 }
 
-/// The binomial coefficient `C(n, k)` (u128 to survive `C(60, 30)`-scale
-/// baseline counts).
-pub fn binomial(n: u64, k: u64) -> u128 {
-    if k > n {
-        return 0;
-    }
-    let k = k.min(n - k);
-    let mut acc: u128 = 1;
-    for i in 0..k {
-        acc = acc * (n - i) as u128 / (i + 1) as u128;
-    }
-    acc
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn binomial_values() {
-        assert_eq!(binomial(4, 2), 6);
-        assert_eq!(binomial(5, 0), 1);
-        assert_eq!(binomial(5, 5), 1);
-        assert_eq!(binomial(5, 6), 0);
-        assert_eq!(binomial(10, 3), 120);
-    }
+    use qsel_types::thresholds::binomial;
 
     #[test]
     fn lex_first_initial_quorum() {

@@ -16,7 +16,8 @@
 
 use qsel_adversary::cluster::{FsCluster, QsCluster};
 use qsel_adversary::game::RoundRobinEnumeration;
-use qsel_bench::{binomial, Table};
+use qsel_bench::Table;
+use qsel_types::thresholds::binomial;
 use qsel_types::{ClusterConfig, ProcessId};
 
 fn qs_changes_until_excluded(cfg: ClusterConfig, culprit: ProcessId, seed: u64) -> u64 {

@@ -16,8 +16,9 @@
 #![forbid(unsafe_code)]
 
 use qsel_adversary::cluster::ClusterUnderAttack;
-use qsel_adversary::game::{binomial, greedy_adversary, max_interruptions, LexFirstIs};
+use qsel_adversary::game::{greedy_adversary, max_interruptions, LexFirstIs};
 use qsel_bench::Table;
+use qsel_types::thresholds::binomial;
 use qsel_types::ClusterConfig;
 
 fn main() {

@@ -11,10 +11,9 @@
 
 #![forbid(unsafe_code)]
 
-use qsel_adversary::game::{
-    binomial, max_interruptions, LexFirstIs, RoundRobinEnumeration,
-};
+use qsel_adversary::game::{max_interruptions, LexFirstIs, RoundRobinEnumeration};
 use qsel_bench::Table;
+use qsel_types::thresholds::binomial;
 
 fn main() {
     let mut table = Table::new(vec![

@@ -83,11 +83,6 @@ pub fn pct(part: f64, whole: f64) -> String {
     }
 }
 
-/// The binomial coefficient (re-exported convenience).
-pub fn binomial(n: u64, k: u64) -> u128 {
-    qsel_adversary::game::binomial(n, k)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -13,7 +13,7 @@
 
 use std::collections::VecDeque;
 
-use qsel_detector::{FailureDetector, FdConfig, FdOutput, PollSchedule};
+use qsel_detector::{FailureDetector, FdConfig, PollSchedule};
 use qsel_simnet::{Actor, Context, SimDuration, SimTime, TimerId};
 use qsel_types::crypto::{Signer, Verifier};
 use qsel_types::encode::Encode;
@@ -143,7 +143,10 @@ pub struct SelectorNode {
 
 /// Internal inter-module events, processed in production order.
 enum Work {
-    Fd(Vec<FdOutput<ServiceMsg>>),
+    /// `⟨DELIVER⟩`: an authenticated message the detector has observed.
+    Deliver(ServiceMsg),
+    /// `⟨SUSPECTED, S⟩`: the detector's suspicion set changed.
+    Suspected(ProcessSet),
     Qs(Vec<QsOutput>),
     Fs(Vec<FsOutput>),
 }
@@ -289,8 +292,7 @@ impl SelectorNode {
         }
         self.hb_seq += 1;
         let hb = ServiceMsg::Heartbeat(self.signer.sign(Heartbeat { seq: self.hb_seq }));
-        let peers: Vec<ProcessId> = self.peers().collect();
-        ctx.send_all(peers, hb);
+        ctx.send_all(self.peers(), hb);
         ctx.set_timer(self.node_cfg.heartbeat_period, TIMER_HEARTBEAT);
         self.rearm_fd_timer(ctx);
     }
@@ -303,39 +305,31 @@ impl SelectorNode {
 
     /// Drains the inter-module work queue, routing each module's outputs to
     /// its consumers in production order.
-    fn pump(&mut self, ctx: &mut Context<'_, ServiceMsg>, first: Work) {
-        let mut queue: VecDeque<Work> = VecDeque::new();
-        queue.push_back(first);
+    fn pump(&mut self, ctx: &mut Context<'_, ServiceMsg>, first: impl IntoIterator<Item = Work>) {
+        let mut queue: VecDeque<Work> = first.into_iter().collect();
         while let Some(work) = queue.pop_front() {
             match work {
-                Work::Fd(outputs) => {
-                    for o in outputs {
-                        match o {
-                            FdOutput::Deliver { msg, .. } => match msg {
-                                ServiceMsg::Update(u) => match &mut self.selector {
-                                    Selector::Quorum(qs) => queue.push_back(Work::Qs(qs.on_update(u))),
-                                    Selector::Follower(fs) => queue.push_back(Work::Fs(fs.on_update(u))),
-                                },
-                                ServiceMsg::Followers(f) => {
-                                    if let Selector::Follower(fs) = &mut self.selector {
-                                        queue.push_back(Work::Fs(fs.on_followers(f)));
-                                    }
-                                }
-                                ServiceMsg::Heartbeat(_) => {}
-                            },
-                            FdOutput::Suspected(s) => match &mut self.selector {
-                                Selector::Quorum(qs) => queue.push_back(Work::Qs(qs.on_suspected(s))),
-                                Selector::Follower(fs) => queue.push_back(Work::Fs(fs.on_suspected(s))),
-                            },
+                Work::Deliver(msg) => match msg {
+                    ServiceMsg::Update(u) => match &mut self.selector {
+                        Selector::Quorum(qs) => queue.push_back(Work::Qs(qs.on_update(u))),
+                        Selector::Follower(fs) => queue.push_back(Work::Fs(fs.on_update(u))),
+                    },
+                    ServiceMsg::Followers(f) => {
+                        if let Selector::Follower(fs) = &mut self.selector {
+                            queue.push_back(Work::Fs(fs.on_followers(f)));
                         }
                     }
-                }
+                    ServiceMsg::Heartbeat(_) => {}
+                },
+                Work::Suspected(s) => match &mut self.selector {
+                    Selector::Quorum(qs) => queue.push_back(Work::Qs(qs.on_suspected(s))),
+                    Selector::Follower(fs) => queue.push_back(Work::Fs(fs.on_suspected(s))),
+                },
                 Work::Qs(outputs) => {
                     for o in outputs {
                         match o {
                             QsOutput::Broadcast(u) => {
-                                let peers: Vec<ProcessId> = self.peers().collect();
-                                ctx.send_all(peers, ServiceMsg::Update(u));
+                                ctx.send_all(self.peers(), ServiceMsg::Update(u));
                             }
                             QsOutput::Quorum(q) => {
                                 self.history.push((ctx.now(), QuorumEvent::Plain(q)));
@@ -347,19 +341,16 @@ impl SelectorNode {
                     for o in outputs {
                         match o {
                             FsOutput::BroadcastUpdate(u) => {
-                                let peers: Vec<ProcessId> = self.peers().collect();
-                                ctx.send_all(peers, ServiceMsg::Update(u));
+                                ctx.send_all(self.peers(), ServiceMsg::Update(u));
                             }
                             FsOutput::BroadcastFollowers(f) => {
-                                let peers: Vec<ProcessId> = self.peers().collect();
-                                ctx.send_all(peers, ServiceMsg::Followers(f));
+                                ctx.send_all(self.peers(), ServiceMsg::Followers(f));
                             }
                             FsOutput::Quorum(lq) => {
                                 self.history.push((ctx.now(), QuorumEvent::Leader(lq)));
                             }
                             FsOutput::Cancel => {
-                                let outs = self.fd.cancel_all(ctx.now());
-                                queue.push_back(Work::Fd(outs));
+                                queue.extend(self.fd.cancel_all(ctx.now()).map(Work::Suspected));
                             }
                             FsOutput::Expect { leader, epoch } => {
                                 self.fd.expect(ctx.now(), leader, "followers", move |m| {
@@ -370,8 +361,7 @@ impl SelectorNode {
                                 });
                             }
                             FsOutput::Detected(p) => {
-                                let outs = self.fd.detected(ctx.now(), p);
-                                queue.push_back(Work::Fd(outs));
+                                queue.extend(self.fd.detected(ctx.now(), p).map(Work::Suspected));
                             }
                         }
                     }
@@ -393,16 +383,17 @@ impl Actor<ServiceMsg> for SelectorNode {
         let Some(origin) = self.authenticate(&msg) else {
             return;
         };
-        let outs = self.fd.on_receive(ctx.now(), origin, msg);
-        self.pump(ctx, Work::Fd(outs));
+        let suspected = self.fd.on_receive(ctx.now(), origin, &msg);
+        let deliver = std::iter::once(Work::Deliver(msg));
+        self.pump(ctx, deliver.chain(suspected.map(Work::Suspected)));
     }
 
     fn on_timer(&mut self, ctx: &mut Context<'_, ServiceMsg>, timer: TimerId) {
         match timer {
             TIMER_HEARTBEAT => self.heartbeat_tick(ctx),
             TIMER_FD_POLL => {
-                let outs = self.fd.poll(ctx.now());
-                self.pump(ctx, Work::Fd(outs));
+                let suspected = self.fd.poll(ctx.now());
+                self.pump(ctx, suspected.map(Work::Suspected));
             }
             // lint: allow(S2, timers are armed only by this node; an unknown id is a harness bug best surfaced loudly)
             other => unreachable!("unknown timer {other:?}"),
@@ -415,8 +406,8 @@ impl Actor<ServiceMsg> for SelectorNode {
     /// does.
     fn on_recover(&mut self, ctx: &mut Context<'_, ServiceMsg>) {
         self.polls.reset();
-        let outs = self.fd.cancel_all(ctx.now());
-        self.pump(ctx, Work::Fd(outs));
+        let suspected = self.fd.cancel_all(ctx.now());
+        self.pump(ctx, suspected.map(Work::Suspected));
         self.heartbeat_tick(ctx);
     }
 }
@@ -547,6 +538,41 @@ mod tests {
         sim.crash(p3);
         sim.run_until(SimTime::from_micros(180_000));
         assert!(sim.actor(p2).suspected().contains(p3));
+    }
+
+    /// Pins the order in which a node's modules see their events (the
+    /// `pump` queue): a digest of every node's quorum history, detector
+    /// and selection statistics, and the network counters, for Algorithm 1
+    /// and Algorithm 2 through one crash and one dropped link. Recorded
+    /// when the detector still handed every delivery back to the node.
+    #[test]
+    fn event_order_is_pinned() {
+        for (follower, want) in [(false, "4cdc71bf"), (true, "67aa67ba")] {
+            let mut sim = cluster(7, 2, 17, follower);
+            sim.set_classifier(|m| m.kind());
+            sim.run_until(SimTime::from_micros(20_000));
+            sim.crash(ProcessId(1));
+            let dropped = qsel_simnet::LinkState {
+                drop_all: true,
+                ..Default::default()
+            };
+            sim.set_link(ProcessId(3), ProcessId(5), dropped);
+            sim.run_until(SimTime::from_micros(300_000));
+            let mut record = format!("{:?}\n", sim.stats());
+            for p in sim.ids().skip(1) {
+                let node = sim.actor(p);
+                assert!(!node.quorum_history().is_empty(), "{p}");
+                assert!(!node.fd_stats().expiry_log.is_empty(), "{p}");
+                record += &format!(
+                    "{p}: {:?} {:?} {:?}\n",
+                    node.quorum_history(),
+                    node.fd_stats(),
+                    node.selection_stats()
+                );
+            }
+            let got = qsel_types::crypto::sha256(record.as_bytes()).short();
+            assert_eq!(got, want, "follower selection: {follower}");
+        }
     }
 
     #[test]

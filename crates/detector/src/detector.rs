@@ -1,5 +1,6 @@
 //! The failure-detector state machine.
 
+use std::borrow::Borrow;
 use std::fmt;
 
 use qsel_obs::{TraceEvent, TraceSink};
@@ -31,22 +32,6 @@ impl Default for FdConfig {
             adaptive: true,
         }
     }
-}
-
-/// Output events of the failure detector (paper §IV-B).
-#[derive(Debug)]
-pub enum FdOutput<M> {
-    /// `⟨DELIVER, m, i⟩` — a correctly authenticated message from `from`
-    /// is passed up to the application / quorum-selection module.
-    Deliver {
-        /// Original sender.
-        from: ProcessId,
-        /// The message.
-        msg: M,
-    },
-    /// `⟨SUSPECTED, S⟩` — the set of currently suspected processes
-    /// changed; `S` is the complete new set.
-    Suspected(ProcessSet),
 }
 
 /// Counters describing detector behaviour (used by experiment E9).
@@ -184,8 +169,9 @@ impl<M> FailureDetector<M> {
     /// `⟨CANCEL⟩` — drops all outstanding expectations (met or not) and
     /// retracts the suspicions they caused. Expired expectations whose
     /// message never arrived do *not* back off the timeout (nothing proved
-    /// the suspicion false).
-    pub fn cancel_all(&mut self, _now: SimTime) -> Vec<FdOutput<M>> {
+    /// the suspicion false). Returns the new `⟨SUSPECTED⟩` set if it
+    /// changed.
+    pub fn cancel_all(&mut self, _now: SimTime) -> Option<ProcessSet> {
         self.stats.expectations_cancelled += self.expectations.len() as u64;
         self.expectations.clear();
         self.next_deadline = None;
@@ -193,20 +179,28 @@ impl<M> FailureDetector<M> {
     }
 
     /// `⟨RECEIVE, m, i⟩` — a correctly authenticated message arrived from
-    /// `from`. Always emits a [`FdOutput::Deliver`]; additionally resolves
-    /// matching expectations and retracts suspicions they caused. A match
-    /// for an *expired* expectation is a late message: the suspicion was
-    /// false, so the timeout for `from` backs off. An on-time match feeds
-    /// [`TimeoutPolicy::record_success`], letting a timeout inflated by
-    /// pre-GST chaos decay back toward its floor once the peer proves
-    /// responsive again.
-    pub fn on_receive(&mut self, _now: SimTime, from: ProcessId, msg: M) -> Vec<FdOutput<M>> {
+    /// `from`. Resolves matching expectations and retracts suspicions they
+    /// caused; returns the new `⟨SUSPECTED⟩` set if it changed. The
+    /// detector never withholds a message, so `⟨DELIVER, m, i⟩` is the
+    /// host dispatching `msg` itself — before it handles the returned set.
+    /// A match for an *expired* expectation is a late message: the
+    /// suspicion was false, so the timeout for `from` backs off. An on-time
+    /// match feeds [`TimeoutPolicy::record_success`], letting a timeout
+    /// inflated by pre-GST chaos decay back toward its floor once the peer
+    /// proves responsive again.
+    pub fn on_receive(
+        &mut self,
+        _now: SimTime,
+        from: ProcessId,
+        msg: impl Borrow<M>,
+    ) -> Option<ProcessSet> {
+        let msg = msg.borrow();
         let mut late_match = false;
         let mut met = 0u64;
         let mut met_earliest = false;
         let earliest = self.next_deadline;
         self.expectations.retain(|e| {
-            if e.from == from && (e.pred)(&msg) {
+            if e.from == from && (e.pred)(msg) {
                 if e.expired {
                     late_match = true;
                 } else if Some(e.deadline) == earliest {
@@ -229,19 +223,17 @@ impl<M> FailureDetector<M> {
                 self.timeouts[from.index()].record_success();
             }
         }
-        let mut out = vec![FdOutput::Deliver { from, msg }];
-        out.extend(self.publish_if_changed());
-        out
+        self.publish_if_changed()
     }
 
     /// Advances time: marks expectations past their deadline as expired and
-    /// publishes the new suspicion set if it changed. The host should call
+    /// returns the new suspicion set if it changed. The host should call
     /// this at (or after) [`FailureDetector::next_deadline`].
-    pub fn poll(&mut self, now: SimTime) -> Vec<FdOutput<M>> {
+    pub fn poll(&mut self, now: SimTime) -> Option<ProcessSet> {
         // Nothing is due: no expectation expires, and every mutator has
         // already published its own change, so there is nothing to report.
         if self.next_deadline.is_none_or(|d| d > now) {
-            return Vec::new();
+            return None;
         }
         let mut earliest = None;
         for e in &mut self.expectations {
@@ -266,7 +258,7 @@ impl<M> FailureDetector<M> {
     /// `poll` as it was before the deadline was cached: visits every
     /// expectation and always re-derives the suspicion set. Test oracle.
     #[cfg(test)]
-    fn poll_scanning(&mut self, now: SimTime) -> Vec<FdOutput<M>> {
+    fn poll_scanning(&mut self, now: SimTime) -> Option<ProcessSet> {
         for e in &mut self.expectations {
             if !e.expired && e.deadline <= now {
                 e.expired = true;
@@ -283,8 +275,8 @@ impl<M> FailureDetector<M> {
 
     /// `⟨DETECTED, i⟩` — the application found proof that `who` is faulty
     /// (commission failure); `who` is suspected permanently (detection
-    /// completeness).
-    pub fn detected(&mut self, _now: SimTime, who: ProcessId) -> Vec<FdOutput<M>> {
+    /// completeness). Returns the new suspicion set if it changed.
+    pub fn detected(&mut self, _now: SimTime, who: ProcessId) -> Option<ProcessSet> {
         if self.detected.insert(who) {
             self.stats.detections += 1;
         }
@@ -344,10 +336,12 @@ impl<M> FailureDetector<M> {
         self.stats.clone()
     }
 
-    fn publish_if_changed(&mut self) -> Vec<FdOutput<M>> {
+    /// `⟨SUSPECTED, S⟩`: the complete new set, if it differs from the last
+    /// one published.
+    fn publish_if_changed(&mut self) -> Option<ProcessSet> {
         let now_set = self.suspected_set();
         if now_set == self.last_published {
-            return Vec::new();
+            return None;
         }
         let raised = now_set.difference(&self.last_published).len() as u64;
         let cancelled = self.last_published.difference(&now_set).len() as u64;
@@ -358,7 +352,7 @@ impl<M> FailureDetector<M> {
             p: self.me.0,
             suspected: now_set.iter().map(|p| p.0).collect(),
         });
-        vec![FdOutput::Suspected(now_set)]
+        Some(now_set)
     }
 }
 
@@ -387,23 +381,10 @@ mod tests {
         SimTime::ZERO + SimDuration::millis(ms)
     }
 
-    fn suspected_events(out: &[FdOutput<&'static str>]) -> Vec<ProcessSet> {
-        out.iter()
-            .filter_map(|o| match o {
-                FdOutput::Suspected(s) => Some(*s),
-                _ => None,
-            })
-            .collect()
-    }
-
     #[test]
     fn delivery_without_expectation() {
         let mut fd = fd();
-        let out = fd.on_receive(t(0), ProcessId(2), "hello");
-        assert!(matches!(
-            &out[..],
-            [FdOutput::Deliver { from, msg }] if *from == ProcessId(2) && *msg == "hello"
-        ));
+        assert_eq!(fd.on_receive(t(0), ProcessId(2), "hello"), None);
         assert!(fd.suspected_set().is_empty());
     }
 
@@ -412,11 +393,10 @@ mod tests {
         let mut fd = fd();
         fd.expect(t(0), ProcessId(2), "commit", |m| *m == "commit");
         assert_eq!(fd.pending_expectations(), 1);
-        let out = fd.on_receive(t(0), ProcessId(2), "commit");
-        assert_eq!(out.len(), 1); // just the delivery, no suspicion change
+        assert_eq!(fd.on_receive(t(0), ProcessId(2), "commit"), None);
         assert_eq!(fd.pending_expectations(), 0);
         assert_eq!(fd.stats().expectations_met, 1);
-        assert!(fd.poll(t(1000)).is_empty());
+        assert_eq!(fd.poll(t(1000)), None);
         assert!(fd.suspected_set().is_empty());
     }
 
@@ -436,12 +416,10 @@ mod tests {
         let mut fd = fd();
         fd.expect(t(0), ProcessId(2), "commit", |m| *m == "commit");
         // Before the deadline: no suspicion.
-        assert!(fd.poll(t(0)).is_empty());
+        assert_eq!(fd.poll(t(0)), None);
         // After the deadline (default initial timeout 1ms):
-        let out = fd.poll(t(2));
-        let sets = suspected_events(&out);
-        assert_eq!(sets.len(), 1);
-        assert!(sets[0].contains(ProcessId(2)));
+        let set = fd.poll(t(2)).expect("the suspicion set changed");
+        assert!(set.contains(ProcessId(2)));
         assert_eq!(fd.stats().expectations_expired, 1);
         assert_eq!(fd.stats().suspicions_raised, 1);
     }
@@ -453,10 +431,8 @@ mod tests {
         fd.expect(t(0), ProcessId(2), "commit", |m| *m == "commit");
         fd.poll(t(2));
         assert!(fd.is_suspected(ProcessId(2)));
-        let out = fd.on_receive(t(3), ProcessId(2), "commit");
-        let sets = suspected_events(&out);
-        assert_eq!(sets.len(), 1);
-        assert!(sets[0].is_empty());
+        let cleared = fd.on_receive(t(3), ProcessId(2), "commit");
+        assert_eq!(cleared, Some(ProcessSet::new()));
         assert!(fd.current_timeout(ProcessId(2)) > before, "timeout backed off");
         assert_eq!(fd.stats().suspicions_cancelled, 1);
     }
@@ -472,8 +448,7 @@ mod tests {
             fd.expect(clock, ProcessId(3), "hb", |m| *m == "hb");
             let deadline = fd.next_deadline().unwrap();
             clock = deadline + SimDuration::millis(1);
-            let out = fd.poll(clock);
-            raised += suspected_events(&out).len();
+            raised += usize::from(fd.poll(clock).is_some());
             fd.on_receive(clock, ProcessId(3), "hb");
         }
         assert_eq!(raised, 5);
@@ -486,15 +461,13 @@ mod tests {
     #[test]
     fn detection_is_permanent() {
         let mut fd = fd();
-        let out = fd.detected(t(0), ProcessId(4));
-        assert_eq!(suspected_events(&out).len(), 1);
+        assert!(fd.detected(t(0), ProcessId(4)).is_some());
         // Deliveries do not clear it; cancel does not clear it.
         fd.on_receive(t(1), ProcessId(4), "anything");
         fd.cancel_all(t(1));
         assert!(fd.is_suspected(ProcessId(4)));
         // Re-detection is idempotent.
-        let out = fd.detected(t(2), ProcessId(4));
-        assert!(out.is_empty());
+        assert_eq!(fd.detected(t(2), ProcessId(4)), None);
         assert_eq!(fd.stats().detections, 1);
     }
 
@@ -505,10 +478,7 @@ mod tests {
         fd.expect(t(0), ProcessId(3), "b", |m| *m == "b");
         fd.poll(t(5));
         assert_eq!(fd.suspected_set().len(), 2);
-        let out = fd.cancel_all(t(5));
-        let sets = suspected_events(&out);
-        assert_eq!(sets.len(), 1);
-        assert!(sets[0].is_empty());
+        assert_eq!(fd.cancel_all(t(5)), Some(ProcessSet::new()));
         assert_eq!(fd.pending_expectations(), 0);
         assert_eq!(fd.stats().expectations_cancelled, 2);
         // Cancel without proof of falseness must not back off timeouts.
@@ -535,12 +505,11 @@ mod tests {
         assert!(fd.is_suspected(ProcessId(2)));
         // Meeting only one of the two keeps the suspicion (the other is
         // still outstanding and expired).
-        let out = fd.on_receive(t(3), ProcessId(2), "a");
-        assert!(suspected_events(&out).is_empty());
+        assert_eq!(fd.on_receive(t(3), ProcessId(2), "a"), None);
         assert!(fd.is_suspected(ProcessId(2)));
         // Meeting the second clears it.
-        let out = fd.on_receive(t(3), ProcessId(2), "b");
-        assert_eq!(suspected_events(&out).len(), 1);
+        let cleared = fd.on_receive(t(3), ProcessId(2), "b");
+        assert_eq!(cleared, Some(ProcessSet::new()));
         assert!(!fd.is_suspected(ProcessId(2)));
     }
 
@@ -584,11 +553,6 @@ mod tests {
             ]
         }
 
-        /// Outputs in comparable form (`FdOutput` holds no `PartialEq`).
-        fn view(out: Vec<FdOutput<u8>>) -> Vec<String> {
-            out.iter().map(|o| format!("{o:?}")).collect()
-        }
-
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -614,13 +578,13 @@ mod tests {
                         Op::Expect(p, m) => {
                             cached.expect(now, ProcessId(p), "m", move |x| *x == m);
                             scanned.expect(now, ProcessId(p), "m", move |x| *x == m);
-                            (Vec::new(), Vec::new())
+                            (None, None)
                         }
                         Op::ExpectMin(p, m, q) => {
                             let min = quarter.saturating_mul(q);
                             cached.expect_with_min(now, ProcessId(p), min, "min", move |x| *x == m);
                             scanned.expect_with_min(now, ProcessId(p), min, "min", move |x| *x == m);
-                            (Vec::new(), Vec::new())
+                            (None, None)
                         }
                         Op::Receive(p, m) => (
                             cached.on_receive(now, ProcessId(p), m),
@@ -636,7 +600,7 @@ mod tests {
                             scanned.detected(now, ProcessId(p)),
                         ),
                     };
-                    prop_assert_eq!(view(a), view(b));
+                    prop_assert_eq!(a, b);
                     prop_assert_eq!(cached.next_deadline(), cached.scan_deadline());
                     prop_assert_eq!(cached.next_deadline(), scanned.next_deadline());
                     prop_assert_eq!(cached.suspected_set(), scanned.suspected_set());

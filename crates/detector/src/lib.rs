@@ -6,9 +6,12 @@
 //! therefore *does not know the protocol*: the application tells the
 //! detector which messages it **expects** (`⟨EXPECT, P, i⟩`), reports
 //! application-detected commission failures (`⟨DETECTED, i⟩`), and may
-//! **cancel** outstanding expectations (`⟨CANCEL⟩`). The detector delivers
-//! received messages (`⟨DELIVER, m, i⟩`) and publishes the set of currently
-//! suspected processes (`⟨SUSPECTED, S⟩`).
+//! **cancel** outstanding expectations (`⟨CANCEL⟩`). The detector publishes
+//! the set of currently suspected processes (`⟨SUSPECTED, S⟩`): every entry
+//! point returns `Some(S)` when the set changed and `None` otherwise. It
+//! never withholds a message, so it only borrows what it observes, and
+//! `⟨DELIVER, m, i⟩` is the host dispatching `m` itself, before it handles
+//! the set [`FailureDetector::on_receive`] returned for `m`.
 //!
 //! # Properties (paper §IV-B1)
 //!
@@ -24,14 +27,15 @@
 //!   eventually exceeds the real round-trip bound.
 //!
 //! The detector is a sans-io state machine: the host (see `qsel::node`)
-//! feeds it receptions and the current time, and forwards its outputs.
+//! shows it receptions and the current time, and forwards suspicion
+//! changes to its quorum-selection module.
 //! [`PollSchedule`] tells the host which poll timers that takes: one per
 //! distinct instant just past a deadline, however many callbacks ask.
 //!
 //! # Example
 //!
 //! ```
-//! use qsel_detector::{FailureDetector, FdConfig, FdOutput};
+//! use qsel_detector::{FailureDetector, FdConfig};
 //! use qsel_simnet::{SimDuration, SimTime};
 //! use qsel_types::ProcessId;
 //!
@@ -42,13 +46,15 @@
 //!
 //! // Nothing arrives; past the deadline p2 becomes suspected:
 //! let late = t0 + SimDuration::secs(60);
-//! let out = fd.poll(late);
-//! assert!(matches!(&out[..], [FdOutput::Suspected(s)] if s.contains(ProcessId(2))));
+//! let suspected = fd.poll(late).expect("the suspicion set changed");
+//! assert!(suspected.contains(ProcessId(2)));
 //!
-//! // The message finally arrives: delivered, and the suspicion is
-//! // cancelled (eventual detection of repeated offenders only).
-//! let out = fd.on_receive(late, ProcessId(2), "commit");
-//! assert_eq!(out.len(), 2);
+//! // The message finally arrives: the host keeps it (and delivers it), and
+//! // the suspicion is cancelled (eventual detection of repeated offenders
+//! // only).
+//! let msg = "commit";
+//! let suspected = fd.on_receive(late, ProcessId(2), &msg);
+//! assert_eq!(suspected.map(|s| s.is_empty()), Some(true));
 //! assert!(!fd.is_suspected(ProcessId(2)));
 //! ```
 
@@ -59,6 +65,6 @@ mod detector;
 mod schedule;
 mod timeout;
 
-pub use detector::{FailureDetector, FdConfig, FdOutput, FdStats};
+pub use detector::{FailureDetector, FdConfig, FdStats};
 pub use schedule::PollSchedule;
 pub use timeout::TimeoutPolicy;

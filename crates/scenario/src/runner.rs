@@ -494,6 +494,15 @@ mod tests {
         verdict.checks.into_iter().map(|c| (c.name, c.pass, c.detail)).collect()
     }
 
+    /// More replicas than a `ProcessSet` holds is a configuration error,
+    /// not a panic inside the simulation.
+    #[test]
+    fn oversized_cluster_is_an_error() {
+        let sc = crate::parse("name = \"x\"\n\n[cluster]\nn = 129\nf = 1\n").expect("parse");
+        let err = run_scenario(&sc, 1).err();
+        assert!(err.is_some_and(|e| e.contains("129 processes")));
+    }
+
     /// The six invariant checks — names, order, pass flags and details —
     /// exactly as the substring-classifying runner before `ViolationKind`
     /// produced them for these two traces (recorded from that code).

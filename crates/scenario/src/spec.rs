@@ -381,9 +381,8 @@ impl Scenario {
     /// Returns a human-readable description of the first problem.
     pub fn validate(&self) -> Result<(), String> {
         let Cluster { n, f, .. } = self.cluster;
-        if n == 0 || !qsel_types::thresholds::has_correct_majority(n, f) {
-            return Err(format!("invalid cluster: n={n}, f={f} (need n - f > f)"));
-        }
+        qsel_types::ClusterConfig::new(n, f)
+            .map_err(|e| format!("invalid cluster: n={n}, f={f}: {e}"))?;
         if self.name.is_empty() {
             return Err("scenario has no name".to_string());
         }

@@ -8,6 +8,12 @@ use std::fmt;
 pub enum ConfigError {
     /// `n` was zero.
     EmptyCluster,
+    /// `n` exceeds [`ProcessSet::MAX_PROCESSES`](crate::ProcessSet::MAX_PROCESSES),
+    /// the most processes a [`ProcessSet`](crate::ProcessSet) can hold.
+    TooManyProcesses {
+        /// Number of processes.
+        n: u32,
+    },
     /// `f >= n`.
     TooManyFaults {
         /// Number of processes.
@@ -28,6 +34,11 @@ impl fmt::Display for ConfigError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ConfigError::EmptyCluster => write!(f, "cluster must contain at least one process"),
+            ConfigError::TooManyProcesses { n } => write!(
+                f,
+                "cluster of {n} processes exceeds the limit of {}",
+                crate::ProcessSet::MAX_PROCESSES
+            ),
             ConfigError::TooManyFaults { n, f: faults } => {
                 write!(f, "cannot tolerate {faults} faults with only {n} processes")
             }

@@ -89,11 +89,15 @@ impl ClusterConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`ConfigError`] if `n == 0`, `f >= n`, or the correct-majority
+    /// Returns [`ConfigError`] if `n == 0`, `n` exceeds
+    /// [`ProcessSet::MAX_PROCESSES`], `f >= n`, or the correct-majority
     /// assumption `n - f > f` of the paper's system model is violated.
     pub fn new(n: u32, f: u32) -> Result<Self, ConfigError> {
         if n == 0 {
             return Err(ConfigError::EmptyCluster);
+        }
+        if n > ProcessSet::MAX_PROCESSES {
+            return Err(ConfigError::TooManyProcesses { n });
         }
         if !thresholds::fault_bound_fits(n, f) {
             return Err(ConfigError::TooManyFaults { n, f });
@@ -382,6 +386,13 @@ mod tests {
         assert!(ClusterConfig::new(4, 4).is_err());
         assert!(ClusterConfig::new(5, 2).is_ok());
         assert!(ClusterConfig::new(4, 2).is_err());
+        // As many processes as a `ProcessSet` holds, and one more.
+        let cfg = ClusterConfig::new(128, 42).unwrap();
+        assert_eq!(ProcessSet::full(&cfg).len(), 128);
+        assert_eq!(
+            ClusterConfig::new(129, 1),
+            Err(ConfigError::TooManyProcesses { n: 129 })
+        );
     }
 
     #[test]

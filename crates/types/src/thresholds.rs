@@ -115,6 +115,21 @@ pub fn all_peers_answered(n: u32, answers: u32) -> bool {
     answers == n - 1
 }
 
+/// The binomial coefficient `C(n, k)`: the number of quorums `C(n, n − f)`,
+/// and the `C(f + 2, 2)` quorums-per-epoch bound of Theorems 3 and 4
+/// (`u128` survives `C(60, 30)`-scale counts).
+pub fn binomial(n: u64, k: u64) -> u128 {
+    if k > n {
+        return 0;
+    }
+    let k = k.min(n - k);
+    let mut acc: u128 = 1;
+    for i in 0..k {
+        acc = acc * (n - i) as u128 / (i + 1) as u128;
+    }
+    acc
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -155,6 +170,15 @@ mod tests {
         // Reduced participation m = 3 of n = 4 still needs f-resilient counts.
         assert_eq!(pbft_prepare_quorum(3, 1), 1);
         assert_eq!(pbft_commit_quorum(3, 1), 2);
+    }
+
+    #[test]
+    fn binomial_values() {
+        assert_eq!(binomial(4, 2), 6);
+        assert_eq!(binomial(5, 0), 1);
+        assert_eq!(binomial(5, 5), 1);
+        assert_eq!(binomial(5, 6), 0);
+        assert_eq!(binomial(10, 3), 120);
     }
 
     #[test]

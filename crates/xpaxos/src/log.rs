@@ -3,11 +3,12 @@
 //! authenticates compacted history.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
+use std::ops::Range;
 
 use qsel_mmr::{leaf_hash, Mmr, MmrError};
 use qsel_types::{CheckpointPayload, ProcessId, ProcessSet};
 
-use crate::messages::{Batch, Request, SignedCommit, SignedPrepare};
+use crate::messages::{Batch, DecidedEntry, Request, SignedCommit, SignedPrepare};
 
 /// Inserts the dedup assignment of every request in `prepare`'s batch.
 // lint: allow(D1, lookup-only dedup index; never iterated) lint: allow(S1, σ_l checked at the replica boundary before log admission)
@@ -246,14 +247,16 @@ impl Log {
         self.exec_cursor
     }
 
-    /// The transferable certificate of a decided slot: the accepted
-    /// PREPARE plus every recorded signed COMMIT.
-    pub fn certificate(&self, slot: u64) -> Option<(SignedPrepare, Vec<SignedCommit>)> {
-        let s = self.slots.get(&slot)?;
-        if !s.decided {
-            return None;
-        }
-        Some((s.prepare.clone(), s.commits.values().cloned().collect()))
+    /// The transferable certificates of the decided slots in `slots`, in
+    /// slot order: each accepted PREPARE plus every recorded signed COMMIT.
+    pub(crate) fn decided_entries(&self, slots: Range<u64>) -> Vec<DecidedEntry> {
+        slots
+            .filter_map(|slot| self.slots.get(&slot).filter(|s| s.decided))
+            .map(|s| DecidedEntry {
+                prepare: s.prepare.clone(),
+                commits: s.commits.values().cloned().collect(),
+            })
+            .collect()
     }
 
     /// Adopts a verified decided entry (state transfer / lazy

@@ -11,6 +11,7 @@
 //! combination is `Q` ([`ViewPolicy::view_for_quorum`]).
 
 use qsel_simnet::SimDuration;
+use qsel_types::thresholds::binomial;
 use qsel_types::{ClusterConfig, ProcessId, ProcessSet, Quorum};
 
 /// Leader-side request batching and commit pipelining knobs.
@@ -179,7 +180,7 @@ impl ViewPolicy {
     }
 
     /// Inverse of [`Self::rank`].
-    fn unrank(&self, mut index: u64) -> ProcessSet {
+    fn unrank(&self, index: u64) -> ProcessSet {
         let mut set = ProcessSet::new();
         let mut next = 0u32; // zero-based candidate
         let mut remaining = self.q;
@@ -195,23 +196,8 @@ impl ViewPolicy {
             next += 1;
             assert!(next <= self.n, "unrank index out of range");
         }
-        index = idx as u64;
-        let _ = index;
         set
     }
-}
-
-/// Binomial coefficient.
-fn binomial(n: u64, k: u64) -> u128 {
-    if k > n {
-        return 0;
-    }
-    let k = k.min(n - k);
-    let mut acc: u128 = 1;
-    for i in 0..k {
-        acc = acc * (n - i) as u128 / (i + 1) as u128;
-    }
-    acc
 }
 
 #[cfg(test)]

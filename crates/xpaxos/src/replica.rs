@@ -12,6 +12,9 @@
 //! overtaking its `PREPARE` (Fig. 3) makes the receiver commit anyway and
 //! expect the `PREPARE` from the leader (third subtlety). Malformed
 //! `COMMIT`s and leader equivocation raise `⟨DETECTED⟩` (second subtlety).
+//! An authenticated message is shown to the detector (which only borrows
+//! it), then dispatched (`⟨DELIVER⟩`), then the suspicion change the
+//! detector computed for it is handled (`⟨SUSPECTED⟩`).
 //!
 //! Quorum changes (§V-B): with [`QuorumPolicy::Enumeration`] the replica
 //! round-robins through all `C(n, f)` quorums — the paper's XPaxos
@@ -20,14 +23,14 @@
 //! whose group is `Q`, suspecting every quorum ordered before it, and
 //! invokes `⟨CANCEL⟩` on the failure detector.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 
 use qsel::{QsOutput, QuorumSelection};
-use qsel_detector::{FailureDetector, FdConfig, FdOutput, PollSchedule};
+use qsel_detector::{FailureDetector, FdConfig, PollSchedule};
 use qsel_obs::{TraceEvent, TraceSink};
 use qsel_simnet::{Context, SimDuration, TimerId};
 use qsel_types::crypto::{Keychain, Signer, Verifier};
-use qsel_types::{thresholds, CheckpointPayload, ClusterConfig, ProcessId, Quorum};
+use qsel_types::{thresholds, CheckpointPayload, ClusterConfig, ProcessId, ProcessSet, Quorum};
 
 use crate::log::Log;
 use crate::messages::{
@@ -184,6 +187,10 @@ enum SyncState {
 
 /// An XPaxos replica (drive it through [`crate::harness::XpActor`] or call
 /// the `handle_*` methods from a custom host).
+///
+/// Every handler writes its sends and timers straight into the host's
+/// [`Context`], in the order it produces them; each `handle_*` entry point
+/// ends by arming the failure-detector poll its new deadlines need.
 pub struct Replica {
     cfg: ClusterConfig,
     rcfg: ReplicaConfig,
@@ -246,6 +253,12 @@ pub struct Replica {
     trace: TraceSink,
 }
 
+/// Whether `reqs` already holds a request with `req`'s `(client, op)`.
+fn holds(reqs: &[Request], req: &Request) -> bool {
+    reqs.iter()
+        .any(|r| r.client == req.client && r.op == req.op)
+}
+
 /// First 8 bytes of a request digest — the compact identity traced with
 /// `Executed` events, which the replay analyzer compares across replicas
 /// for per-slot agreement.
@@ -254,13 +267,6 @@ fn digest_fingerprint(d: &qsel_types::crypto::Digest) -> u64 {
     // always exist — destructure instead of a fallible slice conversion.
     let [b0, b1, b2, b3, b4, b5, b6, b7, ..] = d.0;
     u64::from_be_bytes([b0, b1, b2, b3, b4, b5, b6, b7])
-}
-
-/// Deferred effects produced while handling one event.
-#[derive(Debug, Default)]
-struct Outs {
-    sends: Vec<(ProcessId, XpMsg)>,
-    timers: Vec<(SimDuration, TimerId)>,
 }
 
 impl Replica {
@@ -404,10 +410,9 @@ impl Replica {
     /// Starts the replica (arms the heartbeat and failure-detector poll
     /// timers).
     pub fn handle_start(&mut self, ctx: &mut Context<'_, XpMsg>) {
-        let mut outs = Outs::default();
-        self.heartbeat_tick(ctx.now(), &mut outs);
-        outs.timers.push((self.rcfg.lazy_period, TIMER_LAZY));
-        self.flush(ctx, outs);
+        self.heartbeat_tick(ctx);
+        ctx.set_timer(self.rcfg.lazy_period, TIMER_LAZY);
+        self.arm_poll(ctx);
     }
 
     /// Recovers after a benign crash (crash-recovery model with stable
@@ -423,19 +428,18 @@ impl Replica {
     pub fn handle_recover(&mut self, ctx: &mut Context<'_, XpMsg>) {
         self.stats.recoveries += 1;
         let now = ctx.now();
-        let mut outs = Outs::default();
         self.polls.reset();
-        let fd_out = self.fd.cancel_all(now);
-        self.pump_fd(now, fd_out, &mut outs);
-        self.heartbeat_tick(now, &mut outs);
-        outs.timers.push((self.rcfg.lazy_period, TIMER_LAZY));
+        let suspected = self.fd.cancel_all(now);
+        self.on_suspected(ctx, suspected);
+        self.heartbeat_tick(ctx);
+        ctx.set_timer(self.rcfg.lazy_period, TIMER_LAZY);
         // The batch-delay timer died with the process; re-open the window
         // for any requests that were waiting in the accumulator.
         if !self.pending_batch.is_empty() && self.rcfg.batch.max_batch_delay > SimDuration::ZERO {
             self.batch_deadline = Some(now + self.rcfg.batch.max_batch_delay);
-            outs.timers.push((self.rcfg.batch.max_batch_delay, TIMER_BATCH));
+            ctx.set_timer(self.rcfg.batch.max_batch_delay, TIMER_BATCH);
         }
-        self.pump_batches(now, &mut outs);
+        self.pump_batches(ctx);
         if self.rcfg.checkpoint.enabled() {
             // Incremental recovery: probe the cluster for a stable
             // checkpoint and the serveable log ranges, then pull only the
@@ -443,19 +447,18 @@ impl Replica {
             // broadcast to every peer. The retry/backoff machinery lives
             // in the sync state machine (its timers died with us).
             self.sync = SyncState::Idle;
-            self.begin_sync(now, &mut outs);
+            self.begin_sync(ctx);
         } else {
             // Every correct replica answers a StateFetch (possibly with an
             // empty batch), so the expectation is accuracy-safe — and a
             // peer that crashed in the meantime is rightly suspected.
             let from_slot = self.log.watermark();
             self.fetch_state(
-                now,
+                ctx,
                 self.cfg.processes(),
                 from_slot,
                 u64::MAX,
                 "recover-state",
-                &mut outs,
             );
         }
         // A view change interrupted by the crash is re-entered: the peers
@@ -465,9 +468,9 @@ impl Replica {
         // quorum answers, or the resulting suspicions steer us to a view
         // change the live replicas will join.
         if let Phase::ViewChange { target } = self.phase {
-            self.start_view_change(now, target, &mut outs);
+            self.start_view_change(ctx, target);
         }
-        self.flush(ctx, outs);
+        self.arm_poll(ctx);
     }
 
     /// Handles a delivered message. `link_sender` is the network-level
@@ -479,62 +482,53 @@ impl Replica {
         link_sender: ProcessId,
         msg: XpMsg,
     ) {
-        let mut outs = Outs::default();
         match msg {
             XpMsg::Request(req) => {
-                self.on_request(ctx.now(), req, &mut outs);
+                self.on_request(ctx, req);
             }
             XpMsg::Reply(_) => {} // replicas ignore replies
             XpMsg::StateFetch { from_slot, to_slot } => {
-                self.on_state_fetch(link_sender, from_slot, to_slot, &mut outs);
+                self.on_state_fetch(ctx, link_sender, from_slot, to_slot);
             }
             XpMsg::LazyUpdate { entries } | XpMsg::StateBatch { entries } => {
                 // Certificates are self-authenticating; adopt what
                 // verifies. A StateBatch additionally fulfils the fetch
                 // expectation, which flows through the detector below.
-                self.adopt_entries(ctx.now(), entries, &mut outs);
-                let fd_out = self.fd.on_receive(
-                    ctx.now(),
-                    link_sender,
-                    XpMsg::StateBatch { entries: Vec::new() },
-                );
-                self.pump_fd(ctx.now(), fd_out, &mut outs);
-                self.sync_progress(ctx.now(), &mut outs);
+                self.adopt_entries(ctx, entries);
+                let marker = XpMsg::StateBatch { entries: vec![] };
+                let suspected = self.fd.on_receive(ctx.now(), link_sender, &marker);
+                self.on_suspected(ctx, suspected);
+                self.sync_progress(ctx);
             }
             XpMsg::SyncQuery { watermark } => {
-                self.on_sync_query(link_sender, watermark, &mut outs);
+                self.on_sync_query(ctx, link_sender, watermark);
             }
             XpMsg::SyncInfo {
                 checkpoint,
                 archive_from,
                 frontier,
             } => {
-                self.on_sync_info(
-                    ctx.now(),
-                    link_sender,
-                    checkpoint,
-                    archive_from,
-                    frontier,
-                    &mut outs,
-                );
+                self.on_sync_info(ctx, link_sender, checkpoint, archive_from, frontier);
             }
             XpMsg::SyncFetch {
                 from_slot,
                 to_slot,
                 proof_slot,
             } => {
-                self.on_sync_fetch(link_sender, from_slot, to_slot, proof_slot, &mut outs);
+                self.on_sync_fetch(ctx, link_sender, from_slot, to_slot, proof_slot);
             }
             XpMsg::SyncChunk {
                 entries,
                 proof_slot,
             } => {
-                self.on_sync_chunk(ctx.now(), link_sender, entries, proof_slot, &mut outs);
+                self.on_sync_chunk(ctx, link_sender, entries, proof_slot);
             }
-            // Replica-to-replica traffic is authenticated and flows
-            // through the failure detector (Fig. 1). Spelled out per
-            // variant (no `_` arm) so adding a wire message forces a
-            // routing decision here — the P1 lint guards the same edge.
+            // Replica-to-replica traffic is authenticated and observed by
+            // the failure detector (Fig. 1), then delivered here, then the
+            // suspicion change the detector computed for it is handled.
+            // Spelled out per variant (no `_` arm) so adding a wire message
+            // forces a routing decision here — the P1 lint guards the same
+            // edge.
             signed @ (XpMsg::Prepare(_)
             | XpMsg::Commit(_)
             | XpMsg::ViewChange(_)
@@ -543,41 +537,56 @@ impl Replica {
             | XpMsg::Heartbeat(_)
             | XpMsg::Checkpoint(_)) => {
                 if let Some(origin) = self.authenticate(&signed) {
-                    let fd_out = self.fd.on_receive(ctx.now(), origin, signed);
-                    self.pump_fd(ctx.now(), fd_out, &mut outs);
+                    let suspected = self.fd.on_receive(ctx.now(), origin, &signed);
+                    match signed {
+                        XpMsg::Prepare(sp) => self.on_prepare(ctx, sp),
+                        XpMsg::Commit(sc) => self.on_commit(ctx, sc),
+                        XpMsg::ViewChange(vc) => self.on_view_change(ctx, vc),
+                        XpMsg::NewView(nv) => self.on_new_view(ctx, nv),
+                        XpMsg::Update(u) => {
+                            if let Some(qs) = &mut self.qs {
+                                let qs_out = qs.on_update(u);
+                                self.pump_qs(ctx, qs_out);
+                            }
+                        }
+                        XpMsg::Checkpoint(sc) => self.on_checkpoint(ctx, sc),
+                        // A heartbeat only meets expectations, and the
+                        // enclosing arm binds no other variant.
+                        _ => {}
+                    }
+                    self.on_suspected(ctx, suspected);
                 }
             }
         }
-        self.flush(ctx, outs);
+        self.arm_poll(ctx);
     }
 
     /// Handles a timer event.
     pub fn handle_timer(&mut self, ctx: &mut Context<'_, XpMsg>, timer: TimerId) {
-        let mut outs = Outs::default();
         match timer {
             TIMER_FD_POLL => {
-                let fd_out = self.fd.poll(ctx.now());
-                self.pump_fd(ctx.now(), fd_out, &mut outs);
+                let suspected = self.fd.poll(ctx.now());
+                self.on_suspected(ctx, suspected);
             }
             TIMER_HEARTBEAT => {
-                self.heartbeat_tick(ctx.now(), &mut outs);
+                self.heartbeat_tick(ctx);
             }
             TIMER_LAZY => {
-                self.lazy_tick(&mut outs);
+                self.lazy_tick(ctx);
             }
             TIMER_BATCH => {
                 // The delay window of the oldest pending request expired;
                 // `pump_batches` closes the undersized batch if a pipeline
                 // slot is free (stale fires are harmless: the deadline
                 // check inside simply does not force a close).
-                self.pump_batches(ctx.now(), &mut outs);
+                self.pump_batches(ctx);
             }
             TimerId(id) if id >= TIMER_SYNC_BASE => {
                 // State-transfer retry timer: only the generation armed
                 // for the in-flight request/probe is live; anything else
                 // is a stale fire from an answered round.
                 if id - TIMER_SYNC_BASE == self.sync_gen {
-                    self.on_sync_timeout(ctx.now(), &mut outs);
+                    self.on_sync_timeout(ctx);
                 }
             }
             TimerId(id) if id >= TIMER_VC_BASE => {
@@ -588,14 +597,14 @@ impl Replica {
                     && self.rcfg.policy == QuorumPolicy::Enumeration
                 {
                     if let Phase::ViewChange { target } = self.phase {
-                        self.start_view_change(ctx.now(), target + 1, &mut outs);
+                        self.start_view_change(ctx, target + 1);
                     }
                 }
             }
             // lint: allow(S2, timers are armed only by this replica; an unknown id is a harness bug best surfaced loudly)
             other => unreachable!("unknown timer {other:?}"),
         }
-        self.flush(ctx, outs);
+        self.arm_poll(ctx);
     }
 
     /// Periodic liveness traffic among the members of the *effective*
@@ -606,15 +615,15 @@ impl Replica {
     /// quorum with a dead member would erase the very suspicion that
     /// should steer the selection away from it. Passive replicas stay
     /// silent.
-    fn heartbeat_tick(&mut self, now: qsel_simnet::SimTime, outs: &mut Outs) {
-        outs.timers.push((self.rcfg.heartbeat_period, TIMER_HEARTBEAT));
+    fn heartbeat_tick(&mut self, ctx: &mut Context<'_, XpMsg>) {
+        ctx.set_timer(self.rcfg.heartbeat_period, TIMER_HEARTBEAT);
         let members = *self.views.group(self.effective_view()).members();
         if !members.contains(self.me) {
             return;
         }
         for k in members.iter() {
             if k != self.me {
-                self.fd.expect(now, k, "heartbeat", |m| {
+                self.fd.expect(ctx.now(), k, "heartbeat", |m| {
                     matches!(m, XpMsg::Heartbeat(_))
                 });
             }
@@ -624,14 +633,14 @@ impl Replica {
         // Send to every replica, not just our effective group: during a
         // view change different processes briefly disagree on the group,
         // and a member-set mismatch must not look like an omission fault.
-        self.broadcast(outs, || hb.clone());
+        self.broadcast(ctx, || hb.clone());
     }
 
     /// Queues one `make()` for every other replica, in id order.
-    fn broadcast(&self, outs: &mut Outs, make: impl Fn() -> XpMsg) {
+    fn broadcast(&self, ctx: &mut Context<'_, XpMsg>, make: impl Fn() -> XpMsg) {
         for k in self.cfg.processes() {
             if k != self.me {
-                outs.sends.push((k, make()));
+                ctx.send(k, make());
             }
         }
     }
@@ -640,11 +649,12 @@ impl Replica {
     // Normal case
     // ------------------------------------------------------------------
 
-    fn on_request(&mut self, now: qsel_simnet::SimTime, req: Request, outs: &mut Outs) {
+    fn on_request(&mut self, ctx: &mut Context<'_, XpMsg>, req: Request) {
+        let now = ctx.now();
         if self.phase != Phase::Normal {
             // Buffer and replay once the next view is installed, so a
             // view change does not cost a full client retry period.
-            if !self.pending_requests.iter().any(|r| r.client == req.client && r.op == req.op) {
+            if !holds(&self.pending_requests, &req) {
                 self.pending_requests.push(req);
             }
             return;
@@ -652,14 +662,14 @@ impl Replica {
         // Executed before? Re-send the reply (client retransmission).
         if let Some(slot) = self.log.slot_of(&req) {
             if self.log.slot(slot).is_some_and(|s| s.decided) && slot < self.log.exec_cursor {
-                outs.sends.push((
+                ctx.send(
                     req.client,
                     XpMsg::Reply(Reply {
                         view: self.view,
                         op: req.op,
                         result: slot,
                     }),
-                ));
+                );
             }
             return; // already assigned: in flight
         }
@@ -674,14 +684,10 @@ impl Replica {
                     client: req.client.0,
                     op: req.op,
                 });
-                self.propose_batch(now, Batch::single(req), outs);
+                self.propose_batch(ctx, Batch::single(req));
                 return;
             }
-            if self
-                .pending_batch
-                .iter()
-                .any(|r| r.client == req.client && r.op == req.op)
-            {
+            if holds(&self.pending_batch, &req) {
                 return; // retransmission of a request awaiting its batch
             }
             // The batch-wait clock starts here: the request is now parked
@@ -696,16 +702,16 @@ impl Replica {
                 && self.rcfg.batch.max_batch_delay > SimDuration::ZERO
             {
                 self.batch_deadline = Some(now + self.rcfg.batch.max_batch_delay);
-                outs.timers.push((self.rcfg.batch.max_batch_delay, TIMER_BATCH));
+                ctx.set_timer(self.rcfg.batch.max_batch_delay, TIMER_BATCH);
             }
-            self.pump_batches(now, outs);
+            self.pump_batches(ctx);
         } else if members.contains(self.me) {
             // Forward to the leader and expect it to prepare this request
             // (mute-leader detection). Under batching the request may share
             // its slot with others, so the expectation matches any PREPARE
             // (or overtaking COMMIT) whose batch contains it.
             self.stats.forwarded += 1;
-            outs.sends.push((leader, XpMsg::Request(req.clone())));
+            ctx.send(leader, XpMsg::Request(req.clone()));
             let view = self.view;
             let (client, op) = (req.client, req.op);
             self.fd.expect(now, leader, "prepare-for-request", move |m| {
@@ -723,7 +729,7 @@ impl Replica {
         } else {
             // Passive replica: forward without expectation (it will not
             // receive the PREPARE — only quorum members do).
-            outs.sends.push((leader, XpMsg::Request(req)));
+            ctx.send(leader, XpMsg::Request(req));
         }
     }
 
@@ -731,7 +737,7 @@ impl Replica {
     /// quorum members, then local processing (which arms the per-member
     /// COMMIT expectations — one set per slot, so a whole batch costs the
     /// failure detector exactly one expectation event per member).
-    fn propose_batch(&mut self, now: qsel_simnet::SimTime, batch: Batch, outs: &mut Outs) {
+    fn propose_batch(&mut self, ctx: &mut Context<'_, XpMsg>, batch: Batch) {
         let members = *self.active_quorum().members();
         let slot = self.next_slot;
         self.next_slot += 1;
@@ -760,10 +766,10 @@ impl Replica {
         });
         for k in members.iter() {
             if k != self.me {
-                outs.sends.push((k, XpMsg::Prepare(sp.clone())));
+                ctx.send(k, XpMsg::Prepare(sp.clone()));
             }
         }
-        self.process_prepare_locally(now, sp, outs);
+        self.process_prepare_locally(ctx, sp);
     }
 
     /// Closes and proposes as many pending batches as the policy allows:
@@ -771,7 +777,8 @@ impl Replica {
     /// the batch delay expired, or immediately when no delay is
     /// configured. No-op for followers, mid view change, and under the
     /// passthrough policy (whose accumulator is always empty).
-    fn pump_batches(&mut self, now: qsel_simnet::SimTime, outs: &mut Outs) {
+    fn pump_batches(&mut self, ctx: &mut Context<'_, XpMsg>) {
+        let now = ctx.now();
         if self.phase != Phase::Normal || self.me != self.leader() {
             return;
         }
@@ -797,20 +804,19 @@ impl Replica {
             if !self.pending_batch.is_empty() && pol.max_batch_delay > SimDuration::ZERO {
                 // Re-open the delay window for the requests left behind.
                 self.batch_deadline = Some(now + pol.max_batch_delay);
-                outs.timers.push((pol.max_batch_delay, TIMER_BATCH));
+                ctx.set_timer(pol.max_batch_delay, TIMER_BATCH);
             }
             if reqs.is_empty() {
                 continue;
             }
-            self.propose_batch(now, Batch::new(reqs), outs);
+            self.propose_batch(ctx, Batch::new(reqs));
         }
         if self.pending_batch.is_empty() {
             self.batch_deadline = None;
         }
     }
 
-    // lint: allow(S1, σ_l verified by authenticate in handle_message before FD dispatch reaches this handler)
-    fn on_prepare(&mut self, now: qsel_simnet::SimTime, sp: SignedPrepare, outs: &mut Outs) {
+    fn on_prepare(&mut self, ctx: &mut Context<'_, XpMsg>, sp: SignedPrepare) {
         if self.phase != Phase::Normal || sp.payload.view > self.view {
             self.stash(XpMsg::Prepare(sp));
             return;
@@ -821,10 +827,11 @@ impl Replica {
         if sp.signer != self.leader() || !self.active_quorum().contains(self.me) {
             return;
         }
-        self.process_prepare_locally(now, sp, outs);
+        self.process_prepare_locally(ctx, sp);
     }
 
-    fn on_commit(&mut self, now: qsel_simnet::SimTime, sc: SignedCommit, outs: &mut Outs) {
+    fn on_commit(&mut self, ctx: &mut Context<'_, XpMsg>, sc: SignedCommit) {
+        let now = ctx.now();
         // Malformed COMMIT: authenticated but without a valid embedded
         // PREPARE → the sender is detected (paper §V-A).
         let embedded_ok = self.verify_prepare_once(&sc.payload.prepare)
@@ -833,7 +840,7 @@ impl Replica {
             && sc.payload.prepare.signer == self.views.leader(sc.payload.view)
             && sc.payload.digest == sc.payload.prepare.payload.batch.digest();
         if !embedded_ok {
-            self.detect(now, sc.signer, outs);
+            self.detect(ctx, sc.signer);
             return;
         }
         if sc.payload.slot < self.log.gc_floor() {
@@ -857,7 +864,7 @@ impl Replica {
         if let Some(mine) = self.log.prepare_at(slot) {
             if mine.payload.view == sc.payload.view && mine.payload != sc.payload.prepare.payload
             {
-                self.detect(now, self.views.leader(sc.payload.view), outs);
+                self.detect(ctx, self.views.leader(sc.payload.view));
                 return;
             }
         }
@@ -892,7 +899,7 @@ impl Replica {
                 have,
             });
         }
-        self.process_prepare_locally(now, sc.payload.prepare.clone(), outs);
+        self.process_prepare_locally(ctx, sc.payload.prepare.clone());
         if !had_prepare {
             // Fig. 3: COMMIT overtook the PREPARE — expect the PREPARE
             // from the leader (third subtlety).
@@ -905,7 +912,7 @@ impl Replica {
                 )
             });
         }
-        self.try_decide_and_execute(now, slot, outs);
+        self.try_decide_and_execute(ctx, slot);
     }
 
     /// Accepts a PREPARE into the log, sends our COMMIT (followers),
@@ -913,12 +920,7 @@ impl Replica {
     /// decide. Shared by the leader's own proposal, a follower receiving
     /// a PREPARE, a COMMIT-embedded PREPARE, and NEW-VIEW re-proposals.
     // lint: allow(S1, every caller holds a verified prepare: authenticate, on_commit embedded-check, or our own signature)
-    fn process_prepare_locally(
-        &mut self,
-        now: qsel_simnet::SimTime,
-        sp: SignedPrepare,
-        outs: &mut Outs,
-    ) {
+    fn process_prepare_locally(&mut self, ctx: &mut Context<'_, XpMsg>, sp: SignedPrepare) {
         let slot = sp.payload.slot;
         if slot < self.log.gc_floor() {
             return; // compacted below a stable checkpoint — old news
@@ -931,27 +933,17 @@ impl Replica {
                 if existing.prepare.payload.batch == sp.payload.batch {
                     // Re-proposal of a decided slot: help the others decide.
                     if self.me != leader {
-                        let commit = self.signer.sign(CommitPayload {
-                            view,
-                            slot,
-                            digest: sp.payload.batch.digest(),
-                            prepare: sp,
-                        });
-                        for k in members.iter() {
-                            if k != self.me {
-                                outs.sends.push((k, XpMsg::Commit(commit.clone())));
-                            }
-                        }
+                        self.send_commit(ctx, members, sp);
                     }
                 } else {
                     // A different batch for a decided slot can only come
                     // from a misbehaving leader.
-                    self.detect(now, leader, outs);
+                    self.detect(ctx, leader);
                 }
                 return;
             }
             if existing.prepare.payload.view == view && existing.prepare.payload != sp.payload {
-                self.detect(now, leader, outs);
+                self.detect(ctx, leader);
                 return;
             }
         }
@@ -959,17 +951,7 @@ impl Replica {
             return; // older-view prepare; ignore
         }
         if self.me != leader && !self.log.slot(slot).is_some_and(|s| s.committed_by_us) {
-            let commit = self.signer.sign(CommitPayload {
-                view,
-                slot,
-                digest: sp.payload.batch.digest(),
-                prepare: sp,
-            });
-            for k in members.iter() {
-                if k != self.me {
-                    outs.sends.push((k, XpMsg::Commit(commit.clone())));
-                }
-            }
+            let commit = self.send_commit(ctx, members, sp);
             self.log.mark_committed_by_us(slot);
             // Keep our own signed commit so decided slots carry a full
             // transferable certificate.
@@ -988,17 +970,40 @@ impl Replica {
             if already {
                 continue;
             }
-            self.fd.expect(now, k, "commit", move |m| {
+            self.fd.expect(ctx.now(), k, "commit", move |m| {
                 matches!(
                     m,
                     XpMsg::Commit(c) if c.payload.view == view && c.payload.slot == slot
                 )
             });
         }
-        self.try_decide_and_execute(now, slot, outs);
+        self.try_decide_and_execute(ctx, slot);
     }
 
-    fn try_decide_and_execute(&mut self, now: qsel_simnet::SimTime, slot: u64, outs: &mut Outs) {
+    /// Signs our COMMIT for `sp` and sends it to the other `members`, in id
+    /// order.
+    // lint: allow(S1, called only by process_prepare_locally, whose callers hold a verified prepare)
+    fn send_commit(
+        &self,
+        ctx: &mut Context<'_, XpMsg>,
+        members: ProcessSet,
+        sp: SignedPrepare,
+    ) -> SignedCommit {
+        let commit = self.signer.sign(CommitPayload {
+            view: sp.payload.view,
+            slot: sp.payload.slot,
+            digest: sp.payload.batch.digest(),
+            prepare: sp,
+        });
+        for k in members.iter() {
+            if k != self.me {
+                ctx.send(k, XpMsg::Commit(commit.clone()));
+            }
+        }
+        commit
+    }
+
+    fn try_decide_and_execute(&mut self, ctx: &mut Context<'_, XpMsg>, slot: u64) {
         let quorum = self.views.group(self.view);
         let leader = self.views.leader(self.view);
         if self
@@ -1023,14 +1028,14 @@ impl Replica {
             }
             // A decided slot frees a pipeline stage: the next batch may
             // close now.
-            self.pump_batches(now, outs);
+            self.pump_batches(ctx);
         }
-        self.execute_and_reply(now, outs);
+        self.execute_and_reply(ctx);
     }
 
     /// Executes every slot that became ready, answers the clients, and
     /// signs any checkpoint the execution crossed.
-    fn execute_and_reply(&mut self, now: qsel_simnet::SimTime, outs: &mut Outs) {
+    fn execute_and_reply(&mut self, ctx: &mut Context<'_, XpMsg>) {
         for (s, req) in self.log.execute_ready() {
             self.stats.executed += 1;
             self.trace.emit(|| TraceEvent::Executed {
@@ -1044,16 +1049,16 @@ impl Replica {
                 op: req.op,
                 slot: s,
             });
-            outs.sends.push((
+            ctx.send(
                 req.client,
                 XpMsg::Reply(Reply {
                     view: self.view,
                     op: req.op,
                     result: s,
                 }),
-            ));
+            );
         }
-        self.pump_checkpoints(now, outs);
+        self.pump_checkpoints(ctx);
     }
 
     // ------------------------------------------------------------------
@@ -1067,7 +1072,8 @@ impl Replica {
         }
     }
 
-    fn start_view_change(&mut self, now: qsel_simnet::SimTime, target: u64, outs: &mut Outs) {
+    fn start_view_change(&mut self, ctx: &mut Context<'_, XpMsg>, target: u64) {
+        let now = ctx.now();
         debug_assert!(target > self.view);
         self.stats.view_changes += 1;
         self.trace.emit(|| TraceEvent::ViewChangeStart {
@@ -1080,15 +1086,15 @@ impl Replica {
         self.nv_expected = false;
         // §V-B: cancel expectations — processes may legitimately stop
         // sending expected PREPARE/COMMIT messages during a view change.
-        let fd_out = self.fd.cancel_all(now);
-        self.pump_fd(now, fd_out, outs);
+        let suspected = self.fd.cancel_all(now);
+        self.on_suspected(ctx, suspected);
         let watermark = self.log.watermark();
         let vc = self.signer.sign(ViewChangePayload {
             target_view: target,
             watermark,
             prepared: self.log.prepared_entries_from(watermark),
         });
-        self.broadcast(outs, || XpMsg::ViewChange(vc.clone()));
+        self.broadcast(ctx, || XpMsg::ViewChange(vc.clone()));
         self.collected_vc
             .entry(target)
             .or_default()
@@ -1115,17 +1121,16 @@ impl Replica {
                 )
             });
         }
-        self.progress_view_change(now, target, outs);
+        self.progress_view_change(ctx, target);
         if self.rcfg.policy == QuorumPolicy::Enumeration {
-            outs.timers.push((
+            ctx.set_timer(
                 self.rcfg.view_change_timeout,
                 TimerId(TIMER_VC_BASE + self.vc_gen),
-            ));
+            );
         }
     }
 
-    // lint: allow(S1, σ_l verified by authenticate in handle_message before FD dispatch reaches this handler)
-    fn on_view_change(&mut self, now: qsel_simnet::SimTime, vc: SignedViewChange, outs: &mut Outs) {
+    fn on_view_change(&mut self, ctx: &mut Context<'_, XpMsg>, vc: SignedViewChange) {
         let target = vc.payload.target_view;
         self.collected_vc
             .entry(target)
@@ -1133,9 +1138,9 @@ impl Replica {
             .insert(vc.signer, vc);
         if target > self.effective_view() {
             // Join the higher view change.
-            self.start_view_change(now, target, outs);
+            self.start_view_change(ctx, target);
         } else if self.effective_view() == target {
-            self.progress_view_change(now, target, outs);
+            self.progress_view_change(ctx, target);
         }
     }
 
@@ -1143,12 +1148,8 @@ impl Replica {
     /// the new leader completes the change; everyone else now — and only
     /// now — expects the NEW-VIEW (a correct leader is guaranteed to send
     /// it within a round, so the expectation is accuracy-safe).
-    fn progress_view_change(
-        &mut self,
-        now: qsel_simnet::SimTime,
-        target: u64,
-        outs: &mut Outs,
-    ) {
+    fn progress_view_change(&mut self, ctx: &mut Context<'_, XpMsg>, target: u64) {
+        let now = ctx.now();
         if self.phase != (Phase::ViewChange { target }) {
             return;
         }
@@ -1212,12 +1213,11 @@ impl Replica {
             base,
             reproposals,
         });
-        self.broadcast(outs, || XpMsg::NewView(nv.clone()));
-        self.install_new_view(now, nv, outs);
+        self.broadcast(ctx, || XpMsg::NewView(nv.clone()));
+        self.install_new_view(ctx, nv);
     }
 
-    // lint: allow(S1, σ_l verified by authenticate in handle_message; the embedded re-proposals are re-verified below)
-    fn on_new_view(&mut self, now: qsel_simnet::SimTime, nv: SignedNewView, outs: &mut Outs) {
+    fn on_new_view(&mut self, ctx: &mut Context<'_, XpMsg>, nv: SignedNewView) {
         let target = nv.payload.view;
         if nv.signer != self.views.leader(target) {
             return;
@@ -1237,10 +1237,10 @@ impl Replica {
                 && sp.payload.view == target
         });
         if !all_ok {
-            self.detect(now, nv.signer, outs);
+            self.detect(ctx, nv.signer);
             return;
         }
-        self.install_new_view(now, nv, outs);
+        self.install_new_view(ctx, nv);
     }
 
     /// Sends `StateFetch { from_slot, to_slot }` to every target but
@@ -1248,24 +1248,23 @@ impl Replica {
     /// (`label` names the expectation).
     fn fetch_state(
         &mut self,
-        now: qsel_simnet::SimTime,
+        ctx: &mut Context<'_, XpMsg>,
         targets: impl Iterator<Item = ProcessId>,
         from_slot: u64,
         to_slot: u64,
         label: &'static str,
-        outs: &mut Outs,
     ) {
         let min = self.rcfg.view_change_timeout;
         for k in targets.filter(|k| *k != self.me) {
-            outs.sends
-                .push((k, XpMsg::StateFetch { from_slot, to_slot }));
-            self.fd.expect_with_min(now, k, min, label, |m| {
+            ctx.send(k, XpMsg::StateFetch { from_slot, to_slot });
+            self.fd.expect_with_min(ctx.now(), k, min, label, |m| {
                 matches!(m, XpMsg::StateBatch { .. })
             });
         }
     }
 
-    fn install_new_view(&mut self, now: qsel_simnet::SimTime, nv: SignedNewView, outs: &mut Outs) {
+    fn install_new_view(&mut self, ctx: &mut Context<'_, XpMsg>, nv: SignedNewView) {
+        let now = ctx.now();
         let target = nv.payload.view;
         self.view = target;
         self.phase = Phase::Normal;
@@ -1277,8 +1276,8 @@ impl Replica {
         });
         self.view_history.push((now, target));
         self.collected_vc.remove(&target);
-        let fd_out = self.fd.cancel_all(now);
-        self.pump_fd(now, fd_out, outs);
+        let suspected = self.fd.cancel_all(now);
+        self.on_suspected(ctx, suspected);
         let in_quorum = self.views.group(target).contains(self.me);
         let base = nv.payload.base;
         if self.log.watermark() < base {
@@ -1288,7 +1287,7 @@ impl Replica {
             // expectation below is accuracy-safe.
             let from_slot = self.log.watermark();
             let members = *self.views.group(target).members();
-            self.fetch_state(now, members.iter(), from_slot, base, "state-batch", outs);
+            self.fetch_state(ctx, members.iter(), from_slot, base, "state-batch");
         }
         // Replay protocol traffic that arrived mid view change FIRST, so
         // the commits it carries are in the log before the re-proposal
@@ -1298,10 +1297,10 @@ impl Replica {
         for msg in protocol {
             match msg {
                 XpMsg::Prepare(sp) if sp.payload.view >= self.view => {
-                    self.on_prepare(now, sp, outs)
+                    self.on_prepare(ctx, sp)
                 }
                 XpMsg::Commit(sc) if sc.payload.view >= self.view => {
-                    self.on_commit(now, sc, outs)
+                    self.on_commit(ctx, sc)
                 }
                 _ => {}
             }
@@ -1310,7 +1309,7 @@ impl Replica {
         for sp in &nv.payload.reproposals {
             max_slot = max_slot.max(sp.payload.slot + 1);
             if in_quorum {
-                self.process_prepare_locally(now, sp.clone(), outs);
+                self.process_prepare_locally(ctx, sp.clone());
             } else {
                 // Passive replicas track the log so their future
                 // VIEW-CHANGE messages carry the entries.
@@ -1324,7 +1323,7 @@ impl Replica {
         self.drain_pending_batch();
         let pending = std::mem::take(&mut self.pending_requests);
         for req in pending {
-            self.on_request(now, req, outs);
+            self.on_request(ctx, req);
         }
     }
 
@@ -1335,11 +1334,7 @@ impl Replica {
     fn drain_pending_batch(&mut self) {
         self.batch_deadline = None;
         for req in std::mem::take(&mut self.pending_batch) {
-            if !self
-                .pending_requests
-                .iter()
-                .any(|r| r.client == req.client && r.op == req.op)
-            {
+            if !holds(&self.pending_requests, &req) {
                 self.pending_requests.push(req);
             }
         }
@@ -1363,8 +1358,8 @@ impl Replica {
     /// periodically ship certificates of newly decided slots to the
     /// replicas outside the active quorum, so their logs track the
     /// frontier and any future view change involving them stays O(recent).
-    fn lazy_tick(&mut self, outs: &mut Outs) {
-        outs.timers.push((self.rcfg.lazy_period, TIMER_LAZY));
+    fn lazy_tick(&mut self, ctx: &mut Context<'_, XpMsg>) {
+        ctx.set_timer(self.rcfg.lazy_period, TIMER_LAZY);
         if self.phase != Phase::Normal || self.me != self.leader() {
             return;
         }
@@ -1375,10 +1370,7 @@ impl Replica {
         if start >= end {
             return;
         }
-        let entries: Vec<DecidedEntry> = (start..end)
-            .filter_map(|slot| self.log.certificate(slot))
-            .map(|(prepare, commits)| DecidedEntry { prepare, commits })
-            .collect();
+        let entries = self.log.decided_entries(start..end);
         self.lazy_sent = end;
         if entries.is_empty() {
             return;
@@ -1386,12 +1378,12 @@ impl Replica {
         let members = *self.active_quorum().members();
         for k in self.cfg.processes() {
             if k != self.me && !members.contains(k) {
-                outs.sends.push((
+                ctx.send(
                     k,
                     XpMsg::LazyUpdate {
                         entries: entries.clone(),
                     },
-                ));
+                );
             }
         }
     }
@@ -1401,34 +1393,31 @@ impl Replica {
     /// empty batch) so the requester's expectation stays accuracy-safe.
     fn on_state_fetch(
         &mut self,
+        ctx: &mut Context<'_, XpMsg>,
         requester: ProcessId,
         from_slot: u64,
         to_slot: u64,
-        outs: &mut Outs,
     ) {
         if !self.cfg.contains(requester) {
             return; // only replicas participate in state transfer
         }
         const MAX_BATCH: u64 = 5_000;
         let to_slot = to_slot.min(from_slot.saturating_add(MAX_BATCH));
-        let entries: Vec<DecidedEntry> = (from_slot..to_slot)
-            .filter_map(|slot| self.log.certificate(slot))
-            .map(|(prepare, commits)| DecidedEntry { prepare, commits })
-            .collect();
-        outs.sends.push((requester, XpMsg::StateBatch { entries }));
+        let entries = self.log.decided_entries(from_slot..to_slot);
+        ctx.send(requester, XpMsg::StateBatch { entries });
     }
 
     /// Adopts certified decided entries (from lazy replication or a state
     /// batch) after verifying each certificate, then executes anything
     /// that became ready.
-    fn adopt_entries(&mut self, now: qsel_simnet::SimTime, entries: Vec<DecidedEntry>, outs: &mut Outs) {
+    fn adopt_entries(&mut self, ctx: &mut Context<'_, XpMsg>, entries: Vec<DecidedEntry>) {
         for entry in entries {
             if !self.verify_certificate(&entry) {
                 continue;
             }
             self.log.adopt_decided(entry.prepare, entry.commits);
         }
-        self.execute_and_reply(now, outs);
+        self.execute_and_reply(ctx);
     }
 
     /// A certificate is valid iff the prepare is signed by its view's
@@ -1466,7 +1455,7 @@ impl Replica {
     /// while executing, counting our own vote. Payloads at or below the
     /// stable checkpoint (e.g. recomputed while replaying compact
     /// entries) are skipped — their certificate already exists.
-    fn pump_checkpoints(&mut self, now: qsel_simnet::SimTime, outs: &mut Outs) {
+    fn pump_checkpoints(&mut self, ctx: &mut Context<'_, XpMsg>) {
         if !self.rcfg.checkpoint.enabled() {
             return;
         }
@@ -1475,8 +1464,8 @@ impl Replica {
                 continue;
             }
             let vote = self.signer.sign(payload);
-            self.broadcast(outs, || XpMsg::Checkpoint(vote.clone()));
-            self.on_checkpoint(now, vote, outs);
+            self.broadcast(ctx, || XpMsg::Checkpoint(vote.clone()));
+            self.on_checkpoint(ctx, vote);
         }
     }
 
@@ -1484,8 +1473,8 @@ impl Replica {
     /// `authenticate`; our own is trivially valid) and promotes the slot
     /// to stable once `f + 1` byte-identical payloads carry signatures
     /// from distinct replicas.
-    // lint: allow(S1, σ verified by authenticate before FD dispatch; own votes are self-signed)
-    fn on_checkpoint(&mut self, now: qsel_simnet::SimTime, sc: SignedCheckpoint, outs: &mut Outs) {
+    // lint: allow(S1, σ verified by authenticate in handle_message; own votes are self-signed)
+    fn on_checkpoint(&mut self, ctx: &mut Context<'_, XpMsg>, sc: SignedCheckpoint) {
         if !self.rcfg.checkpoint.enabled() {
             return;
         }
@@ -1516,7 +1505,7 @@ impl Replica {
             }
         }
         if let Some(sigs) = cert_sigs {
-            self.install_stable(now, CheckpointCert { sigs }, outs);
+            self.install_stable(ctx, CheckpointCert { sigs });
         }
     }
 
@@ -1524,12 +1513,7 @@ impl Replica {
     /// the log below it (bounded by our own executed prefix), prunes
     /// votes it covers, and — if the certificate proves the cluster is
     /// far ahead of us — starts catching up.
-    fn install_stable(
-        &mut self,
-        now: qsel_simnet::SimTime,
-        cert: CheckpointCert,
-        outs: &mut Outs,
-    ) {
+    fn install_stable(&mut self, ctx: &mut Context<'_, XpMsg>, cert: CheckpointCert) {
         let Some(payload) = cert.payload().cloned() else {
             return;
         };
@@ -1549,7 +1533,7 @@ impl Replica {
         // instead of waiting to be needed by a view change.
         let horizon = 2 * self.rcfg.checkpoint.interval;
         if slot > self.log.watermark().saturating_add(horizon) {
-            self.begin_sync(now, outs);
+            self.begin_sync(ctx);
         }
     }
 
@@ -1595,25 +1579,25 @@ impl Replica {
     /// Starts recovery: probe every peer for its checkpoint and
     /// serveable range, then pull only the gap from the best donor.
     /// No-op while a transfer is already in flight.
-    fn begin_sync(&mut self, now: qsel_simnet::SimTime, outs: &mut Outs) {
+    fn begin_sync(&mut self, ctx: &mut Context<'_, XpMsg>) {
         if !self.rcfg.checkpoint.enabled() || !matches!(self.sync, SyncState::Idle) {
             return;
         }
         self.stats.state_transfers += 1;
         self.sync_infos.clear();
         self.sync_failed.clear();
-        self.start_probe(now, 0, outs);
+        self.start_probe(ctx, 0);
     }
 
-    fn start_probe(&mut self, _now: qsel_simnet::SimTime, retries: u32, outs: &mut Outs) {
+    fn start_probe(&mut self, ctx: &mut Context<'_, XpMsg>, retries: u32) {
         self.sync = SyncState::Probing { retries };
         self.sync_gen += 1;
         let watermark = self.log.watermark();
-        self.broadcast(outs, || XpMsg::SyncQuery { watermark });
-        outs.timers.push((
+        self.broadcast(ctx, || XpMsg::SyncQuery { watermark });
+        ctx.set_timer(
             self.sync_backoff(retries),
             TimerId(TIMER_SYNC_BASE + self.sync_gen),
-        ));
+        );
     }
 
     /// Bounded-exponential backoff for probe and fetch retries.
@@ -1626,18 +1610,23 @@ impl Replica {
     /// Donor side of the probe: always answer with whatever we can serve
     /// (requesters fail over on silence, so never answering would read as
     /// a crash — answering with nothing is honest and cheap).
-    fn on_sync_query(&mut self, requester: ProcessId, _watermark: u64, outs: &mut Outs) {
+    fn on_sync_query(
+        &mut self,
+        ctx: &mut Context<'_, XpMsg>,
+        requester: ProcessId,
+        _watermark: u64,
+    ) {
         if !self.cfg.contains(requester) || requester == self.me {
             return;
         }
-        outs.sends.push((
+        ctx.send(
             requester,
             XpMsg::SyncInfo {
                 checkpoint: self.stable_ckpt.clone(),
                 archive_from: self.log.serve_floor(),
                 frontier: self.log.watermark(),
             },
-        ));
+        );
     }
 
     /// Donor side of a compact fetch: serve MMR-proved batches for as
@@ -1645,11 +1634,11 @@ impl Replica {
     /// (possibly empty) so the requester fails over instead of hanging.
     fn on_sync_fetch(
         &mut self,
+        ctx: &mut Context<'_, XpMsg>,
         requester: ProcessId,
         from_slot: u64,
         to_slot: u64,
         proof_slot: u64,
-        outs: &mut Outs,
     ) {
         if !self.cfg.contains(requester) || requester == self.me {
             return;
@@ -1672,13 +1661,13 @@ impl Replica {
                 proof,
             });
         }
-        outs.sends.push((
+        ctx.send(
             requester,
             XpMsg::SyncChunk {
                 entries,
                 proof_slot,
             },
-        ));
+        );
     }
 
     /// Requester side of the probe: record the answer (dropping any
@@ -1687,12 +1676,11 @@ impl Replica {
     /// has answered; the probe timer decides earlier on partial answers.
     fn on_sync_info(
         &mut self,
-        now: qsel_simnet::SimTime,
+        ctx: &mut Context<'_, XpMsg>,
         sender: ProcessId,
         checkpoint: Option<CheckpointCert>,
         archive_from: u64,
         frontier: u64,
-        outs: &mut Outs,
     ) {
         if !matches!(self.sync, SyncState::Probing { .. }) {
             return;
@@ -1710,7 +1698,7 @@ impl Replica {
             },
         );
         if thresholds::all_peers_answered(self.cfg.n(), self.sync_infos.len() as u32) {
-            self.choose_donor(now, outs);
+            self.choose_donor(ctx);
         }
     }
 
@@ -1731,7 +1719,7 @@ impl Replica {
     ///
     /// Donor choice is deterministic: highest frontier, ties to the
     /// lowest id, excluding donors that already failed this recovery.
-    fn choose_donor(&mut self, now: qsel_simnet::SimTime, outs: &mut Outs) {
+    fn choose_donor(&mut self, ctx: &mut Context<'_, XpMsg>) {
         let my_wm = self.log.watermark();
         let cands: Vec<(ProcessId, u64, u64, Option<u64>)> = self
             .sync_infos
@@ -1756,7 +1744,7 @@ impl Replica {
             };
             self.sync_failed.clear();
             self.sync_infos.clear();
-            self.start_probe(now, retries, outs);
+            self.start_probe(ctx, retries);
             return;
         }
         let pick_donor = |cands: &[(ProcessId, u64, u64, Option<u64>)]| {
@@ -1768,7 +1756,7 @@ impl Replica {
         let target = cands.iter().map(|(_, _, fr, _)| *fr).max().unwrap_or(0);
         if target <= my_wm {
             // Nothing to fetch: we are at or past every answering peer.
-            self.finish_sync(now, outs);
+            self.finish_sync();
             return;
         }
         // The newest verified certificate ahead of us, from any answer.
@@ -1796,7 +1784,7 @@ impl Replica {
             // Adopt the certificate: it verified, it is newer than ours,
             // and holding it lets us serve future recoverers. GC below
             // our own watermark rides along.
-            self.install_stable(now, cert, outs);
+            self.install_stable(ctx, cert);
             let compact_donor = cands
                 .iter()
                 .filter(|(_, af, fr, _)| *af <= my_wm && *fr >= cs)
@@ -1813,7 +1801,7 @@ impl Replica {
                     // Unreachable for a verified cert (peak count was
                     // checked); treat the holder as bad and re-choose.
                     self.sync_failed.insert(holder);
-                    self.choose_donor(now, outs);
+                    self.choose_donor(ctx);
                     return;
                 }
                 boundary = Some((cs, digest_fingerprint(&payload.digest())));
@@ -1841,13 +1829,13 @@ impl Replica {
             to: target,
             mode: mode.to_string(),
         });
-        self.request_next(now, outs);
+        self.request_next(ctx);
     }
 
     /// Sends the next fetch round to the donor and arms its retry timer.
     /// The request range restarts at the current watermark, so whatever
     /// already arrived (chunks, racing lazy updates) is never re-fetched.
-    fn request_next(&mut self, now: qsel_simnet::SimTime, outs: &mut Outs) {
+    fn request_next(&mut self, ctx: &mut Context<'_, XpMsg>) {
         let SyncState::Fetching {
             donor,
             proof_slot,
@@ -1861,7 +1849,7 @@ impl Replica {
         let (donor, proof_slot, target, retries) = (*donor, *proof_slot, *target, *retries);
         let wm = self.log.watermark();
         if wm >= target {
-            self.finish_sync(now, outs);
+            self.finish_sync();
             return;
         }
         self.sync_gen += 1;
@@ -1877,11 +1865,11 @@ impl Replica {
                 to_slot: target,
             }
         };
-        outs.sends.push((donor, msg));
-        outs.timers.push((
+        ctx.send(donor, msg);
+        ctx.set_timer(
             self.sync_backoff(retries),
             TimerId(TIMER_SYNC_BASE + self.sync_gen),
-        ));
+        );
     }
 
     /// Requester side of a compact fetch: each entry is verified against
@@ -1890,11 +1878,10 @@ impl Replica {
     /// it touches the log.
     fn on_sync_chunk(
         &mut self,
-        now: qsel_simnet::SimTime,
+        ctx: &mut Context<'_, XpMsg>,
         sender: ProcessId,
         entries: Vec<CompactEntry>,
         proof_slot: u64,
-        outs: &mut Outs,
     ) {
         let SyncState::Fetching {
             donor,
@@ -1936,18 +1923,18 @@ impl Replica {
                         slot: s,
                         digest: digest_fingerprint(&req.digest()),
                     });
-                    outs.sends.push((
+                    ctx.send(
                         req.client,
                         XpMsg::Reply(Reply {
                             view: self.view,
                             op: req.op,
                             result: s,
                         }),
-                    ));
+                    );
                 }
             }
         }
-        self.pump_checkpoints(now, outs);
+        self.pump_checkpoints(ctx);
         if bad {
             self.stats.chunks_rejected += 1;
             let (p, from) = (self.me.0, sender.0);
@@ -1956,7 +1943,7 @@ impl Replica {
                 from,
                 slot: first,
             });
-            self.fail_donor(now, outs);
+            self.fail_donor(ctx);
             return;
         }
         if let SyncState::Fetching {
@@ -1976,14 +1963,14 @@ impl Replica {
                 }
             }
         }
-        self.request_next(now, outs);
+        self.request_next(ctx);
     }
 
     /// Called after StateBatch/LazyUpdate adoptions: when a certified
     /// tail fetch is in flight, cursor movement is progress — request the
     /// next round or finish. Without movement, the retry timer (not this
     /// path) escalates, so an empty answer cannot spin a request loop.
-    fn sync_progress(&mut self, now: qsel_simnet::SimTime, outs: &mut Outs) {
+    fn sync_progress(&mut self, ctx: &mut Context<'_, XpMsg>) {
         let SyncState::Fetching {
             proof_slot, target, ..
         } = &self.sync
@@ -1996,27 +1983,27 @@ impl Replica {
             return; // the compact segment drives itself chunk by chunk
         }
         if wm >= target {
-            self.finish_sync(now, outs);
+            self.finish_sync();
         } else if let SyncState::Fetching { retries, .. } = &mut self.sync {
             *retries = 0;
-            self.request_next(now, outs);
+            self.request_next(ctx);
         }
     }
 
     /// Abandons the current donor (bad chunk or repeated timeouts) and
     /// re-chooses from the remaining answers.
-    fn fail_donor(&mut self, now: qsel_simnet::SimTime, outs: &mut Outs) {
+    fn fail_donor(&mut self, ctx: &mut Context<'_, XpMsg>) {
         let SyncState::Fetching { donor, .. } = &self.sync else {
             return;
         };
         self.sync_failed.insert(*donor);
         self.sync = SyncState::Probing { retries: 0 };
         self.sync_gen += 1; // invalidate the in-flight fetch timer
-        self.choose_donor(now, outs);
+        self.choose_donor(ctx);
     }
 
     /// A probe or fetch round went unanswered (generation-checked).
-    fn on_sync_timeout(&mut self, now: qsel_simnet::SimTime, outs: &mut Outs) {
+    fn on_sync_timeout(&mut self, ctx: &mut Context<'_, XpMsg>) {
         enum Act {
             None,
             Choose,
@@ -2048,17 +2035,17 @@ impl Replica {
         };
         match act {
             Act::None => {}
-            Act::Choose => self.choose_donor(now, outs),
-            Act::Reprobe(r) => self.start_probe(now, r, outs),
-            Act::Fail => self.fail_donor(now, outs),
-            Act::Retry => self.request_next(now, outs),
+            Act::Choose => self.choose_donor(ctx),
+            Act::Reprobe(r) => self.start_probe(ctx, r),
+            Act::Fail => self.fail_donor(ctx),
+            Act::Retry => self.request_next(ctx),
         }
     }
 
     /// Completes the transfer: emits the done event carrying the
     /// recomputed boundary digest (compact), the installed certificate
     /// digest (jump), or the final recomputed payload digest (replay).
-    fn finish_sync(&mut self, _now: qsel_simnet::SimTime, _outs: &mut Outs) {
+    fn finish_sync(&mut self) {
         let boundary = match &self.sync {
             SyncState::Fetching { boundary, .. } => *boundary,
             _ => None,
@@ -2091,83 +2078,50 @@ impl Replica {
     // Failure-detector and quorum-selection plumbing
     // ------------------------------------------------------------------
 
-    fn detect(&mut self, now: qsel_simnet::SimTime, who: ProcessId, outs: &mut Outs) {
+    fn detect(&mut self, ctx: &mut Context<'_, XpMsg>, who: ProcessId) {
         self.stats.detections += 1;
         self.trace.emit(|| TraceEvent::DetectionRaised {
             p: self.me.0,
             against: who.0,
         });
-        let fd_out = self.fd.detected(now, who);
-        self.pump_fd(now, fd_out, outs);
+        let suspected = self.fd.detected(ctx.now(), who);
+        self.on_suspected(ctx, suspected);
     }
 
-    fn pump_fd(
-        &mut self,
-        now: qsel_simnet::SimTime,
-        initial: Vec<FdOutput<XpMsg>>,
-        outs: &mut Outs,
-    ) {
-        let mut queue: VecDeque<FdOutput<XpMsg>> = initial.into();
-        while let Some(ev) = queue.pop_front() {
-            match ev {
-                FdOutput::Deliver { msg, .. } => match msg {
-                    XpMsg::Prepare(sp) => self.on_prepare(now, sp, outs),
-                    XpMsg::Commit(sc) => self.on_commit(now, sc, outs),
-                    XpMsg::ViewChange(vc) => self.on_view_change(now, vc, outs),
-                    XpMsg::NewView(nv) => self.on_new_view(now, nv, outs),
-                    XpMsg::Update(u) => {
-                        if let Some(qs) = &mut self.qs {
-                            let qs_out = qs.on_update(u);
-                            self.pump_qs(now, qs_out, outs);
-                        }
-                    }
-                    XpMsg::Heartbeat(_) => {} // expectation matching happens in the FD
-                    // State-transfer traffic is adopted before the FD
-                    // (handle_message); only the empty marker used for
-                    // expectation fulfilment reaches this point.
-                    XpMsg::LazyUpdate { .. }
-                    | XpMsg::StateFetch { .. }
-                    | XpMsg::StateBatch { .. } => {}
-                    XpMsg::Checkpoint(sc) => self.on_checkpoint(now, sc, outs),
-                    // Sync traffic is handled before the FD (handle_message).
-                    XpMsg::SyncQuery { .. }
-                    | XpMsg::SyncInfo { .. }
-                    | XpMsg::SyncFetch { .. }
-                    | XpMsg::SyncChunk { .. } => {}
-                    XpMsg::Request(_) | XpMsg::Reply(_) => {}
-                },
-                FdOutput::Suspected(s) => match self.rcfg.policy {
-                    QuorumPolicy::Selection => {
-                        // `new()` constructs the module whenever the
-                        // policy is Selection, so this branch always
-                        // finds it; typed instead of `expect`.
-                        if let Some(qs) = self.qs.as_mut() {
-                            let qs_out = qs.on_suspected(s);
-                            self.pump_qs(now, qs_out, outs);
-                        }
-                    }
-                    QuorumPolicy::Enumeration => {
-                        // Quorum-granularity detection: any suspicion of an
-                        // active-quorum member abandons the current view.
-                        if self.phase == Phase::Normal
-                            && self
-                                .active_quorum()
-                                .iter()
-                                .any(|m| s.contains(m) && m != self.me)
-                        {
-                            let next = self.view + 1;
-                            self.start_view_change(now, next, outs);
-                        }
-                    }
-                },
+    /// `⟨SUSPECTED, S⟩`: a changed suspicion set (`None`: unchanged, a
+    /// no-op) steers the quorum.
+    fn on_suspected(&mut self, ctx: &mut Context<'_, XpMsg>, suspected: Option<ProcessSet>) {
+        let Some(s) = suspected else { return };
+        match self.rcfg.policy {
+            QuorumPolicy::Selection => {
+                // `new()` constructs the module whenever the policy is
+                // Selection, so this branch always finds it; typed instead
+                // of `expect`.
+                if let Some(qs) = self.qs.as_mut() {
+                    let qs_out = qs.on_suspected(s);
+                    self.pump_qs(ctx, qs_out);
+                }
+            }
+            QuorumPolicy::Enumeration => {
+                // Quorum-granularity detection: any suspicion of an
+                // active-quorum member abandons the current view.
+                if self.phase == Phase::Normal
+                    && self
+                        .active_quorum()
+                        .iter()
+                        .any(|m| s.contains(m) && m != self.me)
+                {
+                    let next = self.view + 1;
+                    self.start_view_change(ctx, next);
+                }
             }
         }
     }
 
-    fn pump_qs(&mut self, now: qsel_simnet::SimTime, qs_out: Vec<QsOutput>, outs: &mut Outs) {
+    fn pump_qs(&mut self, ctx: &mut Context<'_, XpMsg>, qs_out: Vec<QsOutput>) {
         for o in qs_out {
             match o {
-                QsOutput::Broadcast(u) => self.broadcast(outs, || XpMsg::Update(u.clone())),
+                QsOutput::Broadcast(u) => self.broadcast(ctx, || XpMsg::Update(u.clone())),
                 QsOutput::Quorum(q) => {
                     // §V-B: jump to the view of the selected quorum,
                     // suspecting all quorums ordered before it.
@@ -2177,7 +2131,7 @@ impl Replica {
                     };
                     if !already {
                         let target = self.views.view_for_quorum(self.effective_view(), &q);
-                        self.start_view_change(now, target, outs);
+                        self.start_view_change(ctx, target);
                     }
                 }
             }
@@ -2211,13 +2165,10 @@ impl Replica {
         }
     }
 
-    fn flush(&mut self, ctx: &mut Context<'_, XpMsg>, outs: Outs) {
-        for (to, msg) in outs.sends {
-            ctx.send(to, msg);
-        }
-        for (after, id) in outs.timers {
-            ctx.set_timer(after, id);
-        }
+    /// Arms the `TIMER_FD_POLL` the detector's earliest deadline needs,
+    /// unless one is already in flight for that instant. Every entry point
+    /// ends here.
+    fn arm_poll(&mut self, ctx: &mut Context<'_, XpMsg>) {
         #[cfg(test)]
         if self.arm_every_flush {
             self.polls.reset();

@@ -4,9 +4,10 @@
 
 use qsel_adversary::cluster::ClusterUnderAttack;
 use qsel_adversary::game::{
-    binomial, greedy_adversary, max_interruptions, GameResult, LexFirstIs, QuorumAlgorithm,
+    greedy_adversary, max_interruptions, GameResult, LexFirstIs, QuorumAlgorithm,
     RoundRobinEnumeration,
 };
+use qsel_types::thresholds::binomial;
 use qsel_types::{ClusterConfig, ProcessId};
 
 /// The exact optimal adversary achieves the Theorem 4 bound against
