@@ -169,6 +169,18 @@ pub struct LinkState {
     pub delay_override: Option<DelayModel>,
 }
 
+/// A healthy link, equal to `LinkState::default()`: what every entry of
+/// the link table stands for until the first link fault materializes it.
+const HEALTHY_LINK: LinkState = LinkState {
+    drop_all: false,
+    drop_prob: 0.0,
+    extra_delay: SimDuration::ZERO,
+    jitter: SimDuration::ZERO,
+    dup_prob: 0.0,
+    reorder_prob: 0.0,
+    delay_override: None,
+};
+
 /// Aggregate network statistics.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct NetStats {
@@ -260,6 +272,9 @@ pub struct Simulation<M, A> {
     pause_buf: Vec<VecDeque<EventKey>>,
     /// Scripted faults not yet applied, sorted by time (stable).
     pending_faults: VecDeque<(SimTime, FaultEvent)>,
+    /// Per directed link, indexed by [`Self::link_index`]. Empty while
+    /// every link is healthy, which spares a fault-free run the `actors²`
+    /// table; [`Self::link_mut`] fills it on the first link fault.
     links: Vec<LinkState>,
     fifo_last: Vec<SimTime>,
     /// Per-process earliest time the NIC is free to transmit the next
@@ -304,7 +319,7 @@ impl<M: Clone, A: Actor<M>> Simulation<M, A> {
             incarnation: vec![0; k],
             pause_buf: (0..k).map(|_| VecDeque::new()).collect(),
             pending_faults: VecDeque::new(),
-            links: (0..k * k).map(|_| LinkState::default()).collect(),
+            links: Vec::new(),
             fifo_last: vec![SimTime::ZERO; k * k],
             next_free_tx: vec![SimTime::ZERO; k],
             queue: BinaryHeap::new(),
@@ -493,8 +508,7 @@ impl<M: Clone, A: Actor<M>> Simulation<M, A> {
     /// sim.set_link(ProcessId(1), ProcessId(2), LinkState { drop_all: true, ..Default::default() });
     /// ```
     pub fn set_link(&mut self, from: ProcessId, to: ProcessId, state: LinkState) {
-        let idx = self.link_index(from, to);
-        self.links[idx] = state;
+        *self.link_mut(from, to) = state;
     }
 
     /// Resets the directed link `from → to` to the healthy default.
@@ -530,9 +544,7 @@ impl<M: Clone, A: Actor<M>> Simulation<M, A> {
 
     /// Heals every link.
     pub fn heal_all(&mut self) {
-        for l in &mut self.links {
-            *l = LinkState::default();
-        }
+        self.links.clear();
     }
 
     /// Schedules an externally-injected message (e.g. a client request from
@@ -593,9 +605,9 @@ impl<M: Clone, A: Actor<M>> Simulation<M, A> {
                 extra_delay,
                 jitter,
             } => {
-                let idx = self.link_index(from, to);
-                self.links[idx].extra_delay = extra_delay;
-                self.links[idx].jitter = jitter;
+                let link = self.link_mut(from, to);
+                link.extra_delay = extra_delay;
+                link.jitter = jitter;
             }
             FaultEvent::HealLink { from, to } => self.heal_link(from, to),
         }
@@ -760,7 +772,7 @@ impl<M: Clone, A: Actor<M>> Simulation<M, A> {
             kind: kind.into(),
         });
         let idx = self.link_index(from, to);
-        let link = &self.links[idx];
+        let link = self.links.get(idx).unwrap_or(&HEALTHY_LINK);
         if link.drop_all || (link.drop_prob > 0.0 && self.rng.random::<f64>() < link.drop_prob) {
             self.stats.messages_dropped += 1;
             self.trace.emit(|| TraceEvent::MsgDrop {
@@ -813,7 +825,7 @@ impl<M: Clone, A: Actor<M>> Simulation<M, A> {
         reorder: bool,
         msg: M,
     ) {
-        let link = &self.links[idx];
+        let link = self.links.get(idx).unwrap_or(&HEALTHY_LINK);
         let model = link.delay_override.unwrap_or(self.cfg.delay);
         let mut deliver_at = depart + model.sample(&mut self.rng, self.now) + link.extra_delay;
         if link.jitter > SimDuration::ZERO {
@@ -854,6 +866,17 @@ impl<M: Clone, A: Actor<M>> Simulation<M, A> {
 
     fn link_index(&self, from: ProcessId, to: ProcessId) -> usize {
         from.index() * self.cfg.actors as usize + to.index()
+    }
+
+    /// The `from → to` entry of the link table, materializing the table
+    /// (all healthy) if this is the first link fault.
+    fn link_mut(&mut self, from: ProcessId, to: ProcessId) -> &mut LinkState {
+        let idx = self.link_index(from, to);
+        if self.links.is_empty() {
+            let k = self.cfg.actors as usize;
+            self.links.resize(k * k, HEALTHY_LINK);
+        }
+        &mut self.links[idx]
     }
 
     fn next_seq(&mut self) -> u64 {
@@ -926,6 +949,25 @@ mod tests {
 
     fn two(seed: u64) -> Simulation<Msg, Counter> {
         Simulation::new(SimConfig::new(2, seed), vec![Counter::new(0), Counter::new(0)])
+    }
+
+    #[test]
+    fn the_unset_link_table_stands_for_default_links() {
+        assert_eq!(
+            format!("{HEALTHY_LINK:?}"),
+            format!("{:?}", LinkState::default())
+        );
+        let mut sim = two(1);
+        assert!(sim.links.is_empty(), "a healthy network allocates no link table");
+        let cut = LinkState {
+            drop_all: true,
+            ..Default::default()
+        };
+        sim.set_link(ProcessId(1), ProcessId(2), cut);
+        assert_eq!(sim.links.len(), 4);
+        assert!(sim.links[sim.link_index(ProcessId(1), ProcessId(2))].drop_all);
+        sim.heal_all();
+        assert!(sim.links.is_empty());
     }
 
     #[test]

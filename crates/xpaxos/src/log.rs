@@ -3,6 +3,7 @@
 //! authenticates compacted history.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::Range;
 
 use qsel_mmr::{leaf_hash, Mmr, MmrError};
@@ -10,9 +11,36 @@ use qsel_types::{CheckpointPayload, ProcessId, ProcessSet};
 
 use crate::messages::{Batch, DecidedEntry, Request, SignedCommit, SignedPrepare};
 
+/// Hasher of the `(client, op)` dedup keys: one add-and-multiply per
+/// integer word, rotated on output so the bucket index (the low bits)
+/// sees the well-mixed high bits. Deterministic and unkeyed, which is
+/// fine here: both maps are lookup-only, and the keys are simulated.
+#[derive(Clone, Copy, Default)]
+struct OpKeyHasher(u64);
+
+impl Hasher for OpKeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.write_u64(b.into()));
+    }
+
+    fn write_u32(&mut self, word: u32) {
+        self.write_u64(word.into());
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = self.0.wrapping_add(word).wrapping_mul(0xf135_7aea_2e62_a9c5);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
+
+type OpKeys = BuildHasherDefault<OpKeyHasher>;
+
 /// Inserts the dedup assignment of every request in `prepare`'s batch.
 // lint: allow(D1, lookup-only dedup index; never iterated) lint: allow(S1, σ_l checked at the replica boundary before log admission)
-fn assign_batch(assigned: &mut HashMap<(ProcessId, u64), u64>, prepare: &SignedPrepare) {
+fn assign_batch(assigned: &mut HashMap<(ProcessId, u64), u64, OpKeys>, prepare: &SignedPrepare) {
     for req in prepare.payload.batch.reqs() {
         assigned.insert((req.client, req.op), prepare.payload.slot);
     }
@@ -58,11 +86,11 @@ pub struct Log {
     pub state: u64,
     /// Request dedup: (client, op) → slot.
     // lint: allow(D1, lookup-only dedup index; never iterated)
-    assigned: HashMap<(ProcessId, u64), u64>,
+    assigned: HashMap<(ProcessId, u64), u64, OpKeys>,
     /// Execution dedup: a request re-proposed at a second slot after a
     /// view change must not be applied twice.
     // lint: allow(D1, membership-only dedup set; never iterated)
-    executed_ops: HashSet<(ProcessId, u64)>,
+    executed_ops: HashSet<(ProcessId, u64), OpKeys>,
     /// Merkle mountain range over executed batch digests: leaf `i` is
     /// `leaf_hash(i, batch_i.digest())`, appended as the cursor passes
     /// slot `i`, so `mmr.leaf_count() == exec_cursor` always.
@@ -686,5 +714,86 @@ mod tests {
             log.state
         };
         assert_eq!(run(), run());
+    }
+
+    mod dedup_oracle {
+        use std::collections::{BTreeMap, BTreeSet};
+
+        use proptest::prelude::*;
+
+        use super::*;
+
+        type Key = (ProcessId, u64);
+
+        /// `(kind, view, slot, batch keys)`: kind 0 accepts a PREPARE,
+        /// 1 adopts a decided entry, 2 executes what is ready.
+        fn arb_step() -> impl Strategy<Value = (u8, u64, u64, Vec<(u32, u64)>)> {
+            (0u8..3, 0u64..3, 0u64..6, proptest::collection::vec((1u32..4, 0u64..5), 1..4))
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(96))]
+
+            /// Slot assignment and execution dedup agree with ordered-map
+            /// twins: a stored PREPARE maps its requests to its slot (the
+            /// latest store wins), and execution skips a key seen before.
+            #[test]
+            fn dedup_maps_match_ordered_oracles(
+                steps in proptest::collection::vec(arb_step(), 1..40),
+            ) {
+                let c = chain();
+                let mut log = Log::new();
+                let mut assigned: BTreeMap<Key, u64> = BTreeMap::new();
+                let mut executed: BTreeSet<Key> = BTreeSet::new();
+                for (kind, view, slot, keys) in steps {
+                    let reqs: Vec<Request> = keys
+                        .iter()
+                        .map(|&(client, op)| Request {
+                            client: ProcessId(client),
+                            op,
+                            payload: view * 7 + slot,
+                        })
+                        .collect();
+                    let p = prep_batch(&c, 1, view, slot, reqs.clone());
+                    let stored = match kind {
+                        0 => {
+                            let before = log.prepare_at(slot).cloned();
+                            log.accept_prepare(p.clone()) && before.as_ref() != Some(&p)
+                        }
+                        1 => {
+                            let decided = log.slot(slot).is_some_and(|s| s.decided);
+                            log.adopt_decided(p, Vec::new());
+                            !decided
+                        }
+                        _ => {
+                            let from = log.exec_cursor;
+                            let out = log.execute_ready();
+                            let mut want = Vec::new();
+                            for s in from..log.exec_cursor {
+                                for req in log.slot(s).unwrap().prepare.payload.batch.reqs() {
+                                    if executed.insert((req.client, req.op)) {
+                                        want.push((s, req.clone()));
+                                    }
+                                }
+                            }
+                            prop_assert_eq!(out, want);
+                            false
+                        }
+                    };
+                    if stored {
+                        for req in &reqs {
+                            assigned.insert((req.client, req.op), slot);
+                        }
+                    }
+                    for client in 1..4 {
+                        for op in 0..5 {
+                            let key = (ProcessId(client), op);
+                            let req = Request { client: key.0, op, payload: 0 };
+                            prop_assert_eq!(log.slot_of(&req), assigned.get(&key).copied());
+                        }
+                    }
+                }
+            }
+        }
     }
 }

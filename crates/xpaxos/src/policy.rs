@@ -10,6 +10,8 @@
 //! quorums ordered before Q" — i.e. jumps directly to the next view whose
 //! combination is `Q` ([`ViewPolicy::view_for_quorum`]).
 
+use std::cell::Cell;
+
 use qsel_simnet::SimDuration;
 use qsel_types::thresholds::binomial;
 use qsel_types::{ClusterConfig, ProcessId, ProcessSet, Quorum};
@@ -112,10 +114,17 @@ impl CheckpointPolicy {
 }
 
 /// Lexicographic combination numbering of quorums.
-#[derive(Clone, Copy, Debug)]
+///
+/// `C(n, q)` is computed once, and the last view's quorum is memoized: a
+/// replica asks for the same view's group and leader several times per
+/// message, and its view only moves on a view install. A miss computes
+/// exactly as an uncached call would.
+#[derive(Clone, Debug)]
 pub struct ViewPolicy {
     n: u32,
     q: u32,
+    count: u128,
+    last: Cell<(u64, Quorum)>,
 }
 
 impl ViewPolicy {
@@ -124,18 +133,31 @@ impl ViewPolicy {
         ViewPolicy {
             n: cfg.n(),
             q: cfg.quorum_size(),
+            count: binomial(cfg.n() as u64, cfg.quorum_size() as u64),
+            // View 0's quorum is the first combination: `p_1 … p_q`.
+            last: Cell::new((0, Quorum::initial(cfg))),
         }
     }
 
     /// Total number of distinct quorums `C(n, q)`.
     pub fn quorum_count(&self) -> u128 {
-        binomial(self.n as u64, self.q as u64)
+        self.count
     }
 
     /// The quorum of view `v` (the `v mod C(n,q)`-th combination in
     /// lexicographic order).
     pub fn group(&self, view: u64) -> Quorum {
-        let index = (view as u128 % self.quorum_count()) as u64;
+        let (last_view, last) = self.last.get();
+        if last_view == view {
+            return last;
+        }
+        let group = self.compute_group(view);
+        self.last.set((view, group));
+        group
+    }
+
+    fn compute_group(&self, view: u64) -> Quorum {
+        let index = (view as u128 % self.count) as u64;
         Quorum::from_set_unchecked(self.unrank(index))
     }
 
@@ -265,6 +287,53 @@ mod tests {
     fn quorum_count() {
         assert_eq!(ViewPolicy::new(&cfg(7, 2)).quorum_count(), 21);
         assert_eq!(ViewPolicy::new(&cfg(10, 3)).quorum_count(), 120);
+    }
+
+    /// The memo's oracle: group and leader of `view` computed afresh.
+    fn assert_memo_matches(p: &ViewPolicy, view: u64) {
+        let fresh = p.compute_group(view);
+        assert_eq!(p.group(view), fresh, "view {view}");
+        assert_eq!(p.leader(view), fresh.lowest(), "view {view}");
+        assert_eq!(p.group(view), fresh, "view {view} (memo hit)");
+    }
+
+    #[test]
+    fn memoized_views_match_a_fresh_computation_for_small_clusters() {
+        for n in 1..=10u32 {
+            for f in 1..n {
+                let Ok(c) = ClusterConfig::new(n, f) else { continue };
+                let p = ViewPolicy::new(&c);
+                assert_eq!(p.quorum_count(), binomial(n as u64, c.quorum_size() as u64));
+                for v in 0..3 * p.quorum_count() as u64 {
+                    assert_memo_matches(&p, v);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn memoized_views_match_a_fresh_computation_for_large_clusters() {
+        use rand::{RngExt, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(30);
+        for (n, f) in [(64, 21), (64, 1), (128, 42), (128, 3)] {
+            let p = ViewPolicy::new(&cfg(n, f));
+            for _ in 0..200 {
+                let v = rng.random::<u64>();
+                assert_memo_matches(&p, v);
+                assert_memo_matches(&p, v.wrapping_add(1));
+            }
+        }
+    }
+
+    #[test]
+    fn alternating_views_miss_the_memo_and_stay_correct() {
+        let p = ViewPolicy::new(&cfg(7, 2));
+        for round in 0..50u64 {
+            let (a, b) = (round % 21, 1000 + round * 7);
+            assert_memo_matches(&p, a);
+            assert_memo_matches(&p, b);
+            assert_memo_matches(&p, a);
+        }
     }
 
     #[test]

@@ -205,6 +205,10 @@ pub struct Replica {
     /// a poll after every callback.
     #[cfg(test)]
     arm_every_flush: bool,
+    /// The pending-request dedup the key index replaced, kept as the test
+    /// oracle: a linear [`holds`] scan of the buffer.
+    #[cfg(test)]
+    linear_dedup: bool,
     qs: Option<QuorumSelection>,
     log: Log,
     view: u64,
@@ -218,7 +222,11 @@ pub struct Replica {
     collected_vc: BTreeMap<u64, BTreeMap<ProcessId, SignedViewChange>>,
     /// Whether the NEW-VIEW expectation for the current target is armed.
     nv_expected: bool,
+    /// Client requests buffered mid view change, in arrival order (the
+    /// replay order after the next install), with their `(client, op)`
+    /// keys indexed beside them so a retransmission is found in O(log n).
     pending_requests: Vec<Request>,
+    pending_keys: BTreeSet<(ProcessId, u64)>,
     /// Leader-side batch accumulator (non-passthrough policies only):
     /// requests waiting for the next batch to close.
     pending_batch: Vec<Request>,
@@ -297,6 +305,8 @@ impl Replica {
             polls: PollSchedule::new(),
             #[cfg(test)]
             arm_every_flush: false,
+            #[cfg(test)]
+            linear_dedup: false,
             qs,
             log,
             view: 0,
@@ -306,6 +316,7 @@ impl Replica {
             collected_vc: BTreeMap::new(),
             nv_expected: false,
             pending_requests: Vec::new(),
+            pending_keys: BTreeSet::new(),
             pending_batch: Vec::new(),
             batch_deadline: None,
             pending_protocol: std::collections::VecDeque::new(),
@@ -396,6 +407,11 @@ impl Replica {
             .as_ref()
             .and_then(|c| c.payload())
             .map_or(0, |p| p.slot)
+    }
+
+    /// Client requests buffered for replay after the next view install.
+    pub fn pending_requests_len(&self) -> usize {
+        self.pending_requests.len()
     }
 
     /// Whether an incremental state transfer is currently in flight.
@@ -654,9 +670,7 @@ impl Replica {
         if self.phase != Phase::Normal {
             // Buffer and replay once the next view is installed, so a
             // view change does not cost a full client retry period.
-            if !holds(&self.pending_requests, &req) {
-                self.pending_requests.push(req);
-            }
+            self.buffer_request(req);
             return;
         }
         // Executed before? Re-send the reply (client retransmission).
@@ -1321,6 +1335,7 @@ impl Replica {
         // the pending set — `on_request` re-routes them: proposed if we
         // still lead, forwarded to the new leader otherwise.
         self.drain_pending_batch();
+        self.pending_keys.clear();
         let pending = std::mem::take(&mut self.pending_requests);
         for req in pending {
             self.on_request(ctx, req);
@@ -1334,9 +1349,22 @@ impl Replica {
     fn drain_pending_batch(&mut self) {
         self.batch_deadline = None;
         for req in std::mem::take(&mut self.pending_batch) {
+            self.buffer_request(req);
+        }
+    }
+
+    /// Buffers `req` for replay after the next view install, unless a
+    /// request with its `(client, op)` is already buffered.
+    fn buffer_request(&mut self, req: Request) {
+        #[cfg(test)]
+        if self.linear_dedup {
             if !holds(&self.pending_requests, &req) {
                 self.pending_requests.push(req);
             }
+            return;
+        }
+        if self.pending_keys.insert((req.client, req.op)) {
+            self.pending_requests.push(req);
         }
     }
 
@@ -1370,21 +1398,26 @@ impl Replica {
         if start >= end {
             return;
         }
-        let entries = self.log.decided_entries(start..end);
+        let mut entries = self.log.decided_entries(start..end);
         self.lazy_sent = end;
         if entries.is_empty() {
             return;
         }
         let members = *self.active_quorum().members();
-        for k in self.cfg.processes() {
-            if k != self.me && !members.contains(k) {
-                ctx.send(
-                    k,
-                    XpMsg::LazyUpdate {
-                        entries: entries.clone(),
-                    },
-                );
-            }
+        let mut passive = self
+            .cfg
+            .processes()
+            .filter(|&k| k != self.me && !members.contains(k))
+            .peekable();
+        // Clones for all but the last passive replica, which takes the
+        // original.
+        while let Some(k) = passive.next() {
+            let entries = if passive.peek().is_some() {
+                entries.clone()
+            } else {
+                std::mem::take(&mut entries)
+            };
+            ctx.send(k, XpMsg::LazyUpdate { entries });
         }
     }
 
@@ -2274,6 +2307,63 @@ mod tests {
         assert_eq!(total_committed(&sim), 640);
         let per_commit = sim.stats().timers_fired as f64 / 640.0;
         assert!(per_commit < 10.0, "{per_commit} timers per commit");
+    }
+
+    /// A seeded n = 7 cluster whose first two leaders crash and restart
+    /// under load, buffering client requests mid view change with the key
+    /// index or — the oracle — the linear `holds` scan.
+    fn restarted_leaders_run(linear_dedup: bool) -> Simulation<XpMsg, XpActor> {
+        let cfg = ClusterConfig::new(7, 2).unwrap();
+        let mut sim = ClusterBuilder::new(cfg, 13)
+            .clients(12, 120)
+            .retry(SimDuration::millis(1))
+            .build();
+        for p in cfg.processes() {
+            if let XpActor::Replica(r) = sim.actor_mut(p) {
+                r.linear_dedup = linear_dedup;
+            }
+        }
+        let [p1, p2] = [1, 2].map(ProcessId);
+        sim.schedule_plan(
+            FaultPlan::new()
+                .at(ms(5), FaultEvent::Crash(p1))
+                .at(ms(15), FaultEvent::Restart(p1))
+                .at(ms(30), FaultEvent::Crash(p2))
+                .at(ms(45), FaultEvent::Restart(p2)),
+        );
+        sim
+    }
+
+    #[test]
+    fn a_view_change_buffers_each_request_once_in_arrival_order() {
+        let (mut sim, mut oracle) = (restarted_leaders_run(false), restarted_leaders_run(true));
+        let (mut most, mut replayed) = (0, 0);
+        let mut before = [0; 8];
+        while sim.now() < ms(300) {
+            assert_eq!(sim.step(), oracle.step());
+            for p in (1..=7).map(ProcessId) {
+                let a = sim.actor(p).replica().unwrap();
+                let b = oracle.actor(p).replica().unwrap();
+                // Same buffer, same order: the replay after install is the same.
+                assert_eq!(a.pending_requests, b.pending_requests, "replica {p}");
+                let keys: BTreeSet<_> =
+                    a.pending_requests.iter().map(|r| (r.client, r.op)).collect();
+                assert_eq!(a.pending_keys, keys, "replica {p}");
+                assert_eq!(keys.len(), a.pending_requests.len(), "replica {p}");
+                let len = a.pending_requests_len();
+                if len < before[p.index()] {
+                    replayed += before[p.index()];
+                }
+                before[p.index()] = len;
+                most = most.max(len);
+            }
+        }
+        let retries: u64 =
+            sim.ids().filter_map(|p| sim.actor(p).client()).map(|c| c.retries).sum();
+        // p1, restarted mid view change, buffers retransmissions from the
+        // second crash's retry storm and replays them at its next install.
+        assert!(most >= 100 && replayed >= 100 && retries > 0, "{most} {replayed} {retries}");
+        assert_eq!(total_committed(&sim), total_committed(&oracle));
     }
 
     /// Restarting in the instant a poll was armed asks for that very
