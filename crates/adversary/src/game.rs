@@ -14,6 +14,7 @@
 //! `C(f+2, 2) − 1` changes (i.e. `C(f+2, 2)` proposed quorums counting the
 //! initial one) and Theorem 3 bounds Algorithm 1 by `f(f+1)`.
 
+#[expect(clippy::disallowed_types, reason = "D1: lookup-only memo; never iterated")]
 use std::collections::HashMap;
 
 use qsel_graph::SuspectGraph;
@@ -232,6 +233,7 @@ pub struct GameResult {
 /// # Panics
 ///
 /// Panics if `f > 5` (use [`greedy_adversary`] instead).
+#[expect(clippy::disallowed_types, reason = "D1: lookup-only memo; never iterated")]
 pub fn max_interruptions(algo: &dyn QuorumAlgorithm, n: u32, f: u32) -> GameResult {
     assert!(f <= 5, "exact search is exponential; use greedy_adversary for f > 5");
     let pairs = window_pairs(f);
@@ -251,6 +253,7 @@ pub fn max_interruptions(algo: &dyn QuorumAlgorithm, n: u32, f: u32) -> GameResu
     GameResult { changes: best, schedule }
 }
 
+#[expect(clippy::disallowed_types, reason = "D1: lookup-only memo; never iterated")]
 fn search(
     algo: &dyn QuorumAlgorithm,
     n: u32,

@@ -31,7 +31,6 @@
 //!   scenario layer (`qsel-scenario`) resolves adversary configuration
 //!   through.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod byzantine;

@@ -11,8 +11,6 @@
 //!    permanent suspicions, transient false accusations accumulate until
 //!    no quorum exists at all; epochs let the system shed them.
 
-#![forbid(unsafe_code)]
-
 use qsel::node::{NodeConfig, SelectorNode, ServiceMsg};
 use qsel_bench::Table;
 use qsel_detector::FdConfig;
@@ -20,7 +18,6 @@ use qsel_graph::SuspectGraph;
 use qsel_simnet::{DelayModel, SimConfig, SimDuration, SimTime, Simulation};
 use qsel_types::crypto::Keychain;
 use qsel_types::{ClusterConfig, ProcessId};
-use std::time::Instant;
 
 /// Dense adversarial graph: f faulty nodes each suspected by many.
 fn dense_graph(n: u32, f: u32) -> SuspectGraph {
@@ -50,16 +47,17 @@ fn ablate_pruning() {
         let q = n - f;
         let reps = 2_000u32;
         let timed = |prune: bool| {
-            let start = Instant::now();
-            for _ in 0..reps {
-                let s = if prune {
-                    g.first_independent_set(q)
-                } else {
-                    g.first_independent_set_no_prune(q)
-                };
-                std::hint::black_box(&s);
-            }
-            start.elapsed().as_micros() as f64 / f64::from(reps)
+            let ((), elapsed) = qsel_bench::host::timed(|| {
+                for _ in 0..reps {
+                    let s = if prune {
+                        g.first_independent_set(q)
+                    } else {
+                        g.first_independent_set_no_prune(q)
+                    };
+                    std::hint::black_box(&s);
+                }
+            });
+            elapsed.as_micros() as f64 / f64::from(reps)
         };
         // Verify both agree before timing.
         assert_eq!(g.first_independent_set(q), g.first_independent_set_no_prune(q));

@@ -12,8 +12,6 @@
 //! suspicion) whenever it sits in the active quorum. We count quorum
 //! changes until the system settles on a quorum excluding it.
 
-#![forbid(unsafe_code)]
-
 use qsel_adversary::cluster::{FsCluster, QsCluster};
 use qsel_adversary::game::RoundRobinEnumeration;
 use qsel_bench::Table;

@@ -11,8 +11,6 @@
 //!    and after GST. Adaptive back-off must drive post-GST false
 //!    suspicions to zero.
 
-#![forbid(unsafe_code)]
-
 use qsel::node::{NodeConfig, SelectorNode, ServiceMsg};
 use qsel_bench::Table;
 use qsel_detector::FdConfig;

@@ -7,8 +7,6 @@
 //! bounds the quorums issued per epoch by `3f + 1`; Corollary 10 bounds
 //! the total after stabilization by `6f + 2`.
 
-#![forbid(unsafe_code)]
-
 use qsel_adversary::cluster::FsCluster;
 use qsel_bench::Table;
 use qsel_types::{ClusterConfig, ProcessId};

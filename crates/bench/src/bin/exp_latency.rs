@@ -22,11 +22,9 @@
 //! exp-latency <out_dir> [--baseline PATH]
 //! ```
 
-#![forbid(unsafe_code)]
-
 use std::path::PathBuf;
 
-use qsel_bench::Table;
+use qsel_bench::{host, Table};
 use qsel_obs::metrics::percentile_sorted;
 use qsel_obs::replay::parse_jsonl;
 use qsel_obs::span::{SpanReport, PHASES};
@@ -96,7 +94,6 @@ fn main() {
             }
         }
     }
-    std::fs::create_dir_all(&out_dir).expect("cannot create output directory");
 
     let sc = scenario();
     let mut lat: Vec<u64> = Vec::new();
@@ -144,7 +141,7 @@ fn main() {
     table.print("E-LAT — commit latency attribution (pooled over seeds 1..3)");
     println!("end-to-end: p50 {p50}µs  p90 {p90}µs  p99 {p99}µs  ({} spans)", lat.len());
 
-    let baseline = std::fs::read_to_string(&baseline_path)
+    let baseline = host::read_text(&baseline_path)
         .ok()
         .as_deref()
         .and_then(baseline_p99);
@@ -195,7 +192,7 @@ fn main() {
     json.push_str(&format!("  \"gate\": 1.1,\n  \"pass\": {pass}\n}}\n"));
 
     let path = out_dir.join("BENCH_latency.json");
-    std::fs::write(&path, json).expect("cannot write benchmark JSON");
+    host::write_result(&path, json);
     println!("wrote {}", path.display());
     if !pass {
         eprintln!("end-to-end p99 regressed more than 10% against the committed baseline");

@@ -15,8 +15,6 @@
 //! per-broadcast recipient reductions for both the `3f+1` and the
 //! `2f+1` replica models.
 
-#![forbid(unsafe_code)]
-
 use qsel_bench::{pct, Table};
 use qsel_pbft::{run_workload, Participation};
 use qsel_simnet::SimTime;

@@ -13,8 +13,6 @@
 //! run against the *full* Algorithm 1 cluster (real modules, instant
 //! propagation) to confirm the abstract game matches the protocol.
 
-#![forbid(unsafe_code)]
-
 use qsel_adversary::cluster::ClusterUnderAttack;
 use qsel_adversary::game::{greedy_adversary, max_interruptions, LexFirstIs};
 use qsel_bench::Table;

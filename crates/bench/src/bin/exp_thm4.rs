@@ -9,8 +9,6 @@
 //! enumeration can additionally be forced around its whole C(n, f) cycle
 //! by a single culprit (see exp-baseline), which Algorithm 1 cannot.
 
-#![forbid(unsafe_code)]
-
 use qsel_adversary::game::{max_interruptions, LexFirstIs, RoundRobinEnumeration};
 use qsel_bench::Table;
 use qsel_types::thresholds::binomial;

@@ -25,11 +25,9 @@
 //! at ≥ 3× the rate of the unbatched `b1d1` baseline on the 5-replica
 //! cluster.
 
-#![forbid(unsafe_code)]
-
 use std::path::PathBuf;
 
-use qsel_bench::Table;
+use qsel_bench::{host, Table};
 use qsel_simnet::{SimDuration, SimTime};
 use qsel_types::ClusterConfig;
 use qsel_xpaxos::harness::{total_committed, ClusterBuilder};
@@ -104,7 +102,6 @@ fn run(cfg: ClusterConfig, policy: BatchPolicy) -> (f64, f64) {
 
 fn main() {
     let out_dir = PathBuf::from(std::env::args().nth(1).unwrap_or_else(|| ".".to_string()));
-    std::fs::create_dir_all(&out_dir).expect("cannot create output directory");
 
     let n5 = ClusterConfig::new(5, 1).unwrap();
     let n7 = ClusterConfig::new(7, 2).unwrap();
@@ -181,7 +178,7 @@ fn main() {
          \"gate\": 3.0,\n  \"pass\": {pass}\n}}\n"
     ));
     let path = out_dir.join("BENCH_throughput.json");
-    std::fs::write(&path, json).expect("cannot write benchmark JSON");
+    host::write_result(&path, json);
     println!("wrote {}", path.display());
     if !pass {
         eprintln!("batched throughput below the 3x acceptance gate");

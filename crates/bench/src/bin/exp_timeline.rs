@@ -7,8 +7,6 @@
 //! then recovery to the pre-fault rate; omissions from the now-passive
 //! replica cost nothing afterwards.
 
-#![forbid(unsafe_code)]
-
 use qsel_bench::Table;
 use qsel_simnet::{SimDuration, SimTime};
 use qsel_types::{ClusterConfig, ProcessId};

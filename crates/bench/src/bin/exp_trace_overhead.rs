@@ -19,12 +19,9 @@
 //! overhead reaches 2% — the regression budget the roadmap grants the
 //! observability layer.
 
-#![forbid(unsafe_code)]
-
 use std::path::PathBuf;
-use std::time::Instant;
 
-use qsel_bench::Table;
+use qsel_bench::{host, Table};
 use qsel_obs::{TraceEvent, TraceSink};
 use qsel_types::ClusterConfig;
 use qsel_xpaxos::harness::{total_committed, ClusterBuilder};
@@ -46,13 +43,14 @@ fn run_once(sink: TraceSink) -> (f64, u64) {
         .trace_sink(sink.clone())
         .build();
     let expected = u64::from(CLIENTS) * OPS_PER_CLIENT;
-    let start = Instant::now();
-    let mut next = 0u64;
-    while total_committed(&sim) < expected && next < DEADLINE_MICROS {
-        next = (next + 500_000).min(DEADLINE_MICROS);
-        sim.run_until(SimTime::from_micros(next));
-    }
-    let wall = start.elapsed().as_nanos() as f64 / 1_000.0;
+    let ((), elapsed) = host::timed(|| {
+        let mut next = 0u64;
+        while total_committed(&sim) < expected && next < DEADLINE_MICROS {
+            next = (next + 500_000).min(DEADLINE_MICROS);
+            sim.run_until(SimTime::from_micros(next));
+        }
+    });
+    let wall = elapsed.as_nanos() as f64 / 1_000.0;
     assert_eq!(
         total_committed(&sim),
         expected,
@@ -65,20 +63,20 @@ fn run_once(sink: TraceSink) -> (f64, u64) {
 fn disabled_emit_ns() -> f64 {
     let sink = TraceSink::disabled();
     let reps: u64 = 20_000_000;
-    let start = Instant::now();
-    for i in 0..reps {
-        sink.emit(|| TraceEvent::Decided {
-            p: (i % 4) as u32 + 1,
-            slot: i,
-        });
-        std::hint::black_box(&sink);
-    }
-    start.elapsed().as_nanos() as f64 / reps as f64
+    let ((), elapsed) = host::timed(|| {
+        for i in 0..reps {
+            sink.emit(|| TraceEvent::Decided {
+                p: (i % 4) as u32 + 1,
+                slot: i,
+            });
+            std::hint::black_box(&sink);
+        }
+    });
+    elapsed.as_nanos() as f64 / reps as f64
 }
 
 fn main() {
     let out_dir = PathBuf::from(std::env::args().nth(1).unwrap_or_else(|| ".".to_string()));
-    std::fs::create_dir_all(&out_dir).expect("cannot create output directory");
 
     // Warm-up pair (page cache, allocator), then interleaved measurement.
     let _ = run_once(TraceSink::disabled());
@@ -137,7 +135,7 @@ fn main() {
          \"pass\": {pass}\n}}\n"
     );
     let path = out_dir.join("BENCH_trace_overhead.json");
-    std::fs::write(&path, json).expect("cannot write benchmark JSON");
+    host::write_result(&path, json);
     println!("wrote {}", path.display());
     if !pass {
         eprintln!("untraced instrumentation overhead exceeds the 2% budget");

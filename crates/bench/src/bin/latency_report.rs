@@ -21,12 +21,10 @@
 //! * a second run of the same (scenario, seed) yields byte-identical
 //!   report bytes — determinism checked where it is consumed.
 
-#![forbid(unsafe_code)]
-
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use qsel_bench::Table;
+use qsel_bench::{host, Table};
 use qsel_obs::metrics::percentile_sorted;
 use qsel_obs::replay::parse_jsonl;
 use qsel_obs::span::{SpanReport, PHASES};
@@ -44,7 +42,7 @@ fn main() -> ExitCode {
         .unwrap_or(1);
     let out_dir = PathBuf::from(args.next().unwrap_or_else(|| ".".to_string()));
 
-    let text = match std::fs::read_to_string(&path) {
+    let text = match host::read_text(path.as_ref()) {
         Ok(t) => t,
         Err(e) => {
             eprintln!("cannot read {path}: {e}");
@@ -95,9 +93,8 @@ fn main() -> ExitCode {
         lat.last().copied().unwrap_or(0),
     );
 
-    std::fs::create_dir_all(&out_dir).expect("cannot create output directory");
     let out_path = out_dir.join("latency_report.json");
-    std::fs::write(&out_path, &artifacts.latency_report).expect("cannot write latency report");
+    host::write_result(&out_path, &artifacts.latency_report);
     println!("report → {}", out_path.display());
 
     let mut ok = true;

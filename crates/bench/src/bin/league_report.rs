@@ -15,28 +15,20 @@
 //! verdicts were found at all (an empty league means the matrix broke —
 //! that must not read as green).
 
-#![forbid(unsafe_code)]
-
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use qsel_bench::Table;
+use qsel_bench::{host, Table};
 use qsel_obs::Verdict;
 
 fn collect_verdicts(dir: &Path, out: &mut Vec<(PathBuf, Verdict)>) -> Result<(), String> {
-    let entries = std::fs::read_dir(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
-    // Sort for a deterministic report independent of filesystem order.
-    let mut paths: Vec<PathBuf> = entries
-        .map(|e| e.map(|e| e.path()))
-        .collect::<Result<_, _>>()
-        .map_err(|e| format!("{}: {e}", dir.display()))?;
-    paths.sort();
+    let paths = host::sorted_entries(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
     for path in paths {
         if path.is_dir() {
             collect_verdicts(&path, out)?;
         } else if path.file_name().is_some_and(|n| n == "verdict.json") {
             let text =
-                std::fs::read_to_string(&path).map_err(|e| format!("{}: {e}", path.display()))?;
+                host::read_text(&path).map_err(|e| format!("{}: {e}", path.display()))?;
             let verdict =
                 Verdict::parse_json(&text).map_err(|e| format!("{}: {e}", path.display()))?;
             out.push((path, verdict));
@@ -132,11 +124,11 @@ fn main() -> ExitCode {
     );
 
     if let Some(p) = &json_path {
-        std::fs::write(p, &json).expect("cannot write league report json");
+        host::write_result(p, &json);
         println!("report → {}", p.display());
     }
     if let Some(p) = &md_path {
-        std::fs::write(p, &md).expect("cannot write league report markdown");
+        host::write_result(p, &md);
         println!("summary → {}", p.display());
     }
     print!("{md}");

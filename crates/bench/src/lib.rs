@@ -3,7 +3,6 @@
 //! Each binary regenerates one experiment from `EXPERIMENTS.md` (which maps
 //! them to the paper's claims) and prints a markdown table to stdout.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::fmt::Display;
@@ -80,6 +79,61 @@ pub fn pct(part: f64, whole: f64) -> String {
         "n/a".to_owned()
     } else {
         format!("{:.1}%", 100.0 * part / whole)
+    }
+}
+
+/// The experiments' only contact with the host: input files, result
+/// files and the wall clock. `clippy.toml` bans all three workspace-wide
+/// so the simulated crates stay sans-io and reproducible; `bench` reads,
+/// writes and times on purpose, and does it only here.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "P3: bench reads its inputs and writes result files on purpose"
+)]
+#[expect(
+    clippy::disallowed_types,
+    reason = "D2: bench measures wall-clock time on purpose"
+)]
+pub mod host {
+    use std::io;
+    use std::path::{Path, PathBuf};
+    use std::time::{Duration, Instant};
+
+    /// Reads a UTF-8 input file.
+    pub fn read_text(path: &Path) -> io::Result<String> {
+        std::fs::read_to_string(path)
+    }
+
+    /// The entries of `dir`, sorted so callers see an order that does
+    /// not depend on the filesystem.
+    pub fn sorted_entries(dir: &Path) -> io::Result<Vec<PathBuf>> {
+        let mut paths = std::fs::read_dir(dir)?
+            .map(|e| e.map(|e| e.path()))
+            .collect::<io::Result<Vec<_>>>()?;
+        paths.sort();
+        Ok(paths)
+    }
+
+    /// Writes a result file, creating its directory first.
+    ///
+    /// # Panics
+    ///
+    /// If the directory or the file cannot be written: an experiment
+    /// whose result is lost has failed.
+    pub fn write_result(path: &Path, contents: impl AsRef<[u8]>) {
+        if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
+            std::fs::create_dir_all(dir)
+                .unwrap_or_else(|e| panic!("cannot create {}: {e}", dir.display()));
+        }
+        std::fs::write(path, contents)
+            .unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
+    }
+
+    /// Runs `f` and returns its result with the wall-clock time it took.
+    pub fn timed<T>(f: impl FnOnce() -> T) -> (T, Duration) {
+        let start = Instant::now();
+        let out = f();
+        (out, start.elapsed())
     }
 }
 

@@ -6,8 +6,6 @@
 //! integers and raw slices to a growable buffer. The method names and
 //! semantics match the real crate so the shim can be swapped back out.
 
-#![forbid(unsafe_code)]
-
 /// A buffer that bytes can be appended to.
 ///
 /// Matches the subset of `bytes::BufMut` used for canonical message

@@ -294,8 +294,11 @@ impl FollowerSelection {
     }
 
     fn issue_quorum(&mut self, out: &mut Vec<FsOutput>) {
+        #[expect(
+            clippy::expect_used,
+            reason = "q_last is maintained at size n-t by construction; a malformed quorum here is unrecoverable state corruption"
+        )]
         let quorum = LeaderQuorum::of(&self.base.cfg, self.leader, self.q_last.iter())
-            // lint: allow(S2, q_last is maintained at size n-t by construction; a malformed quorum here is unrecoverable state corruption)
             .expect("internal quorum invariants violated");
         self.base.record_quorum("fs", *quorum.quorum().members());
         out.push(FsOutput::Quorum(quorum));

@@ -51,8 +51,11 @@
 //! }
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// S2: protocol code returns typed errors instead of panicking. A
+// deliberate panic carries `#[expect(clippy::…, reason = "…")]`.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 
 mod follower_selection;
 mod matrix;

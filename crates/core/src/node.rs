@@ -395,7 +395,10 @@ impl Actor<ServiceMsg> for SelectorNode {
                 let suspected = self.fd.poll(ctx.now());
                 self.pump(ctx, suspected.map(Work::Suspected));
             }
-            // lint: allow(S2, timers are armed only by this node; an unknown id is a harness bug best surfaced loudly)
+            #[expect(
+                clippy::unreachable,
+                reason = "timers are armed only by this node; an unknown id is a harness bug best surfaced loudly"
+            )]
             other => unreachable!("unknown timer {other:?}"),
         }
     }

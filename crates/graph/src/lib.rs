@@ -39,7 +39,6 @@
 //! assert_eq!(members, vec![1, 3, 4]);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cover;

@@ -1,28 +1,27 @@
-#![forbid(unsafe_code)]
-//! `qsel-lint` — protocol-aware static analysis for determinism and
-//! protocol-safety invariants.
+//! `qsel-lint` — protocol-aware static analysis for the invariants the
+//! compiler cannot see.
 //!
-//! The repo's correctness story rests on byte-identical seeded traces
-//! (golden traces, chaos soak, replay bound-checking); this crate is
-//! what *enforces* the properties those tests only sample. The analyzer
-//! is dependency-free (no `syn` — the workspace is offline): a hand
-//! rolled lexer feeds an item-level parser, a per-crate symbol table,
-//! and a name-resolved interprocedural call graph, over which the
-//! passes run.
+//! The paper's guarantees hold here only if every signed payload is
+//! verified before use and every quorum threshold comes from one place.
+//! Those are properties of the protocol, not of types, so this crate
+//! checks them: a dependency-free (no `syn` — the workspace is offline)
+//! hand-rolled lexer feeds an item-level parser, a per-crate symbol
+//! table, and a name-resolved reverse call graph, over which the passes
+//! run.
 //!
 //! | id | name | invariant |
 //! |----|------|-----------|
-//! | D1 | nondeterministic-iteration | no `HashMap`/`HashSet` in crates whose iteration order can reach messages, traces, or stats |
-//! | D2 | wall-clock | no `std::time::{Instant, SystemTime}` outside `bench` |
-//! | D3 | ambient-rng | no `thread_rng`/`from_entropy`/`OsRng`; randomness flows from seeded generators |
 //! | S1 | verify-before-use | a fn reading a `Signed*` payload is dominated by a verify-family call — in its own body or in every caller (interprocedural, depth-bounded) |
-//! | S2 | panic-in-protocol | no `unwrap()`/`expect(_)`/`panic!` family in protocol crates outside tests |
-//! | H1 | unsafe-header | every crate root carries `#![forbid(unsafe_code)]` |
-//! | P1 | handler-exhaustiveness | every wire-enum variant (`XpMsg`, `PbftMsg`) is named in code reachable from its message handler |
 //! | P2 | quorum-arithmetic | no hand-written `f + 1` / `2*f` / `n - f` threshold math outside `qsel_types::thresholds` |
-//! | P3 | sans-io-purity | no call chain from a pure protocol crate reaches `std::net`/`std::thread`/`std::fs` or wall-clock types |
 //! | P4 | trace-coverage | every `TraceEvent` variant is emitted outside its crate |
 //! | A1 | stale-allow | every `// lint: allow(...)` annotation matches a live finding |
+//!
+//! The other workspace invariants are enforced by the toolchain, with
+//! type information this crate does not have (DESIGN.md §15): H1 no
+//! `unsafe` (`[workspace.lints.rust]` in the root manifest), D1–D3
+//! determinism and P3 sans-io purity (`clippy.toml`), S2 no panics and
+//! P1 exhaustive message handlers (`#[deny(clippy::…)]` in the crates
+//! they cover).
 //!
 //! Escape hatch: `// lint: allow(ID, reason)` on the finding's line or
 //! the line directly above. Suppressed findings still appear in
@@ -31,27 +30,21 @@
 //! longer matches anything is itself a finding, and is not suppressible.
 //!
 //! Run with `cargo run -p qsel-lint`; exits non-zero on any unsuppressed
-//! finding. In CI, `--baseline lint_baseline.json` compares against a
-//! committed baseline of known findings (keyed by stable IDs that
-//! survive line shifts) and fails only on *new* ones.
+//! finding.
 
-pub mod baseline;
 pub mod config;
 pub mod lexer;
-pub mod lints;
 pub mod model;
 pub mod parser;
 pub mod passes;
 pub mod report;
 
 use std::collections::BTreeMap;
-use std::fs;
 use std::path::{Path, PathBuf};
 
 pub use config::LintConfig;
-pub use lints::FileMeta;
 pub use model::Workspace;
-pub use parser::ParsedFile;
+pub use parser::{FileMeta, ParsedFile};
 pub use report::{Finding, Report};
 
 /// Lints every workspace source file under `root` with `cfg`, resolving
@@ -59,20 +52,14 @@ pub use report::{Finding, Report};
 ///
 /// Scanned: `crates/*/src/**/*.rs` (including `src/bin/`), the root
 /// package's `src/**/*.rs`, and `examples/*.rs`. Integration-test
-/// directories (`tests/`) are not scanned — every lint except H1
-/// already exempts test code, and fixtures under
-/// `crates/lint/tests/fixtures/` contain deliberate violations.
+/// directories (`tests/`) are not scanned — every pass exempts test
+/// code, and fixtures under `crates/lint/tests/fixtures/` contain
+/// deliberate violations.
 pub fn run(root: &Path, cfg: &LintConfig) -> std::io::Result<Report> {
     let mut files: Vec<(PathBuf, FileMeta)> = Vec::new();
     let crates_dir = root.join("crates");
     if crates_dir.is_dir() {
-        let mut crates: Vec<PathBuf> = fs::read_dir(&crates_dir)?
-            .filter_map(|e| e.ok())
-            .map(|e| e.path())
-            .filter(|p| p.is_dir())
-            .collect();
-        crates.sort();
-        for krate in crates {
+        for krate in files::entries(&crates_dir)? {
             let src = krate.join("src");
             if src.is_dir() {
                 collect_rs(&src, &mut |p| {
@@ -112,7 +99,7 @@ pub fn lint_paths_with_deps(
 ) -> std::io::Result<Report> {
     let mut parsed = Vec::with_capacity(files.len());
     for (path, meta) in files {
-        let src = fs::read_to_string(path)?;
+        let src = files::read(path)?;
         parsed.push(ParsedFile::parse(&src, meta));
     }
     let ws = Workspace::build(parsed, deps);
@@ -132,13 +119,10 @@ pub fn lint_source(src: &str, meta: &FileMeta, cfg: &LintConfig) -> Vec<Finding>
     analyze(&ws, cfg)
 }
 
-/// The full pipeline over a built workspace: per-file lints, workspace
-/// passes, suppression application, then the stale-allow audit.
+/// The full pipeline over a built workspace: the passes, suppression
+/// application, then the stale-allow audit.
 pub fn analyze(ws: &Workspace, cfg: &LintConfig) -> Vec<Finding> {
     let mut findings = Vec::new();
-    for file in &ws.files {
-        lints::per_file_lints(file, cfg, &mut findings);
-    }
     passes::workspace_passes(ws, cfg, &mut findings);
     apply_suppressions(ws, &mut findings);
     let mut stale = Vec::new();
@@ -175,7 +159,7 @@ fn apply_suppressions(ws: &Workspace, findings: &mut [Finding]) {
 pub fn workspace_deps(root: &Path) -> std::io::Result<BTreeMap<String, Vec<String>>> {
     // 1. Package name → crate dir, from the root manifest's
     //    `[workspace.dependencies]` (`qsel = { path = "crates/core" }`).
-    let root_toml = fs::read_to_string(root.join("Cargo.toml")).unwrap_or_default();
+    let root_toml = files::read(&root.join("Cargo.toml")).unwrap_or_default();
     let mut name_to_dir: BTreeMap<String, String> = BTreeMap::new();
     for (section, line) in toml_lines(&root_toml) {
         if section != "workspace.dependencies" {
@@ -215,12 +199,10 @@ pub fn workspace_deps(root: &Path) -> std::io::Result<BTreeMap<String, Vec<Strin
     };
     let crates_dir = root.join("crates");
     if crates_dir.is_dir() {
-        for e in fs::read_dir(&crates_dir)?.filter_map(|e| e.ok()) {
-            let p = e.path();
-            let manifest = p.join("Cargo.toml");
+        for p in files::entries(&crates_dir)? {
             if let (Some(dir), Ok(toml)) = (
                 p.file_name().map(|s| s.to_string_lossy().to_string()),
-                fs::read_to_string(&manifest),
+                files::read(&p.join("Cargo.toml")),
             ) {
                 add_manifest(&dir, &toml);
             }
@@ -289,12 +271,7 @@ pub fn file_meta(root: &Path, path: &Path) -> FileMeta {
 /// Recursively collects `.rs` files under `dir`, sorted for
 /// deterministic report order.
 fn collect_rs(dir: &Path, f: &mut impl FnMut(&Path)) -> std::io::Result<()> {
-    let mut entries: Vec<PathBuf> = fs::read_dir(dir)?
-        .filter_map(|e| e.ok())
-        .map(|e| e.path())
-        .collect();
-    entries.sort();
-    for p in entries {
+    for p in files::entries(dir)? {
         if p.is_dir() {
             collect_rs(&p, f)?;
         } else if p.extension().is_some_and(|e| e == "rs") {
@@ -302,6 +279,39 @@ fn collect_rs(dir: &Path, f: &mut impl FnMut(&Path)) -> std::io::Result<()> {
         }
     }
     Ok(())
+}
+
+/// The linter's only file access: it reads the tree it audits and
+/// writes its report. `clippy.toml` bans `std::fs` workspace-wide to
+/// keep protocol code sans-io; the linter is a host tool, so its one
+/// exemption sits here.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the linter reads the source tree it audits and writes its report"
+)]
+pub mod files {
+    use std::io;
+    use std::path::{Path, PathBuf};
+
+    /// Reads a UTF-8 file.
+    pub fn read(path: &Path) -> io::Result<String> {
+        std::fs::read_to_string(path)
+    }
+
+    /// Writes `contents` to `path`.
+    pub fn write(path: &Path, contents: &str) -> io::Result<()> {
+        std::fs::write(path, contents)
+    }
+
+    /// The entries of `dir`, sorted so reports do not depend on the
+    /// filesystem's order.
+    pub fn entries(dir: &Path) -> io::Result<Vec<PathBuf>> {
+        let mut out = std::fs::read_dir(dir)?
+            .map(|e| e.map(|e| e.path()))
+            .collect::<io::Result<Vec<_>>>()?;
+        out.sort();
+        Ok(out)
+    }
 }
 
 #[cfg(test)]
@@ -337,17 +347,29 @@ mod tests {
         assert_eq!(map["qsel"], "crates/core");
     }
 
-    #[test]
-    fn stale_allow_is_not_suppressible() {
-        let meta = FileMeta {
+    fn core_meta() -> FileMeta {
+        FileMeta {
             path: "crates/core/src/x.rs".into(),
             krate: "core".into(),
             is_crate_root: false,
-        };
+        }
+    }
+
+    #[test]
+    fn suppression_covers_own_and_next_line() {
+        let src = "// lint: allow(P2, justified)\nfn g(f: u32) -> u32 { f + 1 }";
+        let f = lint_source(src, &core_meta(), &LintConfig::default());
+        assert_eq!(f.len(), 1);
+        assert_eq!(f[0].suppressed.as_deref(), Some("justified"));
+    }
+
+    #[test]
+    fn stale_allow_is_not_suppressible() {
+        let meta = core_meta();
         // The allow matches nothing; an A1 fires; a second allow aimed
         // at the A1 itself must not mute it (and is itself stale).
         let src = "// lint: allow(A1, trying to mute the audit)\n\
-                   // lint: allow(S2, stale)\nfn fine() {}";
+                   // lint: allow(P2, stale)\nfn fine() {}";
         let f = lint_source(src, &meta, &LintConfig::default());
         let a1: Vec<_> = f.iter().filter(|x| x.lint == "A1").collect();
         assert_eq!(a1.len(), 2);

@@ -1,18 +1,10 @@
-#![forbid(unsafe_code)]
 //! `qsel-lint` binary: lints the workspace, prints the human report,
-//! writes `lint_report.json`, and exits non-zero on findings.
+//! writes `lint_report.json`, and exits non-zero on any unsuppressed
+//! finding.
 //!
 //! ```text
-//! qsel-lint [ROOT] [--json PATH] [--baseline PATH] [--write-baseline PATH]
+//! qsel-lint [ROOT] [--json PATH]
 //! ```
-//!
-//! * Without a baseline: exit 1 on any unsuppressed finding.
-//! * `--baseline PATH`: differential mode — exit 1 only on findings not
-//!   covered by the committed baseline (keyed by stable IDs, so line
-//!   shifts don't break it). A missing baseline file is an error: CI
-//!   must never silently fall back to non-differential behavior.
-//! * `--write-baseline PATH`: record the current unsuppressed findings
-//!   as the new baseline and exit 0 (the refresh tool, run locally).
 //!
 //! `ROOT` defaults to the current directory; the JSON report path
 //! defaults to `lint_report.json` under `ROOT`.
@@ -20,41 +12,23 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use qsel_lint::baseline::Baseline;
-use qsel_lint::{run, LintConfig};
+use qsel_lint::{files, run, LintConfig};
 
 fn main() -> ExitCode {
     let mut root = PathBuf::from(".");
     let mut json_path: Option<PathBuf> = None;
-    let mut baseline_path: Option<PathBuf> = None;
-    let mut write_baseline: Option<PathBuf> = None;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
-        let mut path_arg = |flag: &str| match args.next() {
-            Some(p) => Ok(PathBuf::from(p)),
-            None => {
-                eprintln!("qsel-lint: {flag} requires a path");
-                Err(ExitCode::from(2))
-            }
-        };
         match a.as_str() {
-            "--json" => match path_arg("--json") {
-                Ok(p) => json_path = Some(p),
-                Err(c) => return c,
-            },
-            "--baseline" => match path_arg("--baseline") {
-                Ok(p) => baseline_path = Some(p),
-                Err(c) => return c,
-            },
-            "--write-baseline" => match path_arg("--write-baseline") {
-                Ok(p) => write_baseline = Some(p),
-                Err(c) => return c,
+            "--json" => match args.next() {
+                Some(p) => json_path = Some(PathBuf::from(p)),
+                None => {
+                    eprintln!("qsel-lint: --json requires a path");
+                    return ExitCode::from(2);
+                }
             },
             "--help" | "-h" => {
-                println!(
-                    "usage: qsel-lint [ROOT] [--json PATH] [--baseline PATH] \
-                     [--write-baseline PATH]"
-                );
+                println!("usage: qsel-lint [ROOT] [--json PATH]");
                 return ExitCode::SUCCESS;
             }
             other => root = PathBuf::from(other),
@@ -70,55 +44,10 @@ fn main() -> ExitCode {
         }
     };
     print!("{}", report.human());
-    if let Err(e) = std::fs::write(&json_path, report.to_json()) {
+    if let Err(e) = files::write(&json_path, &report.to_json()) {
         eprintln!("qsel-lint: writing {}: {e}", json_path.display());
         return ExitCode::from(2);
     }
-
-    if let Some(path) = write_baseline {
-        let b = Baseline::from_report(&report);
-        if let Err(e) = std::fs::write(&path, b.to_json()) {
-            eprintln!("qsel-lint: writing {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-        println!(
-            "qsel-lint: wrote baseline with {} entry(ies) to {}",
-            b.len(),
-            path.display()
-        );
-        return ExitCode::SUCCESS;
-    }
-
-    if let Some(path) = baseline_path {
-        let text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("qsel-lint: reading baseline {}: {e}", path.display());
-                return ExitCode::from(2);
-            }
-        };
-        let baseline = match Baseline::parse(&text) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("qsel-lint: {e}");
-                return ExitCode::from(2);
-            }
-        };
-        let new = baseline.new_findings(&report);
-        if new.is_empty() {
-            println!(
-                "qsel-lint: no new findings vs baseline ({} known entry(ies))",
-                baseline.len()
-            );
-            return ExitCode::SUCCESS;
-        }
-        println!("qsel-lint: {} new finding(s) vs baseline:", new.len());
-        for f in new {
-            println!("  NEW {}: {}", f.id(), f.message);
-        }
-        return ExitCode::FAILURE;
-    }
-
     if report.unsuppressed_count() > 0 {
         ExitCode::FAILURE
     } else {

@@ -6,9 +6,9 @@
 //! caller's crate defines none — in the crates it declares as
 //! dependencies. That over-approximates (two unrelated methods named
 //! `len` alias) but never misses an edge inside the workspace, which is
-//! the direction the purity and verify-before-use proofs need.
+//! the direction the verify-before-use proof needs.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use crate::lexer::Tok;
 use crate::parser::{FnItem, ParsedFile};
@@ -31,13 +31,13 @@ pub struct FnDef {
     pub item: FnItem,
     /// Owning crate (directory name, as in [`FileMeta::krate`]).
     ///
-    /// [`FileMeta::krate`]: crate::lints::FileMeta::krate
+    /// [`FileMeta::krate`]: crate::parser::FileMeta::krate
     pub krate: String,
     /// Calls made from the body, in token order.
     pub calls: Vec<CallSite>,
 }
 
-/// The parsed workspace: files, functions, and the call graph.
+/// The parsed workspace: files, functions, and the reverse call graph.
 #[derive(Debug, Default)]
 pub struct Workspace {
     /// All parsed files, in scan order.
@@ -48,8 +48,6 @@ pub struct Workspace {
     pub fns: Vec<FnDef>,
     /// Function name → indices into `fns`.
     by_name: BTreeMap<String, Vec<usize>>,
-    /// Resolved call edges: caller fn id → callee fn ids (deduped).
-    edges: Vec<Vec<usize>>,
     /// Reverse edges: callee fn id → (caller fn id, call-site token idx).
     callers: Vec<Vec<(usize, usize)>>,
 }
@@ -62,7 +60,7 @@ const NON_CALL_KEYWORDS: &[&str] = &[
 
 impl Workspace {
     /// Builds the model: extracts call sites, indexes functions by name,
-    /// and resolves edges.
+    /// and resolves each call to its callees.
     pub fn build(files: Vec<ParsedFile>, deps: BTreeMap<String, Vec<String>>) -> Workspace {
         let mut fns = Vec::new();
         for (fi, file) in files.iter().enumerate() {
@@ -88,27 +86,20 @@ impl Workspace {
             deps,
             fns,
             by_name,
-            edges: Vec::new(),
             callers: Vec::new(),
         };
-        ws.edges = vec![Vec::new(); ws.fns.len()];
-        ws.callers = vec![Vec::new(); ws.fns.len()];
-        for caller in 0..ws.fns.len() {
-            if ws.fns[caller].item.in_test {
-                continue; // test code neither taints nor vouches
+        let mut callers = vec![Vec::new(); ws.fns.len()];
+        for (caller, def) in ws.fns.iter().enumerate() {
+            if def.item.in_test {
+                continue; // test code never vouches
             }
-            let mut seen = BTreeSet::new();
-            let calls = ws.fns[caller].calls.clone();
-            let krate = ws.fns[caller].krate.clone();
-            for call in calls {
-                for callee in ws.resolve(&call.name, &krate) {
-                    ws.callers[callee].push((caller, call.idx));
-                    if seen.insert(callee) {
-                        ws.edges[caller].push(callee);
-                    }
+            for call in &def.calls {
+                for callee in ws.resolve(&call.name, &def.krate) {
+                    callers[callee].push((caller, call.idx));
                 }
             }
         }
+        ws.callers = callers;
         ws
     }
 
@@ -137,39 +128,6 @@ impl Workspace {
             .filter(|id| deps.iter().any(|d| *d == self.fns[**id].krate))
             .copied()
             .collect()
-    }
-
-    /// All non-test functions named `name` in crate `krate`.
-    pub fn fns_named(&self, krate: &str, name: &str) -> Vec<usize> {
-        self.by_name
-            .get(name)
-            .map(|ids| {
-                ids.iter()
-                    .filter(|id| self.fns[**id].krate == krate && !self.fns[**id].item.in_test)
-                    .copied()
-                    .collect()
-            })
-            .unwrap_or_default()
-    }
-
-    /// Forward reachability over resolved call edges from `starts`
-    /// (inclusive).
-    pub fn reachable(&self, starts: &[usize]) -> BTreeSet<usize> {
-        let mut seen: BTreeSet<usize> = starts.iter().copied().collect();
-        let mut frontier: Vec<usize> = starts.to_vec();
-        while let Some(id) = frontier.pop() {
-            for &next in &self.edges[id] {
-                if seen.insert(next) {
-                    frontier.push(next);
-                }
-            }
-        }
-        seen
-    }
-
-    /// Direct callees of `id`.
-    pub fn callees(&self, id: usize) -> &[usize] {
-        &self.edges[id]
     }
 
     /// Call sites targeting `id`: `(caller fn id, token idx of the call
@@ -215,7 +173,7 @@ fn extract_calls(file: &ParsedFile, start: usize, end: usize) -> Vec<CallSite> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lints::FileMeta;
+    use crate::parser::FileMeta;
 
     fn file(krate: &str, name: &str, src: &str) -> ParsedFile {
         ParsedFile::parse(
@@ -228,6 +186,13 @@ mod tests {
         )
     }
 
+    /// The id of the fn `name` in `krate` (test fns included).
+    fn id(ws: &Workspace, krate: &str, name: &str) -> usize {
+        (0..ws.fns.len())
+            .find(|&i| ws.fns[i].krate == krate && ws.fns[i].item.name == name)
+            .unwrap()
+    }
+
     #[test]
     fn resolves_same_crate_before_deps() {
         let files = vec![
@@ -236,9 +201,9 @@ mod tests {
         ];
         let deps = BTreeMap::from([("a".to_string(), vec!["b".to_string()])]);
         let ws = Workspace::build(files, deps);
-        let top = ws.fns_named("a", "top")[0];
-        assert_eq!(ws.callees(top).len(), 1);
-        assert_eq!(ws.fns[ws.callees(top)[0]].krate, "a");
+        let top = id(&ws, "a", "top");
+        assert_eq!(ws.call_sites_of(id(&ws, "a", "helper"))[0].0, top);
+        assert!(ws.call_sites_of(id(&ws, "b", "helper")).is_empty());
     }
 
     #[test]
@@ -250,25 +215,8 @@ mod tests {
         ];
         let deps = BTreeMap::from([("a".to_string(), vec!["b".to_string()])]);
         let ws = Workspace::build(files, deps);
-        let top = ws.fns_named("a", "top")[0];
-        let callees = ws.callees(top);
-        assert_eq!(callees.len(), 1);
-        assert_eq!(ws.fns[callees[0]].krate, "b");
-    }
-
-    #[test]
-    fn reachability_is_transitive() {
-        let files = vec![file(
-            "a",
-            "x",
-            "fn one() { two(); }\nfn two() { three(); }\nfn three() {}\nfn island() {}",
-        )];
-        let ws = Workspace::build(files, BTreeMap::new());
-        let one = ws.fns_named("a", "one")[0];
-        let reach = ws.reachable(&[one]);
-        assert_eq!(reach.len(), 3);
-        let island = ws.fns_named("a", "island")[0];
-        assert!(!reach.contains(&island));
+        assert_eq!(ws.call_sites_of(id(&ws, "b", "remote")).len(), 1);
+        assert!(ws.call_sites_of(id(&ws, "c", "remote")).is_empty());
     }
 
     #[test]
@@ -279,8 +227,7 @@ mod tests {
             "fn top() { if (1 > 0) { println!(\"x\"); } match (1) { _ => {} } }",
         )];
         let ws = Workspace::build(files, BTreeMap::new());
-        let top = ws.fns_named("a", "top")[0];
-        assert!(ws.fns[top].calls.is_empty());
+        assert!(ws.fns[id(&ws, "a", "top")].calls.is_empty());
     }
 
     #[test]
@@ -291,7 +238,6 @@ mod tests {
             "fn top() { helper(); }\n#[cfg(test)]\nmod t { fn helper() {} }",
         )];
         let ws = Workspace::build(files, BTreeMap::new());
-        let top = ws.fns_named("a", "top")[0];
-        assert!(ws.callees(top).is_empty());
+        assert!(ws.call_sites_of(id(&ws, "a", "helper")).is_empty());
     }
 }

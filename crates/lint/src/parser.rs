@@ -7,7 +7,19 @@
 //! line-accurate for reporting.
 
 use crate::lexer::{lex, Tok, Token};
-use crate::lints::FileMeta;
+
+/// Where a source file sits in the workspace.
+#[derive(Clone, Debug)]
+pub struct FileMeta {
+    /// Workspace-relative path, `/`-separated (reported verbatim).
+    pub path: String,
+    /// Owning crate (directory name under `crates/`, `qsel-repro` for
+    /// the root package, `examples` for example binaries).
+    pub krate: String,
+    /// Whether this file is a crate root (`lib.rs`, `main.rs`, a
+    /// `src/bin/` binary, or an example).
+    pub is_crate_root: bool,
+}
 
 /// A parsed function item.
 #[derive(Clone, Debug)]
@@ -140,7 +152,7 @@ pub fn collect_suppressions(toks: &[Token]) -> Vec<Suppression> {
 
 /// Token-index ranges (over the comment-stripped stream) covered by
 /// `#[cfg(test)]` or `#[test]` items. Test code is exempt from every
-/// lint except H1.
+/// pass.
 pub fn test_regions(code: &[Token]) -> Vec<(usize, usize)> {
     let mut regions = Vec::new();
     let mut i = 0;
@@ -244,14 +256,14 @@ pub fn matching_close(code: &[Token], open_idx: usize, open: char, close: char) 
     None
 }
 
-fn ident_at(code: &[Token], i: usize) -> Option<&str> {
+pub(crate) fn ident_at(code: &[Token], i: usize) -> Option<&str> {
     match code.get(i).map(|t| &t.tok) {
         Some(Tok::Ident(s)) => Some(s.as_str()),
         _ => None,
     }
 }
 
-fn punct_at(code: &[Token], i: usize, c: char) -> bool {
+pub(crate) fn punct_at(code: &[Token], i: usize, c: char) -> bool {
     code.get(i).map(|t| &t.tok) == Some(&Tok::Punct(c))
 }
 

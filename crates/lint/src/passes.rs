@@ -1,22 +1,13 @@
-//! The protocol-aware workspace passes.
-//!
-//! Unlike the per-file lints, these run over the whole [`Workspace`]
-//! (symbol table + call graph):
+//! The protocol-aware workspace passes. They run over the whole
+//! [`Workspace`] (symbol table + call graph):
 //!
 //! * **S1 verify-before-use** (dataflow upgrade): a fn reading a signed
 //!   payload is clean if a verify-family call dominates the read in its
 //!   own body, *or* every non-test call site is dominated by one in the
 //!   caller (recursively, depth-limited). What is left is a genuine
 //!   trust-boundary hole — or a documented boundary via `allow(S1, …)`.
-//! * **P1 handler-exhaustiveness**: every wire-enum variant must be
-//!   named somewhere reachable from the crate's message handler, so a
-//!   wildcard arm cannot silently swallow a new message type.
 //! * **P2 quorum-arithmetic**: hand-written `f + 1` / `2*f` / `n − f`
 //!   threshold math outside `qsel_types::thresholds`.
-//! * **P3 sans-io purity**: no call chain from a pure protocol crate
-//!   may reach `std::net` / `std::thread` / `std::fs` / wall-clock
-//!   types. This is the precondition for running the same state
-//!   machines under a wall-clock backend and replaying against the DES.
 //! * **P4 trace-vocabulary coverage**: every trace-event variant is
 //!   emitted outside its defining crate. (That every variant is written
 //!   and parsed is a compile-time fact of the `trace_events!` table in
@@ -25,29 +16,26 @@
 //!   is noise that hides real suppressions — remove it. A1 is itself
 //!   not suppressible.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use crate::config::LintConfig;
 use crate::lexer::{Tok, Token};
-use crate::lints::{ident_at, punct_at};
 use crate::model::Workspace;
-use crate::parser::ParsedFile;
+use crate::parser::{ident_at, punct_at};
 use crate::report::Finding;
 
 /// Runs every workspace pass.
 pub fn workspace_passes(ws: &Workspace, cfg: &LintConfig, findings: &mut Vec<Finding>) {
     pass_s1(ws, cfg, findings);
-    pass_p1(ws, cfg, findings);
     pass_p2(ws, cfg, findings);
-    pass_p3(ws, cfg, findings);
     pass_p4(ws, cfg, findings);
 }
 
-/// Whether the scan set contains `krate`'s root file. The coverage
-/// passes (P1, P4) key off this rather than mere crate presence: a full
-/// workspace scan always includes the crate root, while unit-test and
-/// fixture subsets (single files, `is_crate_root: false`) do not — and
-/// those must not be told their enum is "missing".
+/// Whether the scan set contains `krate`'s root file. P4 keys off this
+/// rather than mere crate presence: a full workspace scan always
+/// includes the crate root, while unit-test and fixture subsets (single
+/// files, `is_crate_root: false`) do not — and those must not be told
+/// their enum is "missing".
 fn has_crate_root(ws: &Workspace, krate: &str) -> bool {
     ws.files
         .iter()
@@ -193,102 +181,6 @@ fn first_payload_access(body: &[Token], name: &str) -> Option<usize> {
             && body[k + 1].tok == Tok::Punct('.')
             && matches!(&body[k + 2].tok, Tok::Ident(s) if s == "payload")
     })
-}
-
-// ----------------------------------------------------------------------
-// P1 — handler exhaustiveness
-// ----------------------------------------------------------------------
-
-fn pass_p1(ws: &Workspace, cfg: &LintConfig, findings: &mut Vec<Finding>) {
-    for spec in &cfg.p1_handlers {
-        // Fixture runs lint subsets of the tree; a handler spec whose
-        // crate is absent from the scanned set simply does not apply.
-        if !has_crate_root(ws, &spec.enum_crate) || !has_crate_root(ws, &spec.handler_crate) {
-            continue;
-        }
-        let enum_item = ws.files.iter().find_map(|f| {
-            if f.meta.krate != spec.enum_crate {
-                return None;
-            }
-            f.enums
-                .iter()
-                .find(|e| e.name == spec.enum_name && !e.in_test)
-                .map(|e| (f.meta.path.clone(), e.clone()))
-        });
-        let Some((enum_path, enum_item)) = enum_item else {
-            findings.push(Finding {
-                lint: "P1",
-                file: format!("crates/{}/src", spec.enum_crate),
-                line: 1,
-                message: format!(
-                    "wire enum `{}` not found in crate `{}` — update the P1 handler \
-                     spec in qsel-lint's LintConfig",
-                    spec.enum_name, spec.enum_crate
-                ),
-                suppressed: None,
-            });
-            continue;
-        };
-        let handlers = ws.fns_named(&spec.handler_crate, &spec.handler_fn);
-        if handlers.is_empty() {
-            findings.push(Finding {
-                lint: "P1",
-                file: enum_path,
-                line: enum_item.line,
-                message: format!(
-                    "no fn `{}` found in crate `{}` to handle `{}` — update the P1 \
-                     handler spec in qsel-lint's LintConfig",
-                    spec.handler_fn, spec.handler_crate, spec.enum_name
-                ),
-                suppressed: None,
-            });
-            continue;
-        }
-        // Variants named anywhere reachable from the handler(s).
-        let mut mentioned: BTreeSet<String> = BTreeSet::new();
-        for id in ws.reachable(&handlers) {
-            let def = &ws.fns[id];
-            let Some((bs, be)) = def.item.body else { continue };
-            let code = &ws.file_of(id).code;
-            for i in bs..be.min(code.len()).saturating_sub(3) {
-                if ident_at(code, i) == Some(spec.enum_name.as_str())
-                    && punct_at(code, i + 1, ':')
-                    && punct_at(code, i + 2, ':')
-                {
-                    if let Some(v) = ident_at(code, i + 3) {
-                        mentioned.insert(v.to_string());
-                    }
-                }
-            }
-        }
-        let missing: Vec<&str> = enum_item
-            .variants
-            .iter()
-            .map(|(v, _)| v.as_str())
-            .filter(|v| !mentioned.contains(*v))
-            .collect();
-        if !missing.is_empty() {
-            let hfile = ws.file_of(handlers[0]);
-            let hline = ws.fns[handlers[0]].item.line;
-            findings.push(Finding {
-                lint: "P1",
-                file: hfile.meta.path.clone(),
-                line: hline,
-                message: format!(
-                    "fn `{}` does not handle `{}` variant(s) {} — every wire variant \
-                     must be matched explicitly (wildcard arms swallow new message types)",
-                    spec.handler_fn,
-                    spec.enum_name,
-                    missing
-                        .iter()
-                        .map(|v| format!("`{v}`"))
-                        .collect::<Vec<_>>()
-                        .join(", ")
-                ),
-                suppressed: None,
-            });
-        }
-    }
 }
 
 // ----------------------------------------------------------------------
@@ -593,156 +485,6 @@ fn match_threshold(atoms: &[Atom], w: usize) -> Option<(String, u32, usize)> {
 }
 
 // ----------------------------------------------------------------------
-// P3 — sans-io purity
-// ----------------------------------------------------------------------
-
-const P3_MODULE_ANCHORS: &[&str] = &["net", "thread", "fs"];
-
-/// The `std::` submodules that anchor taint for `krate`. Result-writer
-/// crates (`bench`) get `fs` back; nobody gets `net` or `thread`.
-fn module_anchors(cfg: &LintConfig, krate: &str) -> &'static [&'static str] {
-    if cfg.p3_fs_exempt(krate) {
-        &P3_MODULE_ANCHORS[..2]
-    } else {
-        P3_MODULE_ANCHORS
-    }
-}
-const P3_NET_IDENT_ANCHORS: &[&str] = &["TcpStream", "TcpListener", "UdpSocket"];
-const P3_TIME_IDENT_ANCHORS: &[&str] = &["Instant", "SystemTime"];
-
-fn pass_p3(ws: &Workspace, cfg: &LintConfig, findings: &mut Vec<Finding>) {
-    // 1. Anchors: functions whose body (or whose file's import preamble)
-    // textually touches an io/clock facility. Wall-clock anchors are
-    // skipped in crates D2 exempts (they measure on purpose), and a
-    // *direct* wall-clock use is not itself reported — D2 already flags
-    // that exact line; P3 adds the interprocedural reach.
-    let mut anchor: BTreeMap<usize, String> = BTreeMap::new();
-    let mut time_only: BTreeSet<usize> = BTreeSet::new();
-    let file_anchors: Vec<Option<String>> = ws
-        .files
-        .iter()
-        .map(|f| file_level_anchor(f, cfg))
-        .collect();
-    for id in 0..ws.fns.len() {
-        let def = &ws.fns[id];
-        if def.item.in_test {
-            continue;
-        }
-        if let Some(a) = &file_anchors[def.file] {
-            anchor.insert(id, a.clone());
-            continue;
-        }
-        let Some((bs, be)) = def.item.body else { continue };
-        let file = ws.file_of(id);
-        let time_ok = !cfg.d2_applies(&def.krate);
-        for i in bs..be.min(file.code.len()) {
-            let Some(s) = ident_at(&file.code, i) else { continue };
-            if P3_NET_IDENT_ANCHORS.contains(&s) {
-                anchor.insert(id, format!("`{s}`"));
-                break;
-            }
-            if !time_ok && P3_TIME_IDENT_ANCHORS.contains(&s) {
-                anchor.insert(id, format!("`{s}`"));
-                time_only.insert(id);
-                break;
-            }
-            if s == "std" && punct_at(&file.code, i + 1, ':') && punct_at(&file.code, i + 2, ':')
-            {
-                if let Some(m) = ident_at(&file.code, i + 3) {
-                    if module_anchors(cfg, &def.krate).contains(&m) {
-                        anchor.insert(id, format!("`std::{m}`"));
-                        break;
-                    }
-                }
-            }
-        }
-    }
-
-    // 2. Taint: reverse-propagate anchors up the call graph. Edges out
-    // of boundary crates (none today; a measurement shim would be one)
-    // stop the propagation — their impurity is their contract.
-    let mut tainted: BTreeMap<usize, Option<usize>> = BTreeMap::new(); // id → taint parent
-    let mut frontier: Vec<usize> = anchor.keys().copied().collect();
-    for &id in &frontier {
-        tainted.insert(id, None);
-    }
-    while let Some(t) = frontier.pop() {
-        if cfg.p3_boundary(&ws.fns[t].krate) {
-            continue; // callers of a boundary crate stay clean
-        }
-        for &(caller, _) in ws.call_sites_of(t) {
-            if let std::collections::btree_map::Entry::Vacant(e) = tainted.entry(caller) {
-                e.insert(Some(t));
-                frontier.push(caller);
-            }
-        }
-    }
-
-    // 3. Report every tainted fn in a pure crate, with its chain. A fn
-    // whose only sin is a direct wall-clock read is D2's finding, not
-    // ours — P3 reports the chains D2 cannot see, plus direct io.
-    for (&id, parent) in &tainted {
-        let def = &ws.fns[id];
-        if !cfg.p3_pure(&def.krate) {
-            continue;
-        }
-        if parent.is_none() && time_only.contains(&id) {
-            continue;
-        }
-        let mut chain = vec![id];
-        let mut cur = id;
-        while let Some(Some(parent)) = tainted.get(&cur) {
-            chain.push(*parent);
-            cur = *parent;
-        }
-        let chain_s = chain
-            .iter()
-            .map(|&c| format!("`{}`", ws.fns[c].item.name))
-            .collect::<Vec<_>>()
-            .join(" -> ");
-        let what = anchor.get(&cur).cloned().unwrap_or_default();
-        let file = ws.file_of(id);
-        findings.push(Finding {
-            lint: "P3",
-            file: file.meta.path.clone(),
-            line: def.item.line,
-            message: format!(
-                "fn `{}` in sans-io crate `{}` can reach {what} via {chain_s} — \
-                 protocol logic must stay deterministic and io-free",
-                def.item.name, def.krate
-            ),
-            suppressed: None,
-        });
-    }
-}
-
-/// A file-level anchor: `use std::{net,thread,fs}` (or any textual
-/// `std::net`-style path outside test regions) taints every fn in the
-/// file — pure crates must not even import these.
-fn file_level_anchor(file: &ParsedFile, cfg: &LintConfig) -> Option<String> {
-    let code = &file.code;
-    let time_ok = !cfg.d2_applies(&file.meta.krate);
-    for i in 0..code.len() {
-        if file.in_test(i) {
-            continue;
-        }
-        let Some(s) = ident_at(code, i) else { continue };
-        if s == "std" && punct_at(code, i + 1, ':') && punct_at(code, i + 2, ':') {
-            if let Some(m) = ident_at(code, i + 3) {
-                if module_anchors(cfg, &file.meta.krate).contains(&m) {
-                    return Some(format!("`std::{m}`"));
-                }
-                if !time_ok && m == "time" {
-                    // `std::time::Duration` is fine; only the clock types
-                    // anchor. Handled by the ident anchors below.
-                }
-            }
-        }
-    }
-    None
-}
-
-// ----------------------------------------------------------------------
 // P4 — trace vocabulary coverage
 // ----------------------------------------------------------------------
 
@@ -845,8 +587,10 @@ pub fn pass_a1(ws: &Workspace, applied: &[Finding], findings: &mut Vec<Finding>)
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
     use super::*;
-    use crate::lints::FileMeta;
+    use crate::parser::{FileMeta, ParsedFile};
 
     fn pf(krate: &str, name: &str, src: &str) -> ParsedFile {
         ParsedFile::parse(
@@ -861,6 +605,20 @@ mod tests {
 
     fn ws(files: Vec<ParsedFile>) -> Workspace {
         Workspace::build(files, BTreeMap::new())
+    }
+
+    #[test]
+    fn s1_requires_verify_before_payload() {
+        let run = |src: &str| {
+            let mut f = Vec::new();
+            pass_s1(&ws(vec![pf("core", "a", src)]), &LintConfig::default(), &mut f);
+            f.len()
+        };
+        assert_eq!(run("fn g(m: SignedVote) { let _ = m.payload.x; }"), 1);
+        assert_eq!(
+            run("fn g(m: SignedVote) { if verifier.verify(&m).is_err() { return } let _ = m.payload.x; }"),
+            0
+        );
     }
 
     #[test]

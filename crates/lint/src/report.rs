@@ -5,7 +5,7 @@ use std::fmt::Write as _;
 /// One lint finding.
 #[derive(Clone, Debug)]
 pub struct Finding {
-    /// Lint id, e.g. `"D1"`.
+    /// Lint id, e.g. `"S1"`.
     pub lint: &'static str,
     /// Workspace-relative file path, `/`-separated.
     pub file: String,
@@ -16,40 +16,6 @@ pub struct Finding {
     /// `Some(reason)` if a `// lint: allow(ID, reason)` annotation
     /// covers this finding.
     pub suppressed: Option<String>,
-}
-
-impl Finding {
-    /// Content hash over `(lint, file, message)` — deliberately *not*
-    /// the line number, so baselines survive unrelated edits that shift
-    /// code up or down.
-    pub fn stable_hash(&self) -> u64 {
-        let mut h = FNV_OFFSET;
-        for part in [self.lint, self.file.as_str(), self.message.as_str()] {
-            for b in part.bytes() {
-                h = fnv1a_step(h, b);
-            }
-            h = fnv1a_step(h, 0x1f); // field separator
-        }
-        h
-    }
-
-    /// The stable finding ID, `file:line:lint:hash` — line for humans
-    /// jumping to the site, hash for baselines matching across shifts.
-    pub fn id(&self) -> String {
-        format!(
-            "{}:{}:{}:{:016x}",
-            self.file,
-            self.line,
-            self.lint,
-            self.stable_hash()
-        )
-    }
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
-fn fnv1a_step(h: u64, b: u8) -> u64 {
-    (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
 }
 
 /// The result of a lint run.
@@ -114,8 +80,7 @@ impl Report {
         for (i, f) in self.findings.iter().enumerate() {
             let _ = write!(
                 s,
-                "    {{\"id\": \"{}\", \"lint\": \"{}\", \"file\": \"{}\", \"line\": {}, \"message\": \"{}\", \"suppressed\": {}}}",
-                esc(&f.id()),
+                "    {{\"lint\": \"{}\", \"file\": \"{}\", \"line\": {}, \"message\": \"{}\", \"suppressed\": {}}}",
                 esc(f.lint),
                 esc(&f.file),
                 f.line,
@@ -141,7 +106,7 @@ impl Report {
 }
 
 /// Minimal JSON string escaping.
-pub(crate) fn esc(s: &str) -> String {
+fn esc(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -167,10 +132,10 @@ mod tests {
     fn json_escapes_and_counts() {
         let mut r = Report {
             findings: vec![Finding {
-                lint: "S2",
+                lint: "P2",
                 file: "a/b.rs".into(),
                 line: 3,
-                message: "panic \"boom\"".into(),
+                message: "threshold \"boom\"".into(),
                 suppressed: None,
             }],
             files_scanned: 1,
@@ -180,22 +145,5 @@ mod tests {
         assert!(j.contains("\\\"boom\\\""));
         assert!(j.contains("\"unsuppressed\": 1"));
         assert_eq!(r.unsuppressed_count(), 1);
-        assert!(j.contains(&r.findings[0].id()));
-    }
-
-    #[test]
-    fn stable_ids_survive_line_shifts_but_not_edits() {
-        let f = |line, msg: &str| Finding {
-            lint: "P2",
-            file: "crates/core/src/x.rs".into(),
-            line,
-            message: msg.into(),
-            suppressed: None,
-        };
-        assert_eq!(f(3, "same").stable_hash(), f(90, "same").stable_hash());
-        assert_ne!(f(3, "one").stable_hash(), f(3, "two").stable_hash());
-        let id = f(3, "m").id();
-        assert!(id.starts_with("crates/core/src/x.rs:3:P2:"));
-        assert_eq!(id.rsplit(':').next().unwrap().len(), 16);
     }
 }

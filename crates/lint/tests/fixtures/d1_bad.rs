@@ -1,4 +1,5 @@
-//! D1 fixture: `HashMap` field in a determinism-sensitive crate.
+//! D1 fixture: `HashMap` field, whose iteration order is not reproducible.
+//! rejected-by: clippy::disallowed_types std::collections::HashMap
 use std::collections::HashMap;
 
 pub struct Tally {

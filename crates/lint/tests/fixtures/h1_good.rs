@@ -1,3 +1,4 @@
-//! H1 fixture (clean): crate root carrying the header.
-#![forbid(unsafe_code)]
-fn main() {}
+//! H1 fixture (clean): the same read, checked.
+pub fn first(xs: &[u8]) -> Option<u8> {
+    xs.first().copied()
+}

@@ -1,26 +1,17 @@
-#![forbid(unsafe_code)]
-//! P1 fixture (clean): every variant is named in code reachable from
-//! the handler — `Sync` through a helper, proving the pass follows the
-//! call graph rather than just the handler body.
+//! P1 fixture (clean): every variant is routed by name.
 pub enum WireMsg {
     Ping,
     Pong,
     Sync,
+    Reset,
 }
 
-pub fn handle_message(m: WireMsg) {
+#[deny(clippy::wildcard_enum_match_arm, clippy::match_wildcard_for_single_variants)]
+pub fn handle_message(m: WireMsg) -> u8 {
     match m {
-        WireMsg::Ping => reply(),
-        WireMsg::Pong => note(),
-        other => handle_rest(other),
+        WireMsg::Ping => 1,
+        WireMsg::Pong => 2,
+        WireMsg::Sync => 3,
+        WireMsg::Reset => 4,
     }
 }
-
-fn handle_rest(m: WireMsg) {
-    if let WireMsg::Sync = m {
-        note()
-    }
-}
-
-fn reply() {}
-fn note() {}

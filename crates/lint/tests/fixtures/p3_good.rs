@@ -1,9 +1,6 @@
 //! P3 fixture (clean): the same shape, sans io — messages go to an
 //! in-memory queue the simulation owns.
-pub fn broadcast(buf: &[u8]) -> usize {
-    push_queue(buf)
-}
-
-fn push_queue(buf: &[u8]) -> usize {
+pub fn broadcast(queue: &mut Vec<Vec<u8>>, buf: &[u8]) -> usize {
+    queue.push(buf.to_vec());
     buf.len()
 }

@@ -1,5 +1,5 @@
-//! Suppression fixture: an S2 finding with an audit-trail annotation.
-pub fn fingerprint(d: [u8; 32]) -> u64 {
-    // lint: allow(S2, fixture demonstrates the escape hatch)
-    u64::from_be_bytes(d[..8].try_into().unwrap())
+//! Suppression fixture: a P2 finding with an audit-trail annotation.
+pub fn weak_quorum(f: u32) -> u32 {
+    // lint: allow(P2, fixture demonstrates the escape hatch)
+    f + 1
 }

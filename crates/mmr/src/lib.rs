@@ -45,8 +45,11 @@
 //! assert!(verify(&leaf_hash(3, &sha256(&3u64.to_le_bytes())), &proof, &root));
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// S2: protocol code returns typed errors instead of panicking. A
+// deliberate panic carries `#[expect(clippy::…, reason = "…")]`.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 
 use std::collections::BTreeMap;
 use std::fmt;

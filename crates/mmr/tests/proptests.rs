@@ -3,8 +3,6 @@
 //! guarantee the state-transfer path leans on when it checks a chunk
 //! before applying it.
 
-#![forbid(unsafe_code)]
-
 use proptest::prelude::*;
 use qsel_mmr::{leaf_hash, verify, Mmr, MmrProof};
 use qsel_types::crypto::sha256;

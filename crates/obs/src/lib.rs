@@ -46,7 +46,6 @@
 //! assert_eq!(records[1].t, 2_000);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod event;

@@ -32,7 +32,9 @@
 //!    reference a slot below *b* (nothing references a
 //!    garbage-collected slot).
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
+#[expect(clippy::disallowed_types, reason = "D1: lookup-only counters; never iterated")]
+use std::collections::HashMap;
 use std::fmt;
 
 use crate::event::{TraceEvent, TraceRecord};
@@ -201,6 +203,7 @@ impl fmt::Display for ReplayReport {
 
 /// Replays `records` through the invariant checks described in the
 /// [module docs](self).
+#[expect(clippy::disallowed_types, reason = "D1: lookup-only counters; never iterated")]
 pub fn analyze(records: &[TraceRecord], cfg: &ReplayConfig) -> ReplayReport {
     let mut report = ReplayReport {
         records_checked: records.len() as u64,

@@ -21,8 +21,11 @@
 //! View changes are out of scope for the baseline (the experiment counts
 //! fault-free normal-case traffic); the replica set and primary are fixed.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// S2: protocol code returns typed errors instead of panicking. A
+// deliberate panic carries `#[expect(clippy::…, reason = "…")]`.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 
 mod replica;
 

@@ -373,6 +373,8 @@ impl Actor<PbftMsg> for PbftNode {
         }
     }
 
+    /// P1: every wire variant is routed by name (no wildcard arm).
+    #[deny(clippy::wildcard_enum_match_arm, clippy::match_wildcard_for_single_variants)]
     fn on_message(&mut self, ctx: &mut Context<'_, PbftMsg>, from: ProcessId, msg: PbftMsg) {
         match self {
             PbftNode::Replica(r) => match msg {

@@ -21,8 +21,6 @@
 //! - **Fixed derivation.** There is no `PROPTEST_CASES` env handling or
 //!   failure persistence file; every run executes the same case sequence.
 
-#![forbid(unsafe_code)]
-
 pub mod arbitrary;
 pub mod collection;
 pub mod strategy;

@@ -12,8 +12,6 @@
 //! Not implemented (unused by this workspace): distributions, OS entropy,
 //! thread-local RNGs, byte-filling.
 
-#![forbid(unsafe_code)]
-
 use std::ops::{Range, RangeInclusive};
 
 /// A source of random 64-bit words.

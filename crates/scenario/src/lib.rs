@@ -24,7 +24,6 @@
 //! the repository root and runs as a CI matrix (the *scenario league*);
 //! see DESIGN.md §12.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod parse;

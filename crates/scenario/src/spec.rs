@@ -383,6 +383,15 @@ impl Scenario {
         let Cluster { n, f, .. } = self.cluster;
         qsel_types::ClusterConfig::new(n, f)
             .map_err(|e| format!("invalid cluster: n={n}, f={f}: {e}"))?;
+        // Quorum Selection rotates suspects out of the quorum, which is
+        // vacuous without a fault to tolerate; enumeration runs at f = 0.
+        if self.cluster.algorithm == Algorithm::Qs && !qsel_types::thresholds::tolerates_faults(f)
+        {
+            return Err(format!(
+                "algorithm \"{}\" needs a fault threshold of at least 1, got f={f}",
+                self.cluster.algorithm.name()
+            ));
+        }
         if self.name.is_empty() {
             return Err("scenario has no name".to_string());
         }

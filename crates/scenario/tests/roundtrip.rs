@@ -6,8 +6,6 @@
 //! serializer is canonical). All scenario quantities are integers, so
 //! there is no float-printing wiggle room to hide behind.
 
-#![forbid(unsafe_code)]
-
 use proptest::collection::vec;
 use proptest::prelude::*;
 

@@ -58,7 +58,6 @@
 //! assert_eq!(sim.stats().messages_delivered, 2);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod delay;

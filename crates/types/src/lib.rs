@@ -30,7 +30,6 @@
 //! assert!(q.contains(ProcessId(2)));
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod checkpoint;

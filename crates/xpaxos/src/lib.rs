@@ -40,8 +40,11 @@
 //! assert_safety(&sim);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// S2: protocol code returns typed errors instead of panicking. A
+// deliberate panic carries `#[expect(clippy::…, reason = "…")]`.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 
 pub mod client;
 pub mod harness;

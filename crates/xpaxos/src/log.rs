@@ -2,7 +2,9 @@
 //! execution, checkpoint-driven compaction, and the MMR that
 //! authenticates compacted history.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::BTreeMap;
+#[expect(clippy::disallowed_types, reason = "D1: lookup-only dedup indexes; never iterated")]
+use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::Range;
 
@@ -39,7 +41,8 @@ impl Hasher for OpKeyHasher {
 type OpKeys = BuildHasherDefault<OpKeyHasher>;
 
 /// Inserts the dedup assignment of every request in `prepare`'s batch.
-// lint: allow(D1, lookup-only dedup index; never iterated) lint: allow(S1, σ_l checked at the replica boundary before log admission)
+#[expect(clippy::disallowed_types, reason = "D1: lookup-only dedup index; never iterated")]
+// lint: allow(S1, σ_l checked at the replica boundary before log admission)
 fn assign_batch(assigned: &mut HashMap<(ProcessId, u64), u64, OpKeys>, prepare: &SignedPrepare) {
     for req in prepare.payload.batch.reqs() {
         assigned.insert((req.client, req.op), prepare.payload.slot);
@@ -85,11 +88,11 @@ pub struct Log {
     /// State-machine state: a running digest-free fold of payloads.
     pub state: u64,
     /// Request dedup: (client, op) → slot.
-    // lint: allow(D1, lookup-only dedup index; never iterated)
+    #[expect(clippy::disallowed_types, reason = "D1: lookup-only dedup index; never iterated")]
     assigned: HashMap<(ProcessId, u64), u64, OpKeys>,
     /// Execution dedup: a request re-proposed at a second slot after a
     /// view change must not be applied twice.
-    // lint: allow(D1, membership-only dedup set; never iterated)
+    #[expect(clippy::disallowed_types, reason = "D1: membership-only dedup set; never iterated")]
     executed_ops: HashSet<(ProcessId, u64), OpKeys>,
     /// Merkle mountain range over executed batch digests: leaf `i` is
     /// `leaf_hash(i, batch_i.digest())`, appended as the cursor passes

@@ -218,7 +218,9 @@ pub struct Replica {
     /// VIEW-CHANGE messages by target view, then signer. Ordered maps:
     /// the new leader folds these into NEW-VIEW re-proposals, and a
     /// leader-equivocation tie (two valid prepares for one slot in the
-    /// same view) must resolve identically on every replica.
+    /// same view) must resolve identically on every replica. Only
+    /// targets above `view` are kept: a view change never targets an
+    /// installed view again.
     collected_vc: BTreeMap<u64, BTreeMap<ProcessId, SignedViewChange>>,
     /// Whether the NEW-VIEW expectation for the current target is armed.
     nv_expected: bool,
@@ -419,6 +421,11 @@ impl Replica {
         !matches!(self.sync, SyncState::Idle)
     }
 
+    /// Target views for which VIEW-CHANGE messages are held, ascending.
+    pub fn collected_view_change_targets(&self) -> impl Iterator<Item = u64> + '_ {
+        self.collected_vc.keys().copied()
+    }
+
     // ------------------------------------------------------------------
     // Event entry points (called by the harness actor)
     // ------------------------------------------------------------------
@@ -492,6 +499,9 @@ impl Replica {
     /// Handles a delivered message. `link_sender` is the network-level
     /// sender, used only to route state-transfer responses (the protocol
     /// messages inside are self-authenticating).
+    ///
+    /// P1: every wire variant is routed by name, never by a wildcard arm.
+    #[deny(clippy::wildcard_enum_match_arm, clippy::match_wildcard_for_single_variants)]
     pub fn handle_message(
         &mut self,
         ctx: &mut Context<'_, XpMsg>,
@@ -543,8 +553,7 @@ impl Replica {
             // the failure detector (Fig. 1), then delivered here, then the
             // suspicion change the detector computed for it is handled.
             // Spelled out per variant (no `_` arm) so adding a wire message
-            // forces a routing decision here — the P1 lint guards the same
-            // edge.
+            // forces a routing decision here.
             signed @ (XpMsg::Prepare(_)
             | XpMsg::Commit(_)
             | XpMsg::ViewChange(_)
@@ -554,6 +563,10 @@ impl Replica {
             | XpMsg::Checkpoint(_)) => {
                 if let Some(origin) = self.authenticate(&signed) {
                     let suspected = self.fd.on_receive(ctx.now(), origin, &signed);
+                    #[expect(
+                        clippy::wildcard_enum_match_arm,
+                        reason = "the `_` arm is Heartbeat: the enclosing arm binds only the seven signed variants"
+                    )]
                     match signed {
                         XpMsg::Prepare(sp) => self.on_prepare(ctx, sp),
                         XpMsg::Commit(sc) => self.on_commit(ctx, sc),
@@ -566,8 +579,7 @@ impl Replica {
                             }
                         }
                         XpMsg::Checkpoint(sc) => self.on_checkpoint(ctx, sc),
-                        // A heartbeat only meets expectations, and the
-                        // enclosing arm binds no other variant.
+                        // A heartbeat only meets expectations.
                         _ => {}
                     }
                     self.on_suspected(ctx, suspected);
@@ -617,7 +629,10 @@ impl Replica {
                     }
                 }
             }
-            // lint: allow(S2, timers are armed only by this replica; an unknown id is a harness bug best surfaced loudly)
+            #[expect(
+                clippy::unreachable,
+                reason = "timers are armed only by this replica; an unknown id is a harness bug best surfaced loudly"
+            )]
             other => unreachable!("unknown timer {other:?}"),
         }
         self.arm_poll(ctx);
@@ -1146,6 +1161,9 @@ impl Replica {
 
     fn on_view_change(&mut self, ctx: &mut Context<'_, XpMsg>, vc: SignedViewChange) {
         let target = vc.payload.target_view;
+        if target <= self.view {
+            return; // a late vote for a view already installed (or passed)
+        }
         self.collected_vc
             .entry(target)
             .or_default()
@@ -1289,7 +1307,8 @@ impl Replica {
             view: target,
         });
         self.view_history.push((now, target));
-        self.collected_vc.remove(&target);
+        // Targets at or below the new view can never be progressed again.
+        self.collected_vc = self.collected_vc.split_off(&(target + 1));
         let suspected = self.fd.cancel_all(now);
         self.on_suspected(ctx, suspected);
         let in_quorum = self.views.group(target).contains(self.me);

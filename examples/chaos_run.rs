@@ -17,8 +17,6 @@
 //! it as a smoke gate. A failing seed reproduces exactly: the plan is a
 //! pure function of the seed (see `qsel_repro::chaos::plan_for`).
 
-#![forbid(unsafe_code)]
-
 use qsel_repro::chaos::{plan_for, run_chaos, N};
 
 fn main() {

@@ -9,8 +9,6 @@
 //! back-off that follows, and the quiet, agreed steady state after —
 //! eventual strong accuracy in action.
 
-#![forbid(unsafe_code)]
-
 use qsel::node::{NodeConfig, SelectorNode, ServiceMsg};
 use qsel_detector::FdConfig;
 use qsel_simnet::{DelayModel, SimConfig, SimDuration, SimTime, Simulation};

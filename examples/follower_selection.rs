@@ -8,8 +8,6 @@
 //! line subgraph — and verify Theorem 9's bound of at most 3f + 1 quorums
 //! per epoch.
 
-#![forbid(unsafe_code)]
-
 use qsel_adversary::cluster::FsCluster;
 use qsel_types::{ClusterConfig, ProcessId};
 

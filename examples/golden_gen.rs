@@ -22,8 +22,6 @@
 //! Only regenerate (and commit) new goldens when a deliberate, reviewed
 //! change to the traced execution makes the old bytes stale.
 
-#![forbid(unsafe_code)]
-
 use std::path::PathBuf;
 
 use qsel_repro::qsel_obs::TraceSink;
@@ -40,6 +38,7 @@ const OPS_PER_CLIENT: u64 = 8;
 /// exported bytes do not depend on how a caller slices `run_until`.
 const HORIZON_MICROS: u64 = 300_000;
 
+#[expect(clippy::disallowed_methods, reason = "writes the golden trace files")]
 fn main() {
     let out_dir = PathBuf::from(
         std::env::args()

@@ -7,8 +7,6 @@
 //! suspect graph, epochs and the issued quorums evolve — including the
 //! Figure 4 scenario where inconsistent suspicions force an epoch change.
 
-#![forbid(unsafe_code)]
-
 use qsel::{QsOutput, QuorumSelection};
 use qsel::messages::UpdateRow;
 use qsel_types::crypto::Keychain;

@@ -7,8 +7,6 @@
 //! throughput timeline and the quorum change that restored service —
 //! the workload the paper's introduction motivates.
 
-#![forbid(unsafe_code)]
-
 use qsel_simnet::{SimDuration, SimTime};
 use qsel_types::{ClusterConfig, ProcessId};
 use qsel_xpaxos::harness::{assert_safety, ClusterBuilder};

@@ -27,8 +27,6 @@
 //! trace does not reparse, or the analyzer reports any violation — so CI
 //! can gate on the paper's bounds holding over a real execution.
 
-#![forbid(unsafe_code)]
-
 use std::path::PathBuf;
 
 use qsel_repro::chaos::{plan_for, run_chaos_with_sink, F, N};
@@ -36,6 +34,7 @@ use qsel_repro::qsel_obs::metrics::standard_metrics;
 use qsel_repro::qsel_obs::replay::{analyze, parse_jsonl};
 use qsel_repro::qsel_obs::{ReplayConfig, TraceSink};
 
+#[expect(clippy::disallowed_methods, reason = "writes the trace and metrics artifacts")]
 fn main() {
     let mut args = std::env::args().skip(1);
     let seed: u64 = args

@@ -15,8 +15,6 @@
 //! 3. every committed request attributes to a full causal chain in a
 //!    fault-free run (nothing silently dropped from the report).
 
-#![forbid(unsafe_code)]
-
 use qsel_repro::qsel_obs::replay::parse_jsonl;
 use qsel_repro::qsel_obs::span::{SpanReport, PHASES};
 use qsel_repro::qsel_scenario::{BatchSpec, Cluster, RunSpec, Scenario, Workload};

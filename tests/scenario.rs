@@ -10,8 +10,6 @@
 //!    byte-identical traces and verdicts — the league's cache-and-compare
 //!    reasoning depends on runs being pure functions of (file, seed).
 
-#![forbid(unsafe_code)]
-
 use std::path::PathBuf;
 
 use qsel_repro::qsel_scenario::{parse, run_scenario};
