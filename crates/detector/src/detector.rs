@@ -316,11 +316,6 @@ impl<M> FailureDetector<M> {
         self.suspected_set().contains(p)
     }
 
-    /// Processes permanently detected as faulty by the application.
-    pub fn detected_set(&self) -> ProcessSet {
-        self.detected
-    }
-
     /// Number of outstanding (uncancelled, unmet) expectations.
     pub fn pending_expectations(&self) -> usize {
         self.expectations.len()

@@ -18,9 +18,8 @@ pub enum Tok {
     Ident(String),
     /// A single punctuation character (`::` is two `Punct(':')`).
     Punct(char),
-    /// A string/char/number literal, carrying its raw source text. The
-    /// quorum-arithmetic pass (P2) needs to see the `1` in `f + 1`; the
-    /// other lints ignore the contents.
+    /// A string/char/number literal, carrying its raw source text (the
+    /// passes ignore the contents).
     Literal(String),
     /// A line comment's text (without the leading `//`), including doc
     /// comments. Block comments are folded into this too.

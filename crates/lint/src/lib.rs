@@ -1,10 +1,10 @@
-//! `qsel-lint` — protocol-aware static analysis for the invariants the
-//! compiler cannot see.
+//! `qsel-lint` — protocol-aware static analysis for the one invariant
+//! the compiler cannot see yet.
 //!
 //! The paper's guarantees hold here only if every signed payload is
-//! verified before use and every quorum threshold comes from one place.
-//! Those are properties of the protocol, not of types, so this crate
-//! checks them: a dependency-free (no `syn` — the workspace is offline)
+//! verified before use. `Signed<T>` still has public fields, so that is
+//! a property of the protocol code, not of its types, and this crate
+//! checks it: a dependency-free (no `syn` — the workspace is offline)
 //! hand-rolled lexer feeds an item-level parser, a per-crate symbol
 //! table, and a name-resolved reverse call graph, over which the passes
 //! run.
@@ -12,16 +12,17 @@
 //! | id | name | invariant |
 //! |----|------|-----------|
 //! | S1 | verify-before-use | a fn reading a `Signed*` payload is dominated by a verify-family call — in its own body or in every caller (interprocedural, depth-bounded) |
-//! | P2 | quorum-arithmetic | no hand-written `f + 1` / `2*f` / `n - f` threshold math outside `qsel_types::thresholds` |
-//! | P4 | trace-coverage | every `TraceEvent` variant is emitted outside its crate |
 //! | A1 | stale-allow | every `// lint: allow(...)` annotation matches a live finding |
 //!
 //! The other workspace invariants are enforced by the toolchain, with
-//! type information this crate does not have (DESIGN.md §15): H1 no
-//! `unsafe` (`[workspace.lints.rust]` in the root manifest), D1–D3
-//! determinism and P3 sans-io purity (`clippy.toml`), S2 no panics and
-//! P1 exhaustive message handlers (`#[deny(clippy::…)]` in the crates
-//! they cover).
+//! type information this crate does not have, or by tests (DESIGN.md
+//! §15): H1 no `unsafe` (`[workspace.lints.rust]` in the root manifest),
+//! D1–D3 determinism and P3 sans-io purity (`clippy.toml`), S2 no panics
+//! and P1 exhaustive message handlers (`#[deny(clippy::…)]` in the crates
+//! they cover), P2 quorum arithmetic (the opaque
+//! `qsel_types::thresholds::Faults`, which has no arithmetic operators),
+//! and P4 trace coverage (the `every_trace_event_kind_is_emitted`
+//! integration test, over real traces).
 //!
 //! Escape hatch: `// lint: allow(ID, reason)` on the finding's line or
 //! the line directly above. Suppressed findings still appear in
@@ -119,11 +120,11 @@ pub fn lint_source(src: &str, meta: &FileMeta, cfg: &LintConfig) -> Vec<Finding>
     analyze(&ws, cfg)
 }
 
-/// The full pipeline over a built workspace: the passes, suppression
+/// The full pipeline over a built workspace: S1, suppression
 /// application, then the stale-allow audit.
 pub fn analyze(ws: &Workspace, cfg: &LintConfig) -> Vec<Finding> {
     let mut findings = Vec::new();
-    passes::workspace_passes(ws, cfg, &mut findings);
+    passes::pass_s1(ws, cfg, &mut findings);
     apply_suppressions(ws, &mut findings);
     let mut stale = Vec::new();
     passes::pass_a1(ws, &findings, &mut stale);
@@ -257,14 +258,9 @@ pub fn file_meta(root: &Path, path: &Path) -> FileMeta {
         Some(&"examples") => "examples".to_string(),
         _ => "qsel-repro".to_string(),
     };
-    let is_crate_root = rel_str.ends_with("src/lib.rs")
-        || rel_str.ends_with("src/main.rs")
-        || rel_str.contains("/src/bin/")
-        || parts.first() == Some(&"examples");
     FileMeta {
         path: rel_str,
         krate,
-        is_crate_root,
     }
 }
 
@@ -321,14 +317,12 @@ mod tests {
     #[test]
     fn file_meta_classifies_paths() {
         let root = Path::new("/ws");
-        let m = file_meta(root, Path::new("/ws/crates/xpaxos/src/log.rs"));
-        assert_eq!((m.krate.as_str(), m.is_crate_root), ("xpaxos", false));
-        let m = file_meta(root, Path::new("/ws/crates/bench/src/bin/exp_thm3.rs"));
-        assert_eq!((m.krate.as_str(), m.is_crate_root), ("bench", true));
-        let m = file_meta(root, Path::new("/ws/examples/trace_run.rs"));
-        assert_eq!((m.krate.as_str(), m.is_crate_root), ("examples", true));
-        let m = file_meta(root, Path::new("/ws/src/lib.rs"));
-        assert_eq!((m.krate.as_str(), m.is_crate_root), ("qsel-repro", true));
+        let krate = |p: &str| file_meta(root, Path::new(p)).krate;
+        assert_eq!(krate("/ws/crates/xpaxos/src/log.rs"), "xpaxos");
+        assert_eq!(krate("/ws/crates/bench/src/bin/exp_thm3.rs"), "bench");
+        assert_eq!(krate("/ws/examples/trace_run.rs"), "examples");
+        assert_eq!(krate("/ws/src/lib.rs"), "qsel-repro");
+        assert_eq!(file_meta(root, Path::new("/ws/src/lib.rs")).path, "src/lib.rs");
     }
 
     #[test]
@@ -351,13 +345,12 @@ mod tests {
         FileMeta {
             path: "crates/core/src/x.rs".into(),
             krate: "core".into(),
-            is_crate_root: false,
         }
     }
 
     #[test]
     fn suppression_covers_own_and_next_line() {
-        let src = "// lint: allow(P2, justified)\nfn g(f: u32) -> u32 { f + 1 }";
+        let src = "// lint: allow(S1, justified)\nfn g(m: SignedVote) -> u64 { m.payload.x }";
         let f = lint_source(src, &core_meta(), &LintConfig::default());
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].suppressed.as_deref(), Some("justified"));
@@ -369,7 +362,7 @@ mod tests {
         // The allow matches nothing; an A1 fires; a second allow aimed
         // at the A1 itself must not mute it (and is itself stale).
         let src = "// lint: allow(A1, trying to mute the audit)\n\
-                   // lint: allow(P2, stale)\nfn fine() {}";
+                   // lint: allow(S1, stale)\nfn fine() {}";
         let f = lint_source(src, &meta, &LintConfig::default());
         let a1: Vec<_> = f.iter().filter(|x| x.lint == "A1").collect();
         assert_eq!(a1.len(), 2);

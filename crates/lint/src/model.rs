@@ -181,7 +181,6 @@ mod tests {
             &FileMeta {
                 path: format!("crates/{krate}/src/{name}.rs"),
                 krate: krate.to_string(),
-                is_crate_root: false,
             },
         )
     }

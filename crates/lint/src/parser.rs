@@ -1,10 +1,10 @@
 //! Item-level ("ast-lite") parsing over the lexed token stream.
 //!
 //! The analyzer does not need a full AST: the passes operate on *items*
-//! (functions with their parameter/body token ranges, enums with their
-//! variants) plus the test-region mask. Everything is positional over a
-//! comment-stripped token vector, so ranges stay cheap to slice and
-//! line-accurate for reporting.
+//! (functions with their parameter/body token ranges) plus the
+//! test-region mask. Everything is positional over a comment-stripped
+//! token vector, so ranges stay cheap to slice and line-accurate for
+//! reporting.
 
 use crate::lexer::{lex, Tok, Token};
 
@@ -16,9 +16,6 @@ pub struct FileMeta {
     /// Owning crate (directory name under `crates/`, `qsel-repro` for
     /// the root package, `examples` for example binaries).
     pub krate: String,
-    /// Whether this file is a crate root (`lib.rs`, `main.rs`, a
-    /// `src/bin/` binary, or an example).
-    pub is_crate_root: bool,
 }
 
 /// A parsed function item.
@@ -35,19 +32,6 @@ pub struct FnItem {
     /// has one (trait-method declarations do not).
     pub body: Option<(usize, usize)>,
     /// Whether the item sits inside a `#[cfg(test)]`/`#[test]` region.
-    pub in_test: bool,
-}
-
-/// A parsed enum item.
-#[derive(Clone, Debug)]
-pub struct EnumItem {
-    /// Enum name.
-    pub name: String,
-    /// 1-based line of the `enum` keyword.
-    pub line: u32,
-    /// Variant names with the line each is declared on.
-    pub variants: Vec<(String, u32)>,
-    /// Whether the item sits inside a test region.
     pub in_test: bool,
 }
 
@@ -73,8 +57,6 @@ pub struct ParsedFile {
     pub test_mask: Vec<(usize, usize)>,
     /// Functions declared in the file (any nesting depth).
     pub fns: Vec<FnItem>,
-    /// Enums declared in the file.
-    pub enums: Vec<EnumItem>,
     /// Allow annotations found in comments.
     pub suppressions: Vec<Suppression>,
 }
@@ -90,13 +72,11 @@ impl ParsedFile {
             .collect();
         let test_mask = test_regions(&code);
         let fns = parse_fns(&code, &test_mask);
-        let enums = parse_enums(&code, &test_mask);
         ParsedFile {
             meta: meta.clone(),
             code,
             test_mask,
             fns,
-            enums,
             suppressions,
         }
     }
@@ -321,65 +301,6 @@ fn parse_fns(code: &[Token], mask: &[(usize, usize)]) -> Vec<FnItem> {
     out
 }
 
-/// Extracts every `enum` item with its variant names.
-fn parse_enums(code: &[Token], mask: &[(usize, usize)]) -> Vec<EnumItem> {
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i < code.len() {
-        if ident_at(code, i) != Some("enum") {
-            i += 1;
-            continue;
-        }
-        let Some(name) = ident_at(code, i + 1) else {
-            i += 1;
-            continue;
-        };
-        let enum_line = code[i].line;
-        let in_test = mask.iter().any(|(a, b)| i >= *a && i < *b);
-        let Some(lb) = (i + 2..code.len()).find(|&j| punct_at(code, j, '{')) else {
-            i += 1;
-            continue;
-        };
-        let Some(rb) = matching_close(code, lb, '{', '}') else {
-            i += 1;
-            continue;
-        };
-        let mut variants = Vec::new();
-        let mut j = lb + 1;
-        while j < rb {
-            // Skip attributes (incl. doc comments lexed away already).
-            while j < rb && punct_at(code, j, '#') {
-                j = skip_attr(code, j);
-            }
-            let Some(v) = ident_at(code, j) else { break };
-            variants.push((v.to_string(), code[j].line));
-            // Skip the payload / discriminant to the next top-level comma.
-            j += 1;
-            let mut depth = 0i32;
-            while j < rb {
-                match code[j].tok {
-                    Tok::Punct('(') | Tok::Punct('[') | Tok::Punct('{') => depth += 1,
-                    Tok::Punct(')') | Tok::Punct(']') | Tok::Punct('}') => depth -= 1,
-                    Tok::Punct(',') if depth == 0 => {
-                        j += 1;
-                        break;
-                    }
-                    _ => {}
-                }
-                j += 1;
-            }
-        }
-        out.push(EnumItem {
-            name: name.to_string(),
-            line: enum_line,
-            variants,
-            in_test,
-        });
-        i = rb + 1;
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -388,7 +309,6 @@ mod tests {
         FileMeta {
             path: "crates/x/src/a.rs".into(),
             krate: "x".into(),
-            is_crate_root: false,
         }
     }
 
@@ -406,16 +326,6 @@ mod tests {
     fn fn_pointer_types_are_not_items() {
         let p = ParsedFile::parse("struct S { cb: fn(u32) -> u32 }", &meta());
         assert!(p.fns.is_empty());
-    }
-
-    #[test]
-    fn enums_with_payload_variants() {
-        let src = "pub enum Msg {\n  A,\n  B(u32, String),\n  C { x: u8 },\n  #[doc = \"d\"]\n  D = 4,\n}";
-        let p = ParsedFile::parse(src, &meta());
-        assert_eq!(p.enums.len(), 1);
-        let vs: Vec<&str> = p.enums[0].variants.iter().map(|(v, _)| v.as_str()).collect();
-        assert_eq!(vs, vec!["A", "B", "C", "D"]);
-        assert_eq!(p.enums[0].variants[1].1, 3);
     }
 
     #[test]

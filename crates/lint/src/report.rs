@@ -132,10 +132,10 @@ mod tests {
     fn json_escapes_and_counts() {
         let mut r = Report {
             findings: vec![Finding {
-                lint: "P2",
+                lint: "S1",
                 file: "a/b.rs".into(),
                 line: 3,
-                message: "threshold \"boom\"".into(),
+                message: "payload \"boom\"".into(),
                 suppressed: None,
             }],
             files_scanned: 1,

@@ -7,25 +7,24 @@ use std::path::PathBuf;
 use qsel_lint::{lint_paths, FileMeta, LintConfig};
 
 /// (disk path, meta) for a fixture, linted as if it lived in `krate`.
-fn fixture(name: &str, krate: &str, is_crate_root: bool) -> (PathBuf, FileMeta) {
+fn fixture(name: &str, krate: &str) -> (PathBuf, FileMeta) {
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests/fixtures")
         .join(name);
     let meta = FileMeta {
         path: format!("fixtures/{name}"),
         krate: krate.to_string(),
-        is_crate_root,
     };
     (path, meta)
 }
 
 #[test]
 fn suppression_records_reason_and_does_not_gate() {
-    let files = vec![fixture("suppressed.rs", "xpaxos", false)];
+    let files = vec![fixture("suppressed.rs", "xpaxos")];
     let report = lint_paths(&files, &LintConfig::default()).unwrap();
     assert_eq!(report.findings.len(), 1);
     let f = &report.findings[0];
-    assert_eq!((f.lint, f.line), ("P2", 4));
+    assert_eq!((f.lint, f.line), ("S1", 3));
     assert_eq!(
         f.suppressed.as_deref(),
         Some("fixture demonstrates the escape hatch")
@@ -35,7 +34,7 @@ fn suppression_records_reason_and_does_not_gate() {
 
 #[test]
 fn cfg_test_code_is_exempt() {
-    let files = vec![fixture("cfg_test.rs", "xpaxos", false)];
+    let files = vec![fixture("cfg_test.rs", "xpaxos")];
     let report = lint_paths(&files, &LintConfig::default()).unwrap();
     assert!(
         report.findings.is_empty(),
@@ -47,19 +46,13 @@ fn cfg_test_code_is_exempt() {
 #[test]
 fn json_report_carries_exact_files_and_lines() {
     let files = vec![
-        fixture("p2_bad.rs", "xpaxos", false),
-        fixture("suppressed.rs", "xpaxos", false),
+        fixture("s1_bad.rs", "xpaxos"),
+        fixture("suppressed.rs", "xpaxos"),
     ];
     let report = lint_paths(&files, &LintConfig::default()).unwrap();
     let json = report.to_json();
-    for line in [3, 7] {
-        assert!(json.contains(&format!(
-            r#""lint": "P2", "file": "fixtures/p2_bad.rs", "line": {line},"#
-        )));
-    }
-    assert!(json.contains(
-        r#""lint": "P2", "file": "fixtures/suppressed.rs", "line": 4,"#
-    ));
+    assert!(json.contains(r#""lint": "S1", "file": "fixtures/s1_bad.rs", "line": 2,"#));
+    assert!(json.contains(r#""lint": "S1", "file": "fixtures/suppressed.rs", "line": 3,"#));
     assert!(json.contains(r#""suppressed": "fixture demonstrates the escape hatch""#));
-    assert!(json.contains(r#""summary": {"files_scanned": 2, "total": 3, "suppressed": 1, "unsuppressed": 2}"#));
+    assert!(json.contains(r#""summary": {"files_scanned": 2, "total": 2, "suppressed": 1, "unsuppressed": 1}"#));
 }

@@ -5,10 +5,9 @@ mod tests {
     fn slot_of(sp: SignedPrepare) -> u64 {
         sp.payload.slot
     }
+}
 
-    #[test]
-    fn quorum() {
-        let (n, f) = (4u32, 1u32);
-        assert_eq!(n - f, 3);
-    }
+#[test]
+fn view_of(sp: SignedPrepare) -> u64 {
+    sp.payload.view
 }

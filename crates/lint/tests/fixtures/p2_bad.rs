@@ -1,8 +1,17 @@
-//! P2 fixture: hand-written quorum arithmetic in protocol code.
-pub fn reply_ready(f: u32, matching: u32) -> bool {
-    matching >= f + 1
+//! P2 fixture: hand-written quorum arithmetic on a cluster's fault bound.
+//! `Faults` implements no arithmetic operator, so none of it compiles.
+//! rejected-by: E0369 Faults
+//! rejected-by: E0277 Faults
+use qsel_types::ClusterConfig;
+
+pub fn reply_ready(cfg: &ClusterConfig, matching: usize) -> bool {
+    matching >= cfg.f() + 1
 }
 
-pub fn quorum(n: u32, f: u32) -> u32 {
-    n - f
+pub fn prepare_quorum(cfg: &ClusterConfig) -> u32 {
+    2 * cfg.f()
+}
+
+pub fn quorum(cfg: &ClusterConfig) -> u32 {
+    cfg.n() - cfg.f()
 }

@@ -1,8 +1,14 @@
 //! P2 fixture (clean): thresholds routed through the central module.
-pub fn reply_ready(f: u32, matching: usize) -> bool {
-    qsel_types::thresholds::reply_quorum_reached(f, matching)
+use qsel_types::{thresholds, ClusterConfig};
+
+pub fn reply_ready(cfg: &ClusterConfig, matching: usize) -> bool {
+    thresholds::reply_quorum_reached(cfg.f(), matching)
 }
 
-pub fn quorum(n: u32, f: u32) -> u32 {
-    qsel_types::thresholds::quorum_size(n, f)
+pub fn prepare_quorum(cfg: &ClusterConfig, participants: usize) -> usize {
+    thresholds::pbft_prepare_quorum(participants, cfg.f())
+}
+
+pub fn quorum(cfg: &ClusterConfig) -> u32 {
+    cfg.quorum_size()
 }

@@ -1,5 +1,5 @@
-//! Suppression fixture: a P2 finding with an audit-trail annotation.
-pub fn weak_quorum(f: u32) -> u32 {
-    // lint: allow(P2, fixture demonstrates the escape hatch)
-    f + 1
+//! Suppression fixture: an S1 finding with an audit-trail annotation.
+// lint: allow(S1, fixture demonstrates the escape hatch)
+pub fn on_prepare(sp: SignedPrepare) -> u64 {
+    sp.payload.slot
 }

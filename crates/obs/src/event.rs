@@ -316,14 +316,19 @@ pub enum TraceEvent {
 
 /// The trace vocabulary's one definition besides the `enum` itself:
 /// `Variant "ev_name" { field, … }` per event, fields in wire order (each
-/// JSON key is the Rust field's name). [`TraceEvent::name`], the JSONL
-/// writer and the JSONL parser are generated from it, and the compiler
-/// checks it against the enum: a variant missing here fails the exhaustive
-/// `match`, a missing or misspelt field fails the pattern and the struct
-/// expression, a duplicate name is an unreachable-pattern error.
+/// JSON key is the Rust field's name). [`TraceEvent::name`],
+/// [`TraceEvent::NAMES`], the JSONL writer and the JSONL parser are
+/// generated from it, and the compiler checks it against the enum: a
+/// variant missing here fails the exhaustive `match`, a missing or misspelt
+/// field fails the pattern and the struct expression, a duplicate name is
+/// an unreachable-pattern error.
 macro_rules! trace_events {
     ($($variant:ident $name:literal { $($field:ident),* })*) => {
         impl TraceEvent {
+            /// Every event's `ev` name, in table order: the whole trace
+            /// vocabulary.
+            pub const NAMES: &'static [&'static str] = &[$($name),*];
+
             /// The stable `ev` name used in the JSONL encoding.
             pub fn name(&self) -> &'static str {
                 match self {

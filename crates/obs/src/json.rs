@@ -1,10 +1,9 @@
 //! The crate's one hand-rolled JSON reader and string escaper.
 //!
-//! One byte cursor serves every JSON artifact this crate pins. The
-//! documents (`verdict.json` via [`crate::verdict`], the metrics snapshot
-//! via [`crate::metrics`]) use the whitespace-tolerant walkers
-//! [`Cursor::object`] / [`Cursor::array`] over objects, arrays, strings,
-//! integers, one-decimal floats and booleans; a trace line
+//! One byte cursor serves every JSON artifact this crate reads back.
+//! `verdict.json` ([`crate::verdict`]) uses the whitespace-tolerant
+//! walkers [`Cursor::object`] / [`Cursor::array`] over objects, arrays,
+//! strings, unsigned integers and booleans; a trace line
 //! ([`crate::event`]) is one *flat* object read strictly — no whitespace,
 //! values limited to unsigned integers, strings and arrays of unsigned
 //! integers ([`Cursor::parse_flat_object`]). Every string the crate writes
@@ -123,44 +122,6 @@ impl<'a> Cursor<'a> {
             return Err(format!("expected digit at byte {start}"));
         }
         Ok(v)
-    }
-
-    /// Parses an integer with an optional leading minus (gauges). The
-    /// magnitude is read unsigned, so `i64::MIN` round-trips.
-    pub(crate) fn parse_i64(&mut self) -> Result<i64, String> {
-        let neg = self.peek() == Some(b'-');
-        if neg {
-            self.bump();
-        }
-        let mag = self.parse_u64()?;
-        let v = if neg {
-            0i64.checked_sub_unsigned(mag)
-        } else {
-            i64::try_from(mag).ok()
-        };
-        v.ok_or_else(|| format!("number overflow at byte {}", self.pos))
-    }
-
-    /// Parses a JSON number (optional sign, digits, optional fraction)
-    /// into an `f64`. One-decimal floats formatted with `{:.1}` survive a
-    /// parse/format round trip byte-for-byte.
-    pub(crate) fn parse_f64(&mut self) -> Result<f64, String> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.bump();
-        }
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
-            self.pos += 1;
-        }
-        if self.peek() == Some(b'.') {
-            self.bump();
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
-        }
-        self.text[start..self.pos]
-            .parse::<f64>()
-            .map_err(|_| format!("expected number at byte {start}"))
     }
 
     pub(crate) fn parse_bool(&mut self) -> Result<bool, String> {
@@ -340,25 +301,6 @@ impl<'a> Cursor<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn signed_and_float_numbers() {
-        let mut c = Cursor::new("-42");
-        assert_eq!(c.parse_i64().unwrap(), -42);
-        let mut c = Cursor::new("123.5");
-        assert_eq!(c.parse_f64().unwrap(), 123.5);
-        let mut c = Cursor::new("0.0");
-        assert_eq!(c.parse_f64().unwrap(), 0.0);
-    }
-
-    #[test]
-    fn one_decimal_floats_reformat_identically() {
-        for text in ["0.0", "1.5", "333.3", "1234567.9"] {
-            let mut c = Cursor::new(text);
-            let v = c.parse_f64().unwrap();
-            assert_eq!(format!("{v:.1}"), text);
-        }
-    }
 
     #[test]
     fn strings_borrow_unless_escaped() {

@@ -57,7 +57,7 @@ pub mod span;
 pub mod verdict;
 
 pub use event::{TraceEvent, TraceRecord};
-pub use metrics::{Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
+pub use metrics::{Histogram, MetricsRegistry};
 pub use replay::{ReplayConfig, ReplayReport, Violation, ViolationKind};
 pub use sink::{TraceConfig, TraceSink};
 pub use span::{RequestSpan, SpanReport, PHASES};

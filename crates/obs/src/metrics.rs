@@ -8,7 +8,6 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use crate::event::{TraceEvent, TraceRecord};
-use crate::json::Cursor;
 
 /// A fixed-bucket histogram over `u64` samples.
 ///
@@ -307,166 +306,18 @@ pub fn percentile_sorted(sorted: &[u64], q: u32) -> u64 {
     }
 }
 
-/// A parsed [`MetricsRegistry::render_json`] histogram: the summary
-/// statistics and bucket layout, without the raw samples (which the JSON
-/// snapshot intentionally omits).
-#[derive(Clone, Debug, PartialEq)]
-pub struct HistogramSnapshot {
-    /// Number of samples.
-    pub count: u64,
-    /// Smallest sample (0 with no samples).
-    pub min: u64,
-    /// Mean sample as rendered (one decimal place).
-    pub mean: f64,
-    /// Largest sample (0 with no samples).
-    pub max: u64,
-    /// Exact nearest-rank 50th percentile.
-    pub p50: u64,
-    /// Exact nearest-rank 90th percentile.
-    pub p90: u64,
-    /// Exact nearest-rank 99th percentile.
-    pub p99: u64,
+/// What [`MetricsRegistry::render_json`] writes of a histogram: the
+/// summary statistics and bucket layout, without the raw samples.
+struct HistogramSnapshot {
+    count: u64,
+    min: u64,
+    mean: f64,
+    max: u64,
+    p50: u64,
+    p90: u64,
+    p99: u64,
     /// `(upper_edge, count)` pairs; `None` is the overflow (`+inf`) edge.
-    pub buckets: Vec<(Option<u64>, u64)>,
-}
-
-/// A parsed [`MetricsRegistry::render_json`] document.
-///
-/// This is the read side of the snapshot format: the league tooling (and
-/// tests pinning the format) parse `metrics.json` back into this shape
-/// and can re-serialize it byte-identically with
-/// [`MetricsSnapshot::render_json`].
-#[derive(Clone, Debug, PartialEq, Default)]
-pub struct MetricsSnapshot {
-    /// Counter values by name.
-    pub counters: BTreeMap<String, u64>,
-    /// Gauge values by name.
-    pub gauges: BTreeMap<String, i64>,
-    /// Histogram summaries by name.
-    pub histograms: BTreeMap<String, HistogramSnapshot>,
-}
-
-impl MetricsSnapshot {
-    /// Parses a document produced by [`MetricsRegistry::render_json`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a byte-offset message on malformed input, unknown keys, or
-    /// missing sections — the snapshot format is pinned exactly, like
-    /// `verdict.json`.
-    pub fn parse_json(text: &str) -> Result<MetricsSnapshot, String> {
-        let mut cur = Cursor::new(text);
-        let mut snap = MetricsSnapshot::default();
-        let mut seen = [false; 3];
-        cur.skip_ws();
-        cur.object(|key, cur| match &*key {
-            "counters" => {
-                seen[0] = true;
-                cur.object(|name, cur| {
-                    snap.counters.insert(name.into_owned(), cur.parse_u64()?);
-                    Ok(())
-                })
-            }
-            "gauges" => {
-                seen[1] = true;
-                cur.object(|name, cur| {
-                    snap.gauges.insert(name.into_owned(), cur.parse_i64()?);
-                    Ok(())
-                })
-            }
-            "histograms" => {
-                seen[2] = true;
-                cur.object(|name, cur| {
-                    snap.histograms
-                        .insert(name.into_owned(), parse_histogram(cur)?);
-                    Ok(())
-                })
-            }
-            other => Err(format!("unknown metrics key {other:?}")),
-        })?;
-        cur.skip_ws();
-        if !cur.at_end() {
-            return Err(format!("trailing bytes at {}", cur.pos));
-        }
-        if !seen.iter().all(|s| *s) {
-            return Err("metrics snapshot missing counters, gauges, or histograms".to_string());
-        }
-        Ok(snap)
-    }
-
-    /// Re-serializes in the exact [`MetricsRegistry::render_json`] layout,
-    /// so `parse_json(text).render_json() == text` for any rendered
-    /// registry.
-    pub fn render_json(&self) -> String {
-        let mut out = String::from("{\"counters\":{");
-        write_scalars(&mut out, &self.counters);
-        out.push_str("},\"gauges\":{");
-        write_scalars(&mut out, &self.gauges);
-        out.push_str("},\"histograms\":{");
-        for (i, (name, h)) in self.histograms.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            write_histogram(&mut out, name, h);
-        }
-        out.push_str("}}");
-        out
-    }
-}
-
-fn parse_histogram(cur: &mut Cursor<'_>) -> Result<HistogramSnapshot, String> {
-    let mut h = HistogramSnapshot {
-        count: 0,
-        min: 0,
-        mean: 0.0,
-        max: 0,
-        p50: 0,
-        p90: 0,
-        p99: 0,
-        buckets: Vec::new(),
-    };
-    let mut seen: Vec<String> = Vec::new();
-    cur.object(|key, cur| {
-        match &*key {
-            "count" => h.count = cur.parse_u64()?,
-            "min" => h.min = cur.parse_u64()?,
-            "mean" => h.mean = cur.parse_f64()?,
-            "max" => h.max = cur.parse_u64()?,
-            "p50" => h.p50 = cur.parse_u64()?,
-            "p90" => h.p90 = cur.parse_u64()?,
-            "p99" => h.p99 = cur.parse_u64()?,
-            "buckets" => cur.array(|cur| {
-                cur.expect(b'[')?;
-                cur.skip_ws();
-                let edge = if cur.peek() == Some(b'"') {
-                    let lit = cur.parse_string()?;
-                    if lit != "+inf" {
-                        return Err(format!("bad bucket edge {lit:?}"));
-                    }
-                    None
-                } else {
-                    Some(cur.parse_u64()?)
-                };
-                cur.skip_ws();
-                cur.expect(b',')?;
-                cur.skip_ws();
-                let c = cur.parse_u64()?;
-                cur.skip_ws();
-                cur.expect(b']')?;
-                h.buckets.push((edge, c));
-                Ok(())
-            })?,
-            other => return Err(format!("unknown histogram key {other:?}")),
-        }
-        seen.push(key.into_owned());
-        Ok(())
-    })?;
-    for required in ["count", "min", "mean", "max", "p50", "p90", "p99", "buckets"] {
-        if !seen.iter().any(|k| k == required) {
-            return Err(format!("histogram missing key {required:?}"));
-        }
-    }
-    Ok(h)
+    buckets: Vec<(Option<u64>, u64)>,
 }
 
 /// Bucket edges (µs) for commit-latency and view-change-duration
@@ -759,56 +610,12 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_roundtrips_render_json_exactly() {
-        let mut m = MetricsRegistry::new();
-        m.counter_add("events.prepare", 41);
-        m.counter_add("batch.requests_decided", 12);
-        m.gauge_set("trace.records", 512);
-        m.gauge_set("negative", -7);
-        m.gauge_set("lowest", i64::MIN);
-        m.gauge_set("highest", i64::MAX);
-        for v in [50, 150, 2_000_000] {
-            m.histogram_record("commit_latency_us", &LATENCY_BOUNDS_US, v);
-        }
-        let text = m.render_json();
-        let snap = MetricsSnapshot::parse_json(&text).expect("parse");
-        assert_eq!(snap.counters.get("events.prepare"), Some(&41));
-        assert_eq!(snap.gauges.get("negative"), Some(&-7));
-        assert_eq!(snap.gauges.get("lowest"), Some(&i64::MIN));
-        assert_eq!(snap.gauges.get("highest"), Some(&i64::MAX));
-        let h = &snap.histograms["commit_latency_us"];
-        assert_eq!(h.count, 3);
-        assert_eq!(h.p50, 150);
-        assert_eq!(h.p99, 2_000_000);
-        // Canonical: reparse + re-render is byte-identical.
-        assert_eq!(snap.render_json(), text);
-    }
-
-    #[test]
-    fn snapshot_rejects_unknown_keys() {
-        let err = MetricsSnapshot::parse_json("{\"counters\":{},\"gauges\":{},\"bogus\":{}}")
-            .expect_err("unknown key must fail");
-        assert!(err.contains("bogus"), "{err}");
-    }
-
-    #[test]
-    fn snapshot_rejects_gauges_one_past_the_i64_range() {
-        for gauge in ["-9223372036854775809", "9223372036854775808"] {
-            let text = format!("{{\"counters\":{{}},\"gauges\":{{\"g\":{gauge}}},\"histograms\":{{}}}}");
-            let err = MetricsSnapshot::parse_json(&text).expect_err("out of range must fail");
-            assert!(err.contains("number overflow"), "{gauge}: {err}");
-        }
-    }
-
-    #[test]
     fn snapshot_golden_format_is_pinned() {
         // A hand-written golden pins the on-disk snapshot grammar: if
         // render_json changes shape, this fails loudly (like verdict.json).
         let golden = "{\"counters\":{\"c\":1},\"gauges\":{\"g\":-2},\"histograms\":{\
                       \"h\":{\"count\":1,\"min\":4,\"mean\":4.0,\"max\":4,\
                       \"p50\":4,\"p90\":4,\"p99\":4,\"buckets\":[[10,1],[\"+inf\",0]]}}}";
-        let snap = MetricsSnapshot::parse_json(golden).expect("golden parses");
-        assert_eq!(snap.render_json(), golden);
         let mut m = MetricsRegistry::new();
         m.counter_add("c", 1);
         m.gauge_set("g", -2);

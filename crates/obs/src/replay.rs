@@ -37,6 +37,8 @@ use std::collections::BTreeMap;
 use std::collections::HashMap;
 use std::fmt;
 
+use qsel_types::thresholds::{thm3_bound, thm9_bound, Faults};
+
 use crate::event::{TraceEvent, TraceRecord};
 
 /// Parses a JSONL trace export back into records, one
@@ -57,25 +59,14 @@ pub fn parse_jsonl(text: &str) -> Result<Vec<TraceRecord>, String> {
 /// Configuration for [`analyze`].
 #[derive(Clone, Debug)]
 pub struct ReplayConfig {
-    /// The fault threshold the run was configured with (`n = 3f + 1`).
-    pub f: u32,
+    /// The fault threshold the run was configured with
+    /// ([`ClusterConfig::f`](qsel_types::ClusterConfig::f)).
+    pub f: Faults,
     /// Quorum-bound checks only count `quorum_issued` events at
     /// `t ≥ stable_from_micros` — the theorems assume an accurate failure
     /// detector, which only holds once fault injection has ceased. Use `0`
     /// to check the entire trace.
     pub stable_from_micros: u64,
-}
-
-impl ReplayConfig {
-    /// Theorem 3 bound for Algorithm 1: `f(f+1)` quorums per epoch.
-    pub fn qs_bound(&self) -> u64 {
-        u64::from(self.f) * (u64::from(self.f) + 1)
-    }
-
-    /// Theorem 9 bound for Algorithm 2: `3f+1` quorums per epoch.
-    pub fn fs_bound(&self) -> u64 {
-        3 * u64::from(self.f) + 1
-    }
 }
 
 /// The invariant a [`Violation`] broke — one per check in the
@@ -262,7 +253,7 @@ pub fn analyze(records: &[TraceRecord], cfg: &ReplayConfig) -> ReplayReport {
                 if r.t >= cfg.stable_from_micros {
                     let c = stable_counts.entry((*p, *epoch, is_fs)).or_insert(0);
                     *c += 1;
-                    let bound = if is_fs { cfg.fs_bound() } else { cfg.qs_bound() };
+                    let bound = if is_fs { thm9_bound(cfg.f) } else { thm3_bound(cfg.f) };
                     if is_fs {
                         report.max_fs_quorums_per_epoch = report.max_fs_quorums_per_epoch.max(*c);
                     } else {
@@ -408,6 +399,11 @@ pub fn analyze(records: &[TraceRecord], cfg: &ReplayConfig) -> ReplayReport {
 mod tests {
     use super::*;
 
+    /// The fault bound of a 4-process, 1-fault cluster.
+    fn f1() -> Faults {
+        qsel_types::ClusterConfig::new(4, 1).unwrap().f()
+    }
+
     fn rec(seq: u64, t: u64, event: TraceEvent) -> TraceRecord {
         TraceRecord { seq, t, event }
     }
@@ -542,7 +538,7 @@ mod tests {
         let report = analyze(
             &records,
             &ReplayConfig {
-                f: 1,
+                f: f1(),
                 stable_from_micros: 0,
             },
         );
@@ -570,7 +566,7 @@ mod tests {
         let report = analyze(
             &records,
             &ReplayConfig {
-                f: 1,
+                f: f1(),
                 stable_from_micros: 250,
             },
         );
@@ -587,7 +583,7 @@ mod tests {
         let report = analyze(
             &records,
             &ReplayConfig {
-                f: 1,
+                f: f1(),
                 stable_from_micros: 0,
             },
         );
@@ -635,7 +631,7 @@ mod tests {
         let report = analyze(
             &records,
             &ReplayConfig {
-                f: 1,
+                f: f1(),
                 stable_from_micros: 0,
             },
         );
@@ -662,7 +658,7 @@ mod tests {
         let report = analyze(
             &records,
             &ReplayConfig {
-                f: 1,
+                f: f1(),
                 stable_from_micros: 0,
             },
         );
@@ -682,7 +678,7 @@ mod tests {
         let report = analyze(
             &records,
             &ReplayConfig {
-                f: 1,
+                f: f1(),
                 stable_from_micros: 0,
             },
         );
@@ -702,7 +698,7 @@ mod tests {
         let report = analyze(
             &records,
             &ReplayConfig {
-                f: 1,
+                f: f1(),
                 stable_from_micros: 0,
             },
         );
@@ -742,7 +738,7 @@ mod tests {
         let report = analyze(
             &records,
             &ReplayConfig {
-                f: 1,
+                f: f1(),
                 stable_from_micros: 0,
             },
         );
@@ -790,7 +786,7 @@ mod tests {
         let report = analyze(
             &records,
             &ReplayConfig {
-                f: 1,
+                f: f1(),
                 stable_from_micros: 0,
             },
         );
@@ -811,7 +807,7 @@ mod tests {
     /// stable).
     fn sole_violation(records: &[TraceRecord]) -> Violation {
         let cfg = ReplayConfig {
-            f: 1,
+            f: f1(),
             stable_from_micros: 0,
         };
         let mut report = analyze(records, &cfg);
@@ -885,7 +881,7 @@ mod tests {
         let report = analyze(
             &[quorum(0, 10, 1, 1, "qs")],
             &ReplayConfig {
-                f: 1,
+                f: f1(),
                 stable_from_micros: 0,
             },
         );

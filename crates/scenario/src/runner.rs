@@ -24,6 +24,7 @@ use qsel_obs::replay::{analyze, parse_jsonl};
 use qsel_obs::span::{SpanReport, PHASES};
 use qsel_obs::{ReplayConfig, ReplayReport, TraceSink, Verdict, ViolationKind};
 use qsel_simnet::{DelayModel, FaultEvent, FaultPlan, LinkState, SimDuration, SimTime};
+use qsel_types::thresholds::{thm3_bound, thm9_bound};
 use qsel_types::{ClusterConfig, ProcessId};
 use qsel_xpaxos::harness::{
     total_committed, ClusterBuilder, CorruptTransferPeer, Equivocator, GrayReplica, XpActor,
@@ -314,9 +315,9 @@ fn invariant_checks(verdict: &mut Verdict, report: &ReplayReport, cfg: &ReplayCo
                     "max qs {}/{} fs {}/{} quorums per epoch from t={}us, \
                      {count} violation(s){first}",
                     report.max_qs_quorums_per_epoch,
-                    cfg.qs_bound(),
+                    thm3_bound(cfg.f),
                     report.max_fs_quorums_per_epoch,
-                    cfg.fs_bound(),
+                    thm9_bound(cfg.f),
                     cfg.stable_from_micros
                 ),
             ),
@@ -486,7 +487,7 @@ mod tests {
 
     fn checks_for(records: &[TraceRecord]) -> Vec<(String, bool, String)> {
         let cfg = ReplayConfig {
-            f: 1,
+            f: ClusterConfig::new(4, 1).unwrap().f(),
             stable_from_micros: 50,
         };
         let mut verdict = Verdict::new("unit", 1);

@@ -381,11 +381,12 @@ impl Scenario {
     /// Returns a human-readable description of the first problem.
     pub fn validate(&self) -> Result<(), String> {
         let Cluster { n, f, .. } = self.cluster;
-        qsel_types::ClusterConfig::new(n, f)
+        let cfg = qsel_types::ClusterConfig::new(n, f)
             .map_err(|e| format!("invalid cluster: n={n}, f={f}: {e}"))?;
         // Quorum Selection rotates suspects out of the quorum, which is
         // vacuous without a fault to tolerate; enumeration runs at f = 0.
-        if self.cluster.algorithm == Algorithm::Qs && !qsel_types::thresholds::tolerates_faults(f)
+        if self.cluster.algorithm == Algorithm::Qs
+            && !qsel_types::thresholds::tolerates_faults(cfg.f())
         {
             return Err(format!(
                 "algorithm \"{}\" needs a fault threshold of at least 1, got f={f}",

@@ -473,11 +473,6 @@ impl<M: Clone, A: Actor<M>> Simulation<M, A> {
         }
     }
 
-    /// Whether `p` is paused.
-    pub fn is_paused(&self, p: ProcessId) -> bool {
-        self.paused[p.index()]
-    }
-
     /// Schedules a [`FaultPlan`] for execution. Scripted events apply at
     /// their scheduled times, deterministically interleaved with message
     /// and timer delivery; plans scheduled later merge by time. Events

@@ -114,10 +114,11 @@ impl ClusterConfig {
         self.n
     }
 
-    /// Maximum number of faulty processes `f`.
+    /// Maximum number of faulty processes `f`, opaque so that every
+    /// threshold built from it goes through [`thresholds`].
     #[inline]
-    pub fn f(&self) -> u32 {
-        self.f
+    pub fn f(&self) -> thresholds::Faults {
+        thresholds::Faults::new(self.f)
     }
 
     /// Quorum size `q = n - f`.
@@ -399,7 +400,7 @@ mod tests {
     fn config_accessors() {
         let cfg = ClusterConfig::new(7, 2).unwrap();
         assert_eq!(cfg.n(), 7);
-        assert_eq!(cfg.f(), 2);
+        assert_eq!(cfg.f(), thresholds::Faults::new(2));
         assert_eq!(cfg.quorum_size(), 5);
         assert!(cfg.supports_follower_selection());
         let cfg = ClusterConfig::new(6, 2).unwrap();

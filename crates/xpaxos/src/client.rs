@@ -92,11 +92,6 @@ impl Client {
         }
     }
 
-    /// The retransmission interval currently in force.
-    pub fn current_retry(&self) -> SimDuration {
-        self.backoff.current()
-    }
-
     fn issue(&mut self, ctx: &mut Context<'_, XpMsg>) {
         self.tally.clear();
         self.sent_at = ctx.now();

@@ -3,7 +3,7 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use qsel_obs::{TraceEvent, TraceSink};
-use qsel_simnet::{Actor, Context, DelayModel, SimConfig, SimDuration, SimTime, Simulation, TimerId};
+use qsel_simnet::{Actor, Context, SimConfig, SimDuration, SimTime, Simulation, TimerId};
 use qsel_types::crypto::{Keychain, Signer};
 use qsel_types::{thresholds, ClusterConfig, ProcessId};
 
@@ -458,7 +458,6 @@ pub struct ClusterBuilder {
     seed: u64,
     retry: SimDuration,
     tx_cost: SimDuration,
-    delay: Option<DelayModel>,
     open_interarrival: Option<SimDuration>,
     trace: TraceSink,
 }
@@ -474,7 +473,6 @@ impl ClusterBuilder {
             seed,
             retry: SimDuration::millis(20),
             tx_cost: SimDuration::ZERO,
-            delay: None,
             open_interarrival: None,
             trace: TraceSink::disabled(),
         }
@@ -508,15 +506,6 @@ impl ClusterBuilder {
     #[must_use]
     pub fn tx_cost(mut self, tx_cost: SimDuration) -> Self {
         self.tx_cost = tx_cost;
-        self
-    }
-
-    /// Sets the network's base delay model (default: the simulator's
-    /// uniform 50–150µs). Per-link overrides installed later via
-    /// [`Simulation::set_link`] still take precedence.
-    #[must_use]
-    pub fn delay_model(mut self, delay: DelayModel) -> Self {
-        self.delay = Some(delay);
         self
     }
 
@@ -584,10 +573,7 @@ impl ClusterBuilder {
                 }
             }
         }
-        let mut scfg = SimConfig::new(total, self.seed).with_tx_cost(self.tx_cost);
-        if let Some(delay) = self.delay {
-            scfg = scfg.with_delay(delay);
-        }
+        let scfg = SimConfig::new(total, self.seed).with_tx_cost(self.tx_cost);
         let mut sim = Simulation::new(scfg, actors);
         sim.set_classifier(|m: &XpMsg| m.kind());
         sim.set_trace_sink(self.trace);

@@ -404,11 +404,6 @@ impl Log {
         self.archive.len()
     }
 
-    /// Lowest slot still resident in the live map.
-    pub fn min_slot(&self) -> Option<u64> {
-        self.slots.keys().next().copied()
-    }
-
     /// First slot whose batch content this replica can still serve to a
     /// recovering peer.
     pub fn serve_floor(&self) -> u64 {

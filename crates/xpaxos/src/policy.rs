@@ -167,16 +167,16 @@ impl ViewPolicy {
     }
 
     /// The smallest view strictly greater than `after` whose quorum is
-    /// `target` (the §V-B jump).
-    pub fn view_for_quorum(&self, after: u64, target: &Quorum) -> u64 {
+    /// `target` (the §V-B jump), or `None` if it would lie past
+    /// `u64::MAX`.
+    pub fn view_for_quorum(&self, after: u64, target: &Quorum) -> Option<u64> {
         let count = self.quorum_count() as u64;
         let rank = self.rank(target.members());
-        let base = after - after % count;
-        let candidate = base + rank;
+        let candidate = (after - after % count).checked_add(rank)?;
         if candidate > after {
-            candidate
+            Some(candidate)
         } else {
-            candidate + count
+            candidate.checked_add(count)
         }
     }
 
@@ -268,13 +268,15 @@ mod tests {
     fn view_for_quorum_jumps_forward() {
         let p = ViewPolicy::new(&cfg(4, 1));
         let target = p.group(2);
-        assert_eq!(p.view_for_quorum(0, &target), 2);
+        assert_eq!(p.view_for_quorum(0, &target), Some(2));
         // Already at or past the target's rank: wrap to the next cycle.
-        assert_eq!(p.view_for_quorum(2, &target), 6);
-        assert_eq!(p.view_for_quorum(3, &target), 6);
+        assert_eq!(p.view_for_quorum(2, &target), Some(6));
+        assert_eq!(p.view_for_quorum(3, &target), Some(6));
         // Target rank 0 from view 0 → full wrap.
         let first = p.group(0);
-        assert_eq!(p.view_for_quorum(0, &first), 4);
+        assert_eq!(p.view_for_quorum(0, &first), Some(4));
+        // No view of `target` lies above the last cycle's.
+        assert_eq!(p.view_for_quorum(u64::MAX, &target), None);
     }
 
     #[test]

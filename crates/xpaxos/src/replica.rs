@@ -625,7 +625,10 @@ impl Replica {
                     && self.rcfg.policy == QuorumPolicy::Enumeration
                 {
                     if let Phase::ViewChange { target } = self.phase {
-                        self.start_view_change(ctx, target + 1);
+                        // No view lies above `u64::MAX`: stay put.
+                        if let Some(next) = target.checked_add(1) {
+                            self.start_view_change(ctx, next);
+                        }
                     }
                 }
             }
@@ -1308,7 +1311,10 @@ impl Replica {
         });
         self.view_history.push((now, target));
         // Targets at or below the new view can never be progressed again.
-        self.collected_vc = self.collected_vc.split_off(&(target + 1));
+        match target.checked_add(1) {
+            Some(above) => self.collected_vc = self.collected_vc.split_off(&above),
+            None => self.collected_vc.clear(),
+        }
         let suspected = self.fd.cancel_all(now);
         self.on_suspected(ctx, suspected);
         let in_quorum = self.views.group(target).contains(self.me);
@@ -2163,8 +2169,9 @@ impl Replica {
                         .iter()
                         .any(|m| s.contains(m) && m != self.me)
                 {
-                    let next = self.view + 1;
-                    self.start_view_change(ctx, next);
+                    if let Some(next) = self.view.checked_add(1) {
+                        self.start_view_change(ctx, next);
+                    }
                 }
             }
         }
@@ -2182,8 +2189,9 @@ impl Replica {
                         Phase::ViewChange { target } => self.views.group(target) == q,
                     };
                     if !already {
-                        let target = self.views.view_for_quorum(self.effective_view(), &q);
-                        self.start_view_change(ctx, target);
+                        if let Some(target) = self.views.view_for_quorum(self.effective_view(), &q) {
+                            self.start_view_change(ctx, target);
+                        }
                     }
                 }
             }

@@ -80,3 +80,27 @@ fn leader_crash_leaves_no_target_at_or_below_the_view() {
     assert_safety(&sim);
     assert!(installs > 0, "the crash must drive a view change");
 }
+
+/// One signed VIEW-CHANGE for the last view, `u64::MAX`: no view lies
+/// above it, so whatever the replicas do with it must not overflow the
+/// view arithmetic (in a debug build every replica used to panic on
+/// installing it), and the bound above still holds.
+#[test]
+fn view_change_to_the_last_view_does_not_overflow() {
+    for seed in 1..=2 {
+        let b = builder(seed);
+        let chain = b.keychain();
+        let mut sim = b.build();
+        run_checking(&mut sim, ATTACK_AT);
+        let vc = chain.signer(ProcessId(N)).sign(ViewChangePayload {
+            target_view: u64::MAX,
+            watermark: 0,
+            prepared: Vec::new(),
+        });
+        for p in 1..N {
+            sim.inject_at(ATTACK_AT, ProcessId(N), ProcessId(p), XpMsg::ViewChange(vc.clone()));
+        }
+        run_checking(&mut sim, SimTime::from_micros(1_000_000));
+        assert_safety(&sim);
+    }
+}

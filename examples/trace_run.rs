@@ -33,6 +33,7 @@ use qsel_repro::chaos::{plan_for, run_chaos_with_sink, F, N};
 use qsel_repro::qsel_obs::metrics::standard_metrics;
 use qsel_repro::qsel_obs::replay::{analyze, parse_jsonl};
 use qsel_repro::qsel_obs::{ReplayConfig, TraceSink};
+use qsel_repro::qsel_types::ClusterConfig;
 
 #[expect(clippy::disallowed_methods, reason = "writes the trace and metrics artifacts")]
 fn main() {
@@ -86,7 +87,7 @@ fn main() {
     // Quorum bounds are only claimed once the failure detector can be
     // accurate, i.e. after the last scripted fault healed.
     let cfg = ReplayConfig {
-        f: F,
+        f: ClusterConfig::new(N, F).unwrap().f(),
         stable_from_micros: plan_for(seed, N).last_fault_time().unwrap().as_micros(),
     };
     let report = analyze(&records, &cfg);

@@ -1,18 +1,20 @@
 #!/usr/bin/env bash
-# The determinism, panic, unsafe and sans-io checks (H1, D1–D3, S2, P1,
-# P3) are enforced by rustc and clippy, not by qsel-lint. This script
-# proves that configuration still rejects each check's bad fixture and
-# accepts its good twin:
+# The determinism, panic, unsafe, sans-io and quorum-arithmetic checks
+# (H1, D1–D3, S2, P1, P2, P3) are enforced by rustc and clippy, not by
+# qsel-lint. This script proves that configuration still rejects each
+# check's bad fixture and accepts its good twin:
 #
 #   tests/lint/clippy_fixtures.sh          # from the repo root
 #
-# Each `crates/lint/tests/fixtures/{d1,d2,d3,s2,h1,p1,p3}_{bad,good}.rs`
+# Each `crates/lint/tests/fixtures/{d1,d2,d3,s2,h1,p1,p2,p3}_{bad,good}.rs`
 # becomes the `lib.rs` of a throwaway crate in a scratch workspace that
 # carries the root manifest's `[workspace.lints.*]` tables verbatim and
-# the root `clippy.toml`. A bad fixture must fail
-# `cargo clippy -- -D warnings`, and for every `//! rejected-by: LINT
-# NEEDLE` line it carries, some error must have code LINT and mention
-# NEEDLE. A good fixture must pass with no diagnostics at all.
+# the root `clippy.toml`, and depends on the real `qsel-types` (P2's
+# fixtures use its opaque `Faults`). A bad fixture must fail
+# `cargo clippy -- -D warnings`, and for every `//! rejected-by: CODE
+# NEEDLE` line it carries, some error must have code CODE (a lint name
+# or a rustc error code) and mention NEEDLE. A good fixture must pass
+# with no diagnostics at all.
 set -euo pipefail
 
 root=$(cd "$(dirname "$0")/../.." && pwd)
@@ -41,6 +43,7 @@ workspace = true
 [dependencies]
 rand = { path = "../rand" }
 TOML
+printf 'qsel-types = { path = "%s/crates/types" }\n' "$root" >> "$work/fixture/Cargo.toml"
 # The D3 fixtures need the real `rand` API's ambient entry points, which
 # the workspace's offline shim deliberately lacks. Defining them is not
 # using them, so this stand-in is exempt from the bans.
@@ -101,7 +104,7 @@ for line in sys.stdin:
 '
 }
 
-for check in d1 d2 d3 s2 h1 p1 p3; do
+for check in d1 d2 d3 s2 h1 p1 p2 p3; do
     for kind in bad good; do
         fixture=$fixtures/${check}_$kind.rs
         cp "$fixture" "$work/fixture/src/lib.rs"

@@ -8,12 +8,12 @@
 //! Byzantine donor serving tampered chunks is detected by MMR
 //! verification, rejected, and routed around.
 
+mod common;
+
+use qsel_obs::TraceSink;
 use qsel_simnet::SimTime;
 use qsel_types::{ClusterConfig, ProcessId};
-use qsel_xpaxos::harness::{
-    assert_safety, total_committed, ClusterBuilder, CorruptTransferPeer, XpActor,
-};
-use qsel_xpaxos::replica::Replica;
+use qsel_xpaxos::harness::{assert_safety, total_committed, ClusterBuilder};
 use qsel_xpaxos::{CheckpointPolicy, ReplicaConfig};
 
 fn cfg(n: u32, f: u32) -> ClusterConfig {
@@ -161,40 +161,7 @@ fn lazarus_replica_recovers_in_o_gap_messages() {
 /// and still converge.
 #[test]
 fn tampered_chunks_are_rejected_and_recovery_fails_over() {
-    let interval = 50u64;
-    let ops = 600u64;
-    let shape = cfg(4, 1);
-    let rcfg = ckpt(interval, 10_000);
-    let rcfg_byz = rcfg.clone();
-    let mut sim = ClusterBuilder::new(shape, 99)
-        .replica_config(rcfg)
-        .clients(2, ops / 2)
-        .build_with(move |p, chain| {
-            // p1 is the view-0 leader: ties on frontier break toward the
-            // lowest id, so the recoverer's first donor pick is the
-            // corrupt one — the failover path *must* run.
-            (p == ProcessId(1)).then(|| {
-                XpActor::CorruptTransfer(CorruptTransferPeer::new(Replica::new(
-                    shape,
-                    p,
-                    chain,
-                    rcfg_byz.clone(),
-                )))
-            })
-        });
-    sim.start();
-    sim.run_until(SimTime::from_micros(20_000));
-    sim.crash(ProcessId(4));
-    sim.run_until(SimTime::from_micros(5_000_000));
-    assert_eq!(total_committed(&sim), ops);
-    let frontier = sim
-        .actor(ProcessId(1))
-        .replica()
-        .unwrap()
-        .log()
-        .watermark();
-    sim.restart(ProcessId(4));
-    sim.run_until(SimTime::from_micros(15_000_000));
+    let (sim, frontier) = common::tampered_recovery(TraceSink::disabled());
 
     let r4 = sim.actor(ProcessId(4)).replica().unwrap();
     assert!(

@@ -17,6 +17,8 @@
 use qsel_obs::replay::{analyze, parse_jsonl};
 use qsel_obs::{ReplayConfig, TraceEvent, TraceRecord, TraceSink};
 use qsel_repro::chaos::{plan_for, run_chaos, run_chaos_with_sink, F, N};
+use qsel_types::thresholds::thm3_bound;
+use qsel_types::ClusterConfig;
 
 #[test]
 fn identical_seeds_export_byte_identical_traces() {
@@ -98,10 +100,10 @@ fn qs_trace(quorums: u64) -> Vec<TraceRecord> {
 fn analyzer_flags_a_theorem_3_violation() {
     // f = 1 ⇒ Algorithm 1 may issue at most f(f+1) = 2 quorums per epoch.
     let cfg = ReplayConfig {
-        f: 1,
+        f: ClusterConfig::new(4, 1).unwrap().f(),
         stable_from_micros: 0,
     };
-    assert_eq!(cfg.qs_bound(), 2);
+    assert_eq!(thm3_bound(cfg.f), 2);
 
     let ok = analyze(&qs_trace(2), &cfg);
     assert!(ok.ok(), "2 quorums in one epoch must be within the bound");
@@ -124,7 +126,7 @@ fn chaos_sweep_respects_the_theorem_3_bound_when_stable() {
     // confirm the paper's per-epoch quorum bounds hold after the last
     // heal, alongside the analyzer's agreement and crash-delivery checks.
     let cfg_template = |stable_from_micros: u64| ReplayConfig {
-        f: F,
+        f: ClusterConfig::new(N, F).unwrap().f(),
         stable_from_micros,
     };
     let mut total_checked = 0u64;
@@ -141,10 +143,10 @@ fn chaos_sweep_respects_the_theorem_3_bound_when_stable() {
             "seed {seed}: analyzer found violations\n{report}"
         );
         assert!(
-            report.max_qs_quorums_per_epoch <= cfg_template(heal).qs_bound(),
+            report.max_qs_quorums_per_epoch <= thm3_bound(cfg_template(heal).f),
             "seed {seed}: stable-window quorums/epoch {} exceeds f(f+1) = {}",
             report.max_qs_quorums_per_epoch,
-            cfg_template(heal).qs_bound(),
+            thm3_bound(cfg_template(heal).f),
         );
         total_checked += report.records_checked;
         max_stable = max_stable.max(report.max_qs_quorums_per_epoch);
