@@ -13,7 +13,7 @@
 
 use std::collections::VecDeque;
 
-use qsel_detector::{FailureDetector, FdConfig, PollSchedule};
+use qsel_detector::{Expected, FailureDetector, FdConfig, PollSchedule};
 use qsel_simnet::{Actor, Context, SimDuration, SimTime, TimerId};
 use qsel_types::crypto::{Signer, Verifier};
 use qsel_types::encode::Encode;
@@ -59,6 +59,35 @@ impl ServiceMsg {
             ServiceMsg::Update(_) => "update",
             ServiceMsg::Followers(_) => "followers",
             ServiceMsg::Heartbeat(_) => "heartbeat",
+        }
+    }
+}
+
+/// The messages a node tells its failure detector to expect: one variant
+/// per expectation label, carrying the fields it matches on.
+#[derive(Clone, Copy, Debug)]
+enum ServiceExpect {
+    /// Any heartbeat from a peer.
+    Heartbeat,
+    /// The leader's FOLLOWERS for `epoch` (Algorithm 2's `P_{Fw,epoch}`).
+    Followers { epoch: Epoch },
+}
+
+impl Expected<ServiceMsg> for ServiceExpect {
+    fn is_met_by(&self, m: &ServiceMsg) -> bool {
+        match *self {
+            ServiceExpect::Heartbeat => matches!(m, ServiceMsg::Heartbeat(_)),
+            ServiceExpect::Followers { epoch } => matches!(
+                m,
+                ServiceMsg::Followers(sf) if sf.payload.epoch == epoch
+            ),
+        }
+    }
+
+    fn label(&self) -> &'static str {
+        match self {
+            ServiceExpect::Heartbeat => "heartbeat",
+            ServiceExpect::Followers { .. } => "followers",
         }
     }
 }
@@ -133,7 +162,7 @@ pub struct SelectorNode {
     node_cfg: NodeConfig,
     signer: Signer,
     verifier: Verifier,
-    fd: FailureDetector<ServiceMsg>,
+    fd: FailureDetector<ServiceMsg, ServiceExpect>,
     /// The `TIMER_FD_POLL` timers in flight.
     polls: PollSchedule,
     selector: Selector,
@@ -288,7 +317,7 @@ impl SelectorNode {
         // Expect a heartbeat from every peer, then send our own.
         for peer in self.cfg.processes().filter(|p| *p != self.me) {
             self.fd
-                .expect(now, peer, "heartbeat", |m| matches!(m, ServiceMsg::Heartbeat(_)));
+                .arm(now, peer, SimDuration::ZERO, ServiceExpect::Heartbeat);
         }
         self.hb_seq += 1;
         let hb = ServiceMsg::Heartbeat(self.signer.sign(Heartbeat { seq: self.hb_seq }));
@@ -353,12 +382,8 @@ impl SelectorNode {
                                 queue.extend(self.fd.cancel_all(ctx.now()).map(Work::Suspected));
                             }
                             FsOutput::Expect { leader, epoch } => {
-                                self.fd.expect(ctx.now(), leader, "followers", move |m| {
-                                    matches!(
-                                        m,
-                                        ServiceMsg::Followers(sf) if sf.payload.epoch == epoch
-                                    )
-                                });
+                                let key = ServiceExpect::Followers { epoch };
+                                self.fd.arm(ctx.now(), leader, SimDuration::ZERO, key);
                             }
                             FsOutput::Detected(p) => {
                                 queue.extend(self.fd.detected(ctx.now(), p).map(Work::Suspected));
@@ -587,5 +612,67 @@ mod tests {
         assert!(stats.by_kind["heartbeat"] > 0);
         // No failures: no update traffic beyond possibly nothing.
         assert!(stats.by_kind.get("followers").is_none());
+    }
+}
+
+#[cfg(test)]
+mod expect_oracle {
+    use super::*;
+    use crate::messages::{FollowersPayload, UpdateRow};
+    use qsel_detector::Pred;
+    use qsel_types::crypto::Keychain;
+
+    /// The closure each key replaced, with its label: the oracle.
+    fn oracle(key: ServiceExpect) -> Pred<ServiceMsg> {
+        match key {
+            ServiceExpect::Heartbeat => {
+                Pred::new("heartbeat", |m| matches!(m, ServiceMsg::Heartbeat(_)))
+            }
+            ServiceExpect::Followers { epoch } => Pred::new("followers", move |m| {
+                matches!(
+                    m,
+                    ServiceMsg::Followers(sf) if sf.payload.epoch == epoch
+                )
+            }),
+        }
+    }
+
+    /// Every key, on epochs the messages carry and on one they do not, is
+    /// met by exactly the messages its closure accepted, under the same
+    /// label.
+    #[test]
+    fn keys_mean_what_the_closures_meant() {
+        let cfg = ClusterConfig::new(4, 1).unwrap();
+        let chain = Keychain::new(&cfg, 5);
+        let signer = chain.signer(ProcessId(1));
+        let mut msgs = Vec::new();
+        for e in [2, 3] {
+            msgs.push(ServiceMsg::Update(signer.sign(UpdateRow {
+                row: vec![Epoch(e); 4],
+            })));
+            msgs.push(ServiceMsg::Followers(signer.sign(FollowersPayload {
+                followers: vec![ProcessId(2), ProcessId(3)],
+                line_edges: vec![(ProcessId(1), ProcessId(2))],
+                epoch: Epoch(e),
+            })));
+            msgs.push(ServiceMsg::Heartbeat(signer.sign(Heartbeat { seq: e })));
+        }
+        let carried = [2, 3].map(|e| (ServiceExpect::Followers { epoch: Epoch(e) }, true));
+        let absent = (ServiceExpect::Followers { epoch: Epoch(4) }, false);
+        for (key, carried) in [(ServiceExpect::Heartbeat, true), absent]
+            .into_iter()
+            .chain(carried)
+        {
+            let closure = oracle(key);
+            assert_eq!(key.label(), closure.label(), "{key:?}");
+            let mut met = [false; 2];
+            for m in &msgs {
+                let is_met = key.is_met_by(m);
+                assert_eq!(is_met, closure.is_met_by(m), "{key:?} on {m:?}");
+                met[usize::from(is_met)] = true;
+            }
+            assert!(met[0], "{key:?} is missed by some message");
+            assert_eq!(met[1], carried, "{key:?} is met by some message");
+        }
     }
 }

@@ -2,6 +2,7 @@
 
 use std::borrow::Borrow;
 use std::fmt;
+use std::marker::PhantomData;
 
 use qsel_obs::{TraceEvent, TraceSink};
 use qsel_simnet::{SimDuration, SimTime};
@@ -59,31 +60,69 @@ pub struct FdStats {
     pub detections: u64,
 }
 
-struct Expectation<M> {
-    from: ProcessId,
-    deadline: SimTime,
-    expired: bool,
+/// The `P` of `⟨EXPECT, P, i⟩` as data: the host names the message it
+/// waits for with a key of its own type, and the detector asks the key
+/// whether each delivery from `i` is that message. Plain data keys cost
+/// no allocation per expectation; [`Pred`] adapts a closure.
+pub trait Expected<M> {
+    /// Whether `m` is a message this expectation waits for.
+    fn is_met_by(&self, m: &M) -> bool;
+    /// Names the expectation in [`FdStats::expired_by_label`] and
+    /// [`FdStats::expiry_log`].
+    fn label(&self) -> &'static str;
+}
+
+/// The closure form of [`Expected`]: a label and a boxed predicate, one
+/// allocation per expectation. It is the default key of
+/// [`FailureDetector`] and exists for tests and probes; protocol hosts
+/// supply a data key instead.
+pub struct Pred<M> {
     label: &'static str,
     pred: Box<dyn Fn(&M) -> bool>,
 }
 
-impl<M> fmt::Debug for Expectation<M> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Expectation")
-            .field("from", &self.from)
-            .field("deadline", &self.deadline)
-            .field("expired", &self.expired)
-            .field("label", &self.label)
-            .finish()
+impl<M> Pred<M> {
+    /// An expectation named `label`, met by any message satisfying `pred`.
+    pub fn new(label: &'static str, pred: impl Fn(&M) -> bool + 'static) -> Self {
+        Pred {
+            label,
+            pred: Box::new(pred),
+        }
     }
+}
+
+impl<M> Expected<M> for Pred<M> {
+    fn is_met_by(&self, m: &M) -> bool {
+        (self.pred)(m)
+    }
+
+    fn label(&self) -> &'static str {
+        self.label
+    }
+}
+
+impl<M> fmt::Debug for Pred<M> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_tuple("Pred").field(&self.label).finish()
+    }
+}
+
+#[derive(Debug)]
+struct Expectation<E> {
+    from: ProcessId,
+    deadline: SimTime,
+    expired: bool,
+    key: E,
 }
 
 /// The failure-detector module of one process (Fig. 1 of the paper).
 ///
 /// See the [crate documentation](crate) for the event model and an example.
-pub struct FailureDetector<M> {
+pub struct FailureDetector<M, E = Pred<M>> {
     me: ProcessId,
-    expectations: Vec<Expectation<M>>,
+    /// Outstanding expectations in the order they were armed, which is
+    /// the order expirations are logged in.
+    expectations: Vec<Expectation<E>>,
     /// The earliest deadline among unexpired expectations, kept equal to
     /// [`FailureDetector::scan_deadline`] by every mutator: lowered when an
     /// expectation is issued, rescanned only when the expectation holding
@@ -95,9 +134,11 @@ pub struct FailureDetector<M> {
     last_published: ProcessSet,
     stats: FdStats,
     trace: TraceSink,
+    /// The message type `E` is matched against.
+    msg: PhantomData<fn(&M)>,
 }
 
-impl<M> FailureDetector<M> {
+impl<M, E: Expected<M>> FailureDetector<M, E> {
     /// Creates the detector for process `me` in a cluster of `n` processes.
     pub fn new(me: ProcessId, n: u32, cfg: FdConfig) -> Self {
         FailureDetector {
@@ -112,6 +153,7 @@ impl<M> FailureDetector<M> {
             last_published: ProcessSet::new(),
             stats: FdStats::default(),
             trace: TraceSink::disabled(),
+            msg: PhantomData,
         }
     }
 
@@ -126,33 +168,14 @@ impl<M> FailureDetector<M> {
         self.me
     }
 
-    /// `⟨EXPECT, P, i⟩` — the application expects a message satisfying
-    /// `pred` from `from`. The deadline is `now` plus the current adaptive
-    /// timeout for `from`. `label` names the expectation in debug output.
-    pub fn expect(
-        &mut self,
-        now: SimTime,
-        from: ProcessId,
-        label: &'static str,
-        pred: impl Fn(&M) -> bool + 'static,
-    ) {
-        self.expect_with_min(now, from, SimDuration::ZERO, label, pred);
-    }
-
-    /// Like [`FailureDetector::expect`], but with a floor on the timeout:
-    /// the deadline is `now + max(adaptive, min_timeout)`. Use this for
+    /// `⟨EXPECT, P, i⟩` — the application expects a message that meets
+    /// `key` from `from`. The deadline is `now` plus the current adaptive
+    /// timeout for `from`, floored at `min_timeout`. Use the floor for
     /// expectations whose fulfilment spans a multi-round sub-protocol
     /// (e.g. a view change), where the per-hop adaptive timeout would
     /// violate the §IV-B accuracy requirement of only expecting what a
     /// correct process sends within two communication rounds.
-    pub fn expect_with_min(
-        &mut self,
-        now: SimTime,
-        from: ProcessId,
-        min_timeout: SimDuration,
-        label: &'static str,
-        pred: impl Fn(&M) -> bool + 'static,
-    ) {
+    pub fn arm(&mut self, now: SimTime, from: ProcessId, min_timeout: SimDuration, key: E) {
         self.stats.expectations_issued += 1;
         let timeout = self.timeouts[from.index()].current().max(min_timeout);
         let deadline = now + timeout;
@@ -161,8 +184,7 @@ impl<M> FailureDetector<M> {
             from,
             deadline,
             expired: false,
-            label,
-            pred: Box::new(pred),
+            key,
         });
     }
 
@@ -200,7 +222,7 @@ impl<M> FailureDetector<M> {
         let mut met_earliest = false;
         let earliest = self.next_deadline;
         self.expectations.retain(|e| {
-            if e.from == from && (e.pred)(msg) {
+            if e.from == from && e.key.is_met_by(msg) {
                 if e.expired {
                     late_match = true;
                 } else if Some(e.deadline) == earliest {
@@ -243,9 +265,10 @@ impl<M> FailureDetector<M> {
             if e.deadline <= now {
                 e.expired = true;
                 self.stats.expectations_expired += 1;
-                *self.stats.expired_by_label.entry(e.label).or_insert(0) += 1;
+                let label = e.key.label();
+                *self.stats.expired_by_label.entry(label).or_insert(0) += 1;
                 if self.stats.expiry_log.len() < 256 {
-                    self.stats.expiry_log.push((now, e.from, e.label));
+                    self.stats.expiry_log.push((now, e.from, label));
                 }
             } else if earliest.is_none_or(|d| e.deadline < d) {
                 earliest = Some(e.deadline);
@@ -263,9 +286,10 @@ impl<M> FailureDetector<M> {
             if !e.expired && e.deadline <= now {
                 e.expired = true;
                 self.stats.expectations_expired += 1;
-                *self.stats.expired_by_label.entry(e.label).or_insert(0) += 1;
+                let label = e.key.label();
+                *self.stats.expired_by_label.entry(label).or_insert(0) += 1;
                 if self.stats.expiry_log.len() < 256 {
-                    self.stats.expiry_log.push((now, e.from, e.label));
+                    self.stats.expiry_log.push((now, e.from, label));
                 }
             }
         }
@@ -351,7 +375,32 @@ impl<M> FailureDetector<M> {
     }
 }
 
-impl<M> fmt::Debug for FailureDetector<M> {
+impl<M> FailureDetector<M, Pred<M>> {
+    /// [`FailureDetector::arm`] with a [`Pred`] key and no timeout floor.
+    pub fn expect(
+        &mut self,
+        now: SimTime,
+        from: ProcessId,
+        label: &'static str,
+        pred: impl Fn(&M) -> bool + 'static,
+    ) {
+        self.arm(now, from, SimDuration::ZERO, Pred::new(label, pred));
+    }
+
+    /// [`FailureDetector::arm`] with a [`Pred`] key.
+    pub fn expect_with_min(
+        &mut self,
+        now: SimTime,
+        from: ProcessId,
+        min_timeout: SimDuration,
+        label: &'static str,
+        pred: impl Fn(&M) -> bool + 'static,
+    ) {
+        self.arm(now, from, min_timeout, Pred::new(label, pred));
+    }
+}
+
+impl<M, E: Expected<M> + fmt::Debug> fmt::Debug for FailureDetector<M, E> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("FailureDetector")
             .field("me", &self.me)
@@ -535,6 +584,29 @@ mod tests {
             Detected(u32),
         }
 
+        /// The data key the closures `|x| *x == m` of `Op::Expect` and
+        /// `Op::ExpectMin` stand for, with their labels.
+        #[derive(Debug)]
+        enum Key {
+            M(u8),
+            Min(u8),
+        }
+
+        impl Expected<u8> for Key {
+            fn is_met_by(&self, m: &u8) -> bool {
+                match self {
+                    Key::M(want) | Key::Min(want) => m == want,
+                }
+            }
+
+            fn label(&self) -> &'static str {
+                match self {
+                    Key::M(_) => "m",
+                    Key::Min(_) => "min",
+                }
+            }
+        }
+
         fn op() -> impl Strategy<Value = Op> {
             prop_oneof![
                 (2u32..=4, 0u8..3).prop_map(|(p, m)| Op::Expect(p, m)),
@@ -551,57 +623,75 @@ mod tests {
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(256))]
 
-            /// Two detectors take the same operations; one polls through the
-            /// cached deadline, the other through the scan it replaced. After
-            /// every step the cache equals a fresh scan, and outputs, stats
-            /// and `suspicion_changed` records never differ.
+            /// Three detectors take the same operations. One polls through
+            /// the cached deadline, one through the scan it replaced, and one
+            /// arms data keys instead of closures. After every step the cache
+            /// equals a fresh scan, and outputs, stats and
+            /// `suspicion_changed` records never differ.
             #[test]
             fn cache_equals_scan_and_poll_equals_scanning_poll(
                 ops in proptest::collection::vec(op(), 0..80),
             ) {
-                let (cached_sink, scanned_sink) = (TraceSink::unbounded(), TraceSink::unbounded());
+                let sinks = [TraceSink::unbounded(), TraceSink::unbounded(), TraceSink::unbounded()];
                 let mut cached: FailureDetector<u8> =
                     FailureDetector::new(ProcessId(1), 4, FdConfig::default());
                 let mut scanned: FailureDetector<u8> =
                     FailureDetector::new(ProcessId(1), 4, FdConfig::default());
-                cached.set_trace_sink(cached_sink.clone());
-                scanned.set_trace_sink(scanned_sink.clone());
+                let mut keyed: FailureDetector<u8, Key> =
+                    FailureDetector::new(ProcessId(1), 4, FdConfig::default());
+                cached.set_trace_sink(sinks[0].clone());
+                scanned.set_trace_sink(sinks[1].clone());
+                keyed.set_trace_sink(sinks[2].clone());
                 let mut now = SimTime::ZERO;
                 for op in ops {
                     let quarter = SimDuration::micros(250);
-                    let (a, b) = match op {
+                    let (a, b, c) = match op {
                         Op::Expect(p, m) => {
                             cached.expect(now, ProcessId(p), "m", move |x| *x == m);
                             scanned.expect(now, ProcessId(p), "m", move |x| *x == m);
-                            (None, None)
+                            keyed.arm(now, ProcessId(p), SimDuration::ZERO, Key::M(m));
+                            (None, None, None)
                         }
                         Op::ExpectMin(p, m, q) => {
                             let min = quarter.saturating_mul(q);
                             cached.expect_with_min(now, ProcessId(p), min, "min", move |x| *x == m);
                             scanned.expect_with_min(now, ProcessId(p), min, "min", move |x| *x == m);
-                            (None, None)
+                            keyed.arm(now, ProcessId(p), min, Key::Min(m));
+                            (None, None, None)
                         }
                         Op::Receive(p, m) => (
                             cached.on_receive(now, ProcessId(p), m),
                             scanned.on_receive(now, ProcessId(p), m),
+                            keyed.on_receive(now, ProcessId(p), m),
                         ),
                         Op::Poll(quarters) => {
                             now += quarter.saturating_mul(quarters);
-                            (cached.poll(now), scanned.poll_scanning(now))
+                            (cached.poll(now), scanned.poll_scanning(now), keyed.poll(now))
                         }
-                        Op::Cancel => (cached.cancel_all(now), scanned.cancel_all(now)),
+                        Op::Cancel => (
+                            cached.cancel_all(now),
+                            scanned.cancel_all(now),
+                            keyed.cancel_all(now),
+                        ),
                         Op::Detected(p) => (
                             cached.detected(now, ProcessId(p)),
                             scanned.detected(now, ProcessId(p)),
+                            keyed.detected(now, ProcessId(p)),
                         ),
                     };
                     prop_assert_eq!(a, b);
+                    prop_assert_eq!(a, c);
                     prop_assert_eq!(cached.next_deadline(), cached.scan_deadline());
                     prop_assert_eq!(cached.next_deadline(), scanned.next_deadline());
+                    prop_assert_eq!(cached.next_deadline(), keyed.next_deadline());
                     prop_assert_eq!(cached.suspected_set(), scanned.suspected_set());
+                    prop_assert_eq!(cached.suspected_set(), keyed.suspected_set());
                     prop_assert_eq!(cached.stats(), scanned.stats());
+                    prop_assert_eq!(cached.stats(), keyed.stats());
                 }
+                let [cached_sink, scanned_sink, keyed_sink] = sinks;
                 prop_assert_eq!(cached_sink.export_jsonl(), scanned_sink.export_jsonl());
+                prop_assert_eq!(cached_sink.export_jsonl(), keyed_sink.export_jsonl());
             }
         }
     }

@@ -1,11 +1,9 @@
 //! A closed-loop XPaxos client.
 
-use std::collections::BTreeMap;
-
 use qsel_detector::TimeoutPolicy;
 use qsel_obs::{TraceEvent, TraceSink};
 use qsel_simnet::{Context, SimDuration, SimTime, TimerId};
-use qsel_types::{thresholds, ClusterConfig, ProcessId};
+use qsel_types::{thresholds, ClusterConfig, ProcessId, ProcessSet};
 
 use crate::messages::{Reply, Request, XpMsg};
 
@@ -15,6 +13,34 @@ const TIMER_RETRY_BASE: u64 = 1000;
 
 /// Retransmission back-off is capped at `initial × RETRY_CAP_FACTOR`.
 const RETRY_CAP_FACTOR: u64 = 64;
+
+/// The replies to one operation: each distinct result with the replicas
+/// that reported it. Clearing keeps the capacity, so a client reuses one
+/// tally for all its operations.
+#[derive(Debug, Default)]
+pub(crate) struct ReplyTally(Vec<(u64, ProcessSet)>);
+
+impl ReplyTally {
+    /// Counts `replica`'s report of `result` and returns how many distinct
+    /// replicas reported it. `replica` must be a replica of the cluster.
+    pub(crate) fn record(&mut self, result: u64, replica: ProcessId) -> usize {
+        let i = match self.0.iter().position(|(r, _)| *r == result) {
+            Some(i) => i,
+            None => {
+                self.0.push((result, ProcessSet::new()));
+                self.0.len() - 1
+            }
+        };
+        let (_, replicas) = &mut self.0[i];
+        replicas.insert(replica);
+        replicas.len()
+    }
+
+    /// Forgets every report.
+    pub(crate) fn clear(&mut self) {
+        self.0.clear();
+    }
+}
 
 /// A client that issues one request at a time, accepts a result once
 /// `f + 1` replicas report the same one, then immediately issues the next
@@ -31,9 +57,8 @@ pub struct Client {
     max_ops: u64,
     next_op: u64,
     sent_at: SimTime,
-    /// Matching replies for the in-flight op: result → replicas that
-    /// reported it.
-    tally: BTreeMap<u64, Vec<ProcessId>>,
+    /// Replies to the in-flight op.
+    tally: ReplyTally,
     /// (op, result, latency) for every completed operation.
     pub completed: Vec<(u64, u64, SimDuration)>,
     /// Retransmissions sent.
@@ -57,7 +82,7 @@ impl Client {
             max_ops,
             next_op: 0,
             sent_at: SimTime::ZERO,
-            tally: BTreeMap::new(),
+            tally: ReplyTally::default(),
             completed: Vec::new(),
             retries: 0,
             trace: TraceSink::disabled(),
@@ -108,13 +133,13 @@ impl Client {
         if reply.op != self.next_op || self.next_op >= self.max_ops {
             return; // stale
         }
-        let entry = self.tally.entry(reply.result).or_default();
-        if !entry.contains(&from) {
-            entry.push(from);
+        if !self.cluster.contains(from) {
+            return; // only replicas count toward the reply quorum
         }
         // f+1 matching replies guarantee at least one correct replica
         // executed the operation at this slot.
-        if thresholds::reply_quorum_reached(self.cluster.f(), entry.len()) {
+        let matching = self.tally.record(reply.result, from);
+        if thresholds::reply_quorum_reached(self.cluster.f(), matching) {
             let latency = ctx.now() - self.sent_at;
             self.completed.push((reply.op, reply.result, latency));
             self.trace.emit(|| TraceEvent::ClientCommit {
@@ -189,6 +214,58 @@ mod tests {
         let c = Client::new(ProcessId(5), cfg, SimDuration::millis(5), 10);
         assert_eq!(c.committed_ops(), 0);
         assert_eq!(c.mean_latency_micros(), 0.0);
+    }
+
+    /// Two non-replicas (other clients) answer op 0 with a made-up result
+    /// before any replica does: `f + 1 = 2` of them must not complete it,
+    /// for either kind of client.
+    #[test]
+    fn replies_from_non_replicas_do_not_count() {
+        use crate::harness::{ClusterBuilder, XpActor};
+        use qsel_simnet::{SimTime, Simulation};
+
+        let cfg = ClusterConfig::new(4, 1).unwrap();
+        let completed_op0 = |sim: &Simulation<XpMsg, XpActor>| {
+            let actor = sim.actor(ProcessId(5));
+            let completed = match actor.client() {
+                Some(c) => &c.completed,
+                None => &actor.open_client().unwrap().completed,
+            };
+            completed
+                .iter()
+                .find(|(op, _, _)| *op == 0)
+                .map(|&(_, result, _)| result)
+        };
+        for open_loop in [false, true] {
+            let build = || {
+                let builder = ClusterBuilder::new(cfg, 3).clients(3, 1);
+                match open_loop {
+                    true => builder.open_loop(SimDuration::millis(1)).build(),
+                    false => builder.build(),
+                }
+            };
+            let mut clean = build();
+            clean.run_until(SimTime::from_micros(100_000));
+            let executed = completed_op0(&clean).expect("op 0 commits");
+            assert_ne!(executed, 999);
+
+            let mut forged = build();
+            let forged_reply = XpMsg::Reply(Reply {
+                view: 0,
+                op: 0,
+                result: 999,
+            });
+            for from in [6, 7].map(ProcessId) {
+                let at = SimTime::from_micros(1);
+                forged.inject_at(at, from, ProcessId(5), forged_reply.clone());
+            }
+            forged.run_until(SimTime::from_micros(100_000));
+            assert_eq!(
+                completed_op0(&forged),
+                Some(executed),
+                "open loop: {open_loop}"
+            );
+        }
     }
 
     #[test]

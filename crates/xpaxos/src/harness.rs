@@ -1,13 +1,13 @@
 //! Ready-made simulation harness: replicas + clients + Byzantine variants.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 use qsel_obs::{TraceEvent, TraceSink};
 use qsel_simnet::{Actor, Context, SimConfig, SimDuration, SimTime, Simulation, TimerId};
 use qsel_types::crypto::{Keychain, Signer};
 use qsel_types::{thresholds, ClusterConfig, ProcessId};
 
-use crate::client::Client;
+use crate::client::{Client, ReplyTally};
 use crate::messages::{Batch, CompactEntry, PreparePayload, Reply, Request, XpMsg};
 use crate::replica::{Replica, ReplicaConfig};
 
@@ -276,9 +276,8 @@ pub struct OpenLoopClient {
     max_ops: u64,
     issued: u64,
     sent_at: BTreeMap<u64, SimTime>,
-    /// Matching replies per in-flight op: op → result → replicas.
-    tally: BTreeMap<u64, BTreeMap<u64, Vec<ProcessId>>>,
-    done: BTreeSet<u64>,
+    /// Replies per in-flight op.
+    tally: BTreeMap<u64, ReplyTally>,
     /// (op, result, latency) for every completed operation.
     pub completed: Vec<(u64, u64, SimDuration)>,
     trace: TraceSink,
@@ -305,7 +304,6 @@ impl OpenLoopClient {
             issued: 0,
             sent_at: BTreeMap::new(),
             tally: BTreeMap::new(),
-            done: BTreeSet::new(),
             completed: Vec::new(),
             trace: TraceSink::disabled(),
         }
@@ -344,23 +342,22 @@ impl OpenLoopClient {
     }
 
     fn on_reply(&mut self, ctx: &mut Context<'_, XpMsg>, from: ProcessId, reply: Reply) {
-        if reply.op >= self.issued || self.done.contains(&reply.op) {
+        // An issued op leaves `sent_at` when it completes.
+        let Some(&sent) = self.sent_at.get(&reply.op) else {
             return; // unknown or already completed
+        };
+        if !self.cluster.contains(from) {
+            return; // only replicas count toward the reply quorum
         }
-        let entry = self
+        let matching = self
             .tally
             .entry(reply.op)
             .or_default()
-            .entry(reply.result)
-            .or_default();
-        if !entry.contains(&from) {
-            entry.push(from);
-        }
-        if thresholds::reply_quorum_reached(self.cluster.f(), entry.len()) {
-            let sent = self.sent_at.remove(&reply.op).unwrap_or(ctx.now());
+            .record(reply.result, from);
+        if thresholds::reply_quorum_reached(self.cluster.f(), matching) {
+            self.sent_at.remove(&reply.op);
             let latency = ctx.now() - sent;
             self.tally.remove(&reply.op);
-            self.done.insert(reply.op);
             self.completed.push((reply.op, reply.result, latency));
             self.trace.emit(|| TraceEvent::ClientCommit {
                 client: self.me.0,

@@ -26,7 +26,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use qsel::{QsOutput, QuorumSelection};
-use qsel_detector::{FailureDetector, FdConfig, PollSchedule};
+use qsel_detector::{Expected, FailureDetector, FdConfig, PollSchedule};
 use qsel_obs::{TraceEvent, TraceSink};
 use qsel_simnet::{Context, SimDuration, TimerId};
 use qsel_types::crypto::{Keychain, Signer, Verifier};
@@ -146,6 +146,84 @@ enum Phase {
 }
 
 /// What a donor said it can serve (checkpoint already verified).
+/// The messages a replica tells its failure detector to expect: one
+/// variant per expectation label, carrying the fields it matches on.
+#[derive(Clone, Copy, Debug)]
+enum XpExpect {
+    /// Any heartbeat from an effective-quorum member.
+    Heartbeat,
+    /// The leader's PREPARE in `view` (or any COMMIT, whose embedded
+    /// PREPARE overtook it) for a batch holding the forwarded request.
+    PrepareFor {
+        view: u64,
+        client: ProcessId,
+        op: u64,
+    },
+    /// The leader's PREPARE for a slot whose COMMIT arrived first.
+    OvertakenPrepare { view: u64, slot: u64 },
+    /// A member's COMMIT for the slot.
+    Commit { view: u64, slot: u64 },
+    /// A member's VIEW-CHANGE for `target` or a later view.
+    ViewChange { target: u64 },
+    /// The new leader's NEW-VIEW for `target` or a later view.
+    NewView { target: u64 },
+    /// A state batch answering the fetch a recovering replica sent.
+    RecoverState,
+    /// A state batch answering the fetch a NEW-VIEW's base required.
+    StateBatch,
+}
+
+impl Expected<XpMsg> for XpExpect {
+    fn is_met_by(&self, m: &XpMsg) -> bool {
+        match *self {
+            XpExpect::Heartbeat => matches!(m, XpMsg::Heartbeat(_)),
+            XpExpect::PrepareFor { view, client, op } => {
+                matches!(
+                    m,
+                    XpMsg::Prepare(sp)
+                        if sp.payload.view == view
+                            && sp.payload.batch.contains(client, op)
+                ) || matches!(
+                    m,
+                    XpMsg::Commit(c)
+                        if c.payload.prepare.payload.batch.contains(client, op)
+                )
+            }
+            XpExpect::OvertakenPrepare { view, slot } => matches!(
+                m,
+                XpMsg::Prepare(p) if p.payload.view == view && p.payload.slot == slot
+            ),
+            XpExpect::Commit { view, slot } => matches!(
+                m,
+                XpMsg::Commit(c) if c.payload.view == view && c.payload.slot == slot
+            ),
+            XpExpect::ViewChange { target } => matches!(
+                m,
+                XpMsg::ViewChange(v) if v.payload.target_view >= target
+            ),
+            XpExpect::NewView { target } => {
+                matches!(m, XpMsg::NewView(nv) if nv.payload.view >= target)
+            }
+            XpExpect::RecoverState | XpExpect::StateBatch => {
+                matches!(m, XpMsg::StateBatch { .. })
+            }
+        }
+    }
+
+    fn label(&self) -> &'static str {
+        match self {
+            XpExpect::Heartbeat => "heartbeat",
+            XpExpect::PrepareFor { .. } => "prepare-for-request",
+            XpExpect::OvertakenPrepare { .. } => "overtaken-prepare",
+            XpExpect::Commit { .. } => "commit",
+            XpExpect::ViewChange { .. } => "view-change",
+            XpExpect::NewView { .. } => "new-view",
+            XpExpect::RecoverState => "recover-state",
+            XpExpect::StateBatch => "state-batch",
+        }
+    }
+}
+
 #[derive(Clone, Debug)]
 struct PeerSyncInfo {
     /// The donor's stable checkpoint, kept only if it verified.
@@ -198,7 +276,7 @@ pub struct Replica {
     signer: Signer,
     verifier: Verifier,
     views: ViewPolicy,
-    fd: FailureDetector<XpMsg>,
+    fd: FailureDetector<XpMsg, XpExpect>,
     /// The `TIMER_FD_POLL` timers in flight.
     polls: PollSchedule,
     /// The policy [`PollSchedule`] replaced, kept as the test oracle: arm
@@ -481,7 +559,7 @@ impl Replica {
                 self.cfg.processes(),
                 from_slot,
                 u64::MAX,
-                "recover-state",
+                XpExpect::RecoverState,
             );
         }
         // A view change interrupted by the crash is re-entered: the peers
@@ -657,9 +735,8 @@ impl Replica {
         }
         for k in members.iter() {
             if k != self.me {
-                self.fd.expect(ctx.now(), k, "heartbeat", |m| {
-                    matches!(m, XpMsg::Heartbeat(_))
-                });
+                self.fd
+                    .arm(ctx.now(), k, SimDuration::ZERO, XpExpect::Heartbeat);
             }
         }
         self.hb_seq += 1;
@@ -744,20 +821,12 @@ impl Replica {
             // (or overtaking COMMIT) whose batch contains it.
             self.stats.forwarded += 1;
             ctx.send(leader, XpMsg::Request(req.clone()));
-            let view = self.view;
-            let (client, op) = (req.client, req.op);
-            self.fd.expect(now, leader, "prepare-for-request", move |m| {
-                matches!(
-                    m,
-                    XpMsg::Prepare(sp)
-                        if sp.payload.view == view
-                            && sp.payload.batch.contains(client, op)
-                ) || matches!(
-                    m,
-                    XpMsg::Commit(c)
-                        if c.payload.prepare.payload.batch.contains(client, op)
-                )
-            });
+            let key = XpExpect::PrepareFor {
+                view: self.view,
+                client: req.client,
+                op: req.op,
+            };
+            self.fd.arm(now, leader, SimDuration::ZERO, key);
         } else {
             // Passive replica: forward without expectation (it will not
             // receive the PREPARE — only quorum members do).
@@ -937,12 +1006,8 @@ impl Replica {
             // from the leader (third subtlety).
             let view = sc.payload.view;
             let leader = self.views.leader(view);
-            self.fd.expect(now, leader, "overtaken-prepare", move |m| {
-                matches!(
-                    m,
-                    XpMsg::Prepare(p) if p.payload.view == view && p.payload.slot == slot
-                )
-            });
+            let key = XpExpect::OvertakenPrepare { view, slot };
+            self.fd.arm(now, leader, SimDuration::ZERO, key);
         }
         self.try_decide_and_execute(ctx, slot);
     }
@@ -1002,12 +1067,8 @@ impl Replica {
             if already {
                 continue;
             }
-            self.fd.expect(ctx.now(), k, "commit", move |m| {
-                matches!(
-                    m,
-                    XpMsg::Commit(c) if c.payload.view == view && c.payload.slot == slot
-                )
-            });
+            let key = XpExpect::Commit { view, slot };
+            self.fd.arm(ctx.now(), k, SimDuration::ZERO, key);
         }
         self.try_decide_and_execute(ctx, slot);
     }
@@ -1146,12 +1207,7 @@ impl Replica {
             // member is alive and participating (it may legitimately have
             // jumped ahead; we will join it when its message arrives).
             let min = self.rcfg.view_change_timeout;
-            self.fd.expect_with_min(now, k, min, "view-change", move |m| {
-                matches!(
-                    m,
-                    XpMsg::ViewChange(v) if v.payload.target_view >= target
-                )
-            });
+            self.fd.arm(now, k, min, XpExpect::ViewChange { target });
         }
         self.progress_view_change(ctx, target);
         if self.rcfg.policy == QuorumPolicy::Enumeration {
@@ -1198,9 +1254,7 @@ impl Replica {
             if !self.nv_expected {
                 self.nv_expected = true;
                 let min = self.rcfg.view_change_timeout;
-                self.fd.expect_with_min(now, leader, min, "new-view", move |m| {
-                    matches!(m, XpMsg::NewView(nv) if nv.payload.view >= target)
-                });
+                self.fd.arm(now, leader, min, XpExpect::NewView { target });
             }
             return;
         }
@@ -1280,21 +1334,19 @@ impl Replica {
 
     /// Sends `StateFetch { from_slot, to_slot }` to every target but
     /// ourselves, in order, and expects a `StateBatch` back from each
-    /// (`label` names the expectation).
+    /// (`key` names the expectation).
     fn fetch_state(
         &mut self,
         ctx: &mut Context<'_, XpMsg>,
         targets: impl Iterator<Item = ProcessId>,
         from_slot: u64,
         to_slot: u64,
-        label: &'static str,
+        key: XpExpect,
     ) {
         let min = self.rcfg.view_change_timeout;
         for k in targets.filter(|k| *k != self.me) {
             ctx.send(k, XpMsg::StateFetch { from_slot, to_slot });
-            self.fd.expect_with_min(ctx.now(), k, min, label, |m| {
-                matches!(m, XpMsg::StateBatch { .. })
-            });
+            self.fd.arm(ctx.now(), k, min, key);
         }
     }
 
@@ -1326,7 +1378,7 @@ impl Replica {
             // expectation below is accuracy-safe.
             let from_slot = self.log.watermark();
             let members = *self.views.group(target).members();
-            self.fetch_state(ctx, members.iter(), from_slot, base, "state-batch");
+            self.fetch_state(ctx, members.iter(), from_slot, base, XpExpect::StateBatch);
         }
         // Replay protocol traffic that arrived mid view change FIRST, so
         // the commits it carries are in the log before the re-proposal
@@ -2411,5 +2463,214 @@ mod tests {
         let timeout = ReplicaConfig::default().fd.initial_timeout.as_micros();
         let first = fd.expiry_log.first().map(|(t, p, _)| (*t, *p));
         assert_eq!(first, Some((SimTime::from_micros(timeout + 1), p2)));
+    }
+}
+
+#[cfg(test)]
+mod expect_oracle {
+    use super::*;
+    use qsel::messages::UpdateRow;
+    use qsel_detector::Pred;
+    use qsel_types::Epoch;
+
+    /// The closure each key replaced, with its label: the oracle.
+    fn oracle(key: XpExpect) -> Pred<XpMsg> {
+        match key {
+            XpExpect::Heartbeat => Pred::new("heartbeat", |m| matches!(m, XpMsg::Heartbeat(_))),
+            XpExpect::PrepareFor { view, client, op } => {
+                Pred::new("prepare-for-request", move |m| {
+                    matches!(
+                        m,
+                        XpMsg::Prepare(sp)
+                            if sp.payload.view == view
+                                && sp.payload.batch.contains(client, op)
+                    ) || matches!(
+                        m,
+                        XpMsg::Commit(c)
+                            if c.payload.prepare.payload.batch.contains(client, op)
+                    )
+                })
+            }
+            XpExpect::OvertakenPrepare { view, slot } => Pred::new("overtaken-prepare", move |m| {
+                matches!(
+                    m,
+                    XpMsg::Prepare(p) if p.payload.view == view && p.payload.slot == slot
+                )
+            }),
+            XpExpect::Commit { view, slot } => Pred::new("commit", move |m| {
+                matches!(
+                    m,
+                    XpMsg::Commit(c) if c.payload.view == view && c.payload.slot == slot
+                )
+            }),
+            XpExpect::ViewChange { target } => Pred::new("view-change", move |m| {
+                matches!(
+                    m,
+                    XpMsg::ViewChange(v) if v.payload.target_view >= target
+                )
+            }),
+            XpExpect::NewView { target } => Pred::new(
+                "new-view",
+                move |m| matches!(m, XpMsg::NewView(nv) if nv.payload.view >= target),
+            ),
+            XpExpect::RecoverState => {
+                Pred::new("recover-state", |m| matches!(m, XpMsg::StateBatch { .. }))
+            }
+            XpExpect::StateBatch => {
+                Pred::new("state-batch", |m| matches!(m, XpMsg::StateBatch { .. }))
+            }
+        }
+    }
+
+    /// One message of every `XpMsg` variant for `view`, `slot` and a batch
+    /// of `reqs` (client, op) pairs.
+    fn one_of_each(chain: &Keychain, view: u64, slot: u64, reqs: &[(u32, u64)]) -> Vec<XpMsg> {
+        let leader = chain.signer(ProcessId(1));
+        let member = chain.signer(ProcessId(2));
+        let reqs: Vec<Request> = reqs
+            .iter()
+            .map(|&(client, op)| Request {
+                client: ProcessId(client),
+                op,
+                payload: op,
+            })
+            .collect();
+        let batch = Batch::new(reqs.clone());
+        let prepare = leader.sign(PreparePayload {
+            view,
+            slot,
+            batch: batch.clone(),
+        });
+        let commit = member.sign(CommitPayload {
+            view,
+            slot,
+            digest: batch.digest(),
+            prepare: prepare.clone(),
+        });
+        let entry = DecidedEntry {
+            prepare: prepare.clone(),
+            commits: vec![commit.clone()],
+        };
+        vec![
+            XpMsg::Request(reqs.first().cloned().unwrap_or(Request {
+                client: ProcessId(9),
+                op: 0,
+                payload: 0,
+            })),
+            XpMsg::Prepare(prepare.clone()),
+            XpMsg::Commit(commit),
+            XpMsg::Reply(Reply {
+                view,
+                op: slot,
+                result: slot,
+            }),
+            XpMsg::ViewChange(member.sign(ViewChangePayload {
+                target_view: view,
+                watermark: slot,
+                prepared: vec![prepare.clone()],
+            })),
+            XpMsg::NewView(leader.sign(NewViewPayload {
+                view,
+                base: slot,
+                reproposals: vec![prepare],
+            })),
+            XpMsg::Update(leader.sign(UpdateRow {
+                row: vec![Epoch(view); 4],
+            })),
+            XpMsg::Heartbeat(leader.sign(HeartbeatPayload { seq: slot })),
+            XpMsg::LazyUpdate {
+                entries: vec![entry.clone()],
+            },
+            XpMsg::StateFetch {
+                from_slot: slot,
+                to_slot: slot + 1,
+            },
+            XpMsg::StateBatch {
+                entries: vec![entry],
+            },
+            XpMsg::Checkpoint(member.sign(CheckpointPayload {
+                slot,
+                state: view,
+                peaks: vec![batch.digest()],
+            })),
+            XpMsg::SyncQuery { watermark: slot },
+            XpMsg::SyncInfo {
+                checkpoint: None,
+                archive_from: slot,
+                frontier: slot,
+            },
+            XpMsg::SyncFetch {
+                from_slot: slot,
+                to_slot: slot + 1,
+                proof_slot: slot,
+            },
+            XpMsg::SyncChunk {
+                entries: Vec::new(),
+                proof_slot: slot,
+            },
+        ]
+    }
+
+    /// Every key, on field values the messages carry and on values they do
+    /// not, is met by exactly the messages its closure accepted, under the
+    /// same label.
+    #[test]
+    fn keys_mean_what_the_closures_meant() {
+        let cfg = ClusterConfig::new(4, 1).unwrap();
+        let chain = Keychain::new(&cfg, 5);
+        let batches: [&[(u32, u64)]; 3] = [&[(9, 5)], &[(9, 6), (10, 5)], &[]];
+        let mut msgs = Vec::new();
+        for view in [3, 4, 5] {
+            for slot in [7, 8] {
+                for reqs in batches {
+                    msgs.extend(one_of_each(&chain, view, slot, reqs));
+                }
+            }
+        }
+        let kinds: BTreeSet<&str> = msgs.iter().map(XpMsg::kind).collect();
+        assert_eq!(kinds.len(), 16, "one message of every XpMsg variant");
+
+        // Keys on field values some message carries, and on values none does.
+        let mut carried = vec![
+            XpExpect::Heartbeat,
+            XpExpect::RecoverState,
+            XpExpect::StateBatch,
+        ];
+        let mut absent = Vec::new();
+        for view in [3, 4] {
+            for op in [5, 6] {
+                let client = ProcessId(9);
+                carried.push(XpExpect::PrepareFor { view, client, op });
+            }
+            let client = ProcessId(10);
+            absent.push(XpExpect::PrepareFor {
+                view,
+                client,
+                op: 6,
+            });
+            carried.push(XpExpect::OvertakenPrepare { view, slot: 7 });
+            absent.push(XpExpect::OvertakenPrepare { view, slot: 9 });
+            carried.push(XpExpect::Commit { view, slot: 8 });
+            absent.push(XpExpect::Commit { view, slot: 9 });
+        }
+        for target in [3, 4, 5] {
+            carried.push(XpExpect::ViewChange { target });
+            carried.push(XpExpect::NewView { target });
+        }
+        absent.push(XpExpect::ViewChange { target: 6 });
+        absent.push(XpExpect::NewView { target: 6 });
+        let keys = carried.into_iter().map(|k| (k, true));
+        for (key, carried) in keys.chain(absent.into_iter().map(|k| (k, false))) {
+            let closure = oracle(key);
+            assert_eq!(key.label(), closure.label(), "{key:?}");
+            let mut met = [false; 2];
+            for m in &msgs {
+                let is_met = key.is_met_by(m);
+                assert_eq!(is_met, closure.is_met_by(m), "{key:?} on {m:?}");
+                met[usize::from(is_met)] = true;
+            }
+            assert!(met[0], "{key:?} is missed by some message");
+            assert_eq!(met[1], carried, "{key:?} is met by some message");
+        }
     }
 }
