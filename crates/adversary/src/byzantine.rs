@@ -30,7 +30,13 @@ pub struct MuteProcess;
 
 impl Actor<ServiceMsg> for MuteProcess {
     fn on_start(&mut self, _ctx: &mut Context<'_, ServiceMsg>) {}
-    fn on_message(&mut self, _ctx: &mut Context<'_, ServiceMsg>, _from: ProcessId, _msg: ServiceMsg) {}
+    fn on_message(
+        &mut self,
+        _ctx: &mut Context<'_, ServiceMsg>,
+        _from: ProcessId,
+        _msg: ServiceMsg,
+    ) {
+    }
     fn on_timer(&mut self, _ctx: &mut Context<'_, ServiceMsg>, _timer: TimerId) {}
 }
 
@@ -87,7 +93,9 @@ impl FalseAccuser {
                 *cell = epoch;
             }
         }
-        let forged = self.signer.sign(UpdateRow { row: self.row.clone() });
+        let forged = self.signer.sign(UpdateRow {
+            row: self.row.clone(),
+        });
         let me = self.signer.id();
         let peers: Vec<ProcessId> = self.cfg.processes().filter(|p| *p != me).collect();
         ctx.send_all(peers, ServiceMsg::Update(forged));
@@ -169,7 +177,12 @@ mod tests {
     use qsel_simnet::{SimConfig, SimTime, Simulation};
 
     fn honest(cfg: ClusterConfig, p: ProcessId, chain: &Keychain) -> ClusterActor {
-        ClusterActor::Honest(SelectorNode::new_quorum(cfg, p, chain, NodeConfig::default()))
+        ClusterActor::Honest(SelectorNode::new_quorum(
+            cfg,
+            p,
+            chain,
+            NodeConfig::default(),
+        ))
     }
 
     #[test]

@@ -114,7 +114,10 @@ impl QsCluster {
     /// The epoch all processes agree on, or `None`.
     pub fn agreed_epoch(&self) -> Option<Epoch> {
         let first = self.modules[0].epoch();
-        self.modules.iter().all(|m| m.epoch() == first).then_some(first)
+        self.modules
+            .iter()
+            .all(|m| m.epoch() == first)
+            .then_some(first)
     }
 
     /// Quorums issued by process `p` so far.
@@ -285,7 +288,10 @@ impl FsCluster {
     /// The epoch all processes agree on, or `None`.
     pub fn agreed_epoch(&self) -> Option<Epoch> {
         let first = self.modules[0].epoch();
-        self.modules.iter().all(|m| m.epoch() == first).then_some(first)
+        self.modules
+            .iter()
+            .all(|m| m.epoch() == first)
+            .then_some(first)
     }
 
     /// Leader quorums issued by `p` so far.
@@ -374,7 +380,9 @@ mod tests {
             let Some(lq) = c.agreed_quorum() else { break };
             let leader = lq.leader();
             // A follower of the current quorum suspects the leader.
-            let Some(suspecter) = lq.followers().iter().next() else { break };
+            let Some(suspecter) = lq.followers().iter().next() else {
+                break;
+            };
             c.cause_suspicion(suspecter, leader);
         }
         for p in cfg.processes() {

@@ -14,7 +14,10 @@
 //! `C(f+2, 2) − 1` changes (i.e. `C(f+2, 2)` proposed quorums counting the
 //! initial one) and Theorem 3 bounds Algorithm 1 by `f(f+1)`.
 
-#[expect(clippy::disallowed_types, reason = "D1: lookup-only memo; never iterated")]
+#[expect(
+    clippy::disallowed_types,
+    reason = "D1: lookup-only memo; never iterated"
+)]
 use std::collections::HashMap;
 
 use qsel_graph::SuspectGraph;
@@ -233,9 +236,15 @@ pub struct GameResult {
 /// # Panics
 ///
 /// Panics if `f > 5` (use [`greedy_adversary`] instead).
-#[expect(clippy::disallowed_types, reason = "D1: lookup-only memo; never iterated")]
+#[expect(
+    clippy::disallowed_types,
+    reason = "D1: lookup-only memo; never iterated"
+)]
 pub fn max_interruptions(algo: &dyn QuorumAlgorithm, n: u32, f: u32) -> GameResult {
-    assert!(f <= 5, "exact search is exponential; use greedy_adversary for f > 5");
+    assert!(
+        f <= 5,
+        "exact search is exponential; use greedy_adversary for f > 5"
+    );
     let pairs = window_pairs(f);
     assert!(pairs.len() <= 60);
     let mut memo: HashMap<u64, (u64, Option<usize>)> = HashMap::new();
@@ -250,10 +259,16 @@ pub fn max_interruptions(algo: &dyn QuorumAlgorithm, n: u32, f: u32) -> GameResu
         state.on_suspicion(a, b);
         mask |= 1 << next;
     }
-    GameResult { changes: best, schedule }
+    GameResult {
+        changes: best,
+        schedule,
+    }
 }
 
-#[expect(clippy::disallowed_types, reason = "D1: lookup-only memo; never iterated")]
+#[expect(
+    clippy::disallowed_types,
+    reason = "D1: lookup-only memo; never iterated"
+)]
 fn search(
     algo: &dyn QuorumAlgorithm,
     n: u32,
@@ -316,7 +331,10 @@ pub fn greedy_adversary(algo: &mut dyn QuorumAlgorithm, n: u32, f: u32) -> GameR
             changes += 1;
         }
         schedule.push((a, b));
-        assert!(schedule.len() <= pairs.len(), "game cannot outlast the pair supply");
+        assert!(
+            schedule.len() <= pairs.len(),
+            "game cannot outlast the pair supply"
+        );
     }
 }
 
@@ -384,8 +402,7 @@ mod tests {
         // combination containing p1 comes first: C(n-1, q-1) changes.
         for (n, f) in [(4u32, 1u32), (5, 1), (7, 2)] {
             let q = n - f;
-            let changes =
-                RoundRobinEnumeration::changes_until_excluding(n, q, ProcessId(1));
+            let changes = RoundRobinEnumeration::changes_until_excluding(n, q, ProcessId(1));
             assert_eq!(
                 changes as u128,
                 binomial((n - 1) as u64, (q - 1) as u64),
@@ -397,7 +414,7 @@ mod tests {
     #[test]
     fn explainability_is_vertex_cover() {
         let pairs = window_pairs(1); // pairs on {1,2,3}
-        // A star at p1: edges (1,2), (1,3) → cover {p1}, f = 1 OK.
+                                     // A star at p1: edges (1,2), (1,3) → cover {p1}, f = 1 OK.
         let star = 0b011; // (1,2), (1,3) — window_pairs order: (1,2),(1,3),(2,3)
         assert!(explainable(&pairs, star, 4, 1));
         // The triangle needs cover 2 > 1.

@@ -60,7 +60,10 @@ fn ablate_pruning() {
             elapsed.as_micros() as f64 / f64::from(reps)
         };
         // Verify both agree before timing.
-        assert_eq!(g.first_independent_set(q), g.first_independent_set_no_prune(q));
+        assert_eq!(
+            g.first_independent_set(q),
+            g.first_independent_set_no_prune(q)
+        );
         let with = timed(true);
         let without = timed(false);
         t.row(vec![

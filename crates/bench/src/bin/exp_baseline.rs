@@ -31,7 +31,10 @@ fn qs_changes_until_excluded(cfg: ClusterConfig, culprit: ProcessId, seed: u64) 
         let victim = q.iter().find(|p| *p != culprit).expect("quorum > 1");
         cluster.cause_suspicion(victim, culprit);
         changes += 1;
-        assert!(changes < 10_000, "quorum selection failed to exclude the culprit");
+        assert!(
+            changes < 10_000,
+            "quorum selection failed to exclude the culprit"
+        );
     }
 }
 
@@ -51,7 +54,10 @@ fn fs_changes_until_excluded(cfg: ClusterConfig, culprit: ProcessId, seed: u64) 
             cluster.cause_suspicion(culprit, lq.leader());
         }
         changes += 1;
-        assert!(changes < 10_000, "follower selection failed to exclude the culprit");
+        assert!(
+            changes < 10_000,
+            "follower selection failed to exclude the culprit"
+        );
     }
 }
 

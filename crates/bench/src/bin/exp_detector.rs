@@ -56,7 +56,7 @@ fn main() {
         let crash_at = SimTime::from_micros(50_000);
         sim.run_until(crash_at);
         sim.crash(ProcessId(2)); // an active-quorum member
-        // Advance until all survivors exclude p2 (or give up at 2s).
+                                 // Advance until all survivors exclude p2 (or give up at 2s).
         let mut excluded_at = None;
         let mut t = crash_at;
         while excluded_at.is_none() && t < SimTime::from_micros(2_000_000) {

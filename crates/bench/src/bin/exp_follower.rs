@@ -30,7 +30,9 @@ fn main() {
         // Attack until the adversary runs out of productive suspicions or
         // a generous cap is reached.
         for _ in 0..(12 * f + 12) {
-            let Some(lq) = cluster.agreed_quorum() else { break };
+            let Some(lq) = cluster.agreed_quorum() else {
+                break;
+            };
             let leader = lq.leader();
             let Some(suspecter) = lq.followers().iter().next() else {
                 break;

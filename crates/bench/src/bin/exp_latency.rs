@@ -139,7 +139,10 @@ fn main() {
         ]);
     }
     table.print("E-LAT — commit latency attribution (pooled over seeds 1..3)");
-    println!("end-to-end: p50 {p50}µs  p90 {p90}µs  p99 {p99}µs  ({} spans)", lat.len());
+    println!(
+        "end-to-end: p50 {p50}µs  p90 {p90}µs  p99 {p99}µs  ({} spans)",
+        lat.len()
+    );
 
     let baseline = host::read_text(&baseline_path)
         .ok()

@@ -27,8 +27,7 @@ fn main() {
         // "+1": the initial quorum counts as proposed (the Theorem 4
         // sequence is Q_1, s_1, …, s_{k-1}, Q_k with k-1 suspicions).
         let alg1 = max_interruptions(&LexFirstIs::new(n, q), n, f).changes + 1;
-        let enumeration =
-            max_interruptions(&RoundRobinEnumeration::new(n, q), n, f).changes + 1;
+        let enumeration = max_interruptions(&RoundRobinEnumeration::new(n, q), n, f).changes + 1;
         let bound = binomial((f + 2) as u64, 2);
         table.row(vec![
             f.to_string(),

@@ -107,7 +107,11 @@ fn main() {
     let n7 = ClusterConfig::new(7, 2).unwrap();
 
     let mut rows: Vec<Row> = Vec::new();
-    let measure = |rows: &mut Vec<Row>, cluster: &str, cfg: ClusterConfig, label: String, pol: BatchPolicy| {
+    let measure = |rows: &mut Vec<Row>,
+                   cluster: &str,
+                   cfg: ClusterConfig,
+                   label: String,
+                   pol: BatchPolicy| {
         let (thr, sim_ms) = run(cfg, pol);
         rows.push(Row {
             cluster: cluster.to_string(),
@@ -121,7 +125,13 @@ fn main() {
     measure(&mut rows, "n5", n5, "legacy".into(), BatchPolicy::default());
     for depth in [1usize, 2, 4] {
         for batch in [1usize, 4, 16] {
-            measure(&mut rows, "n5", n5, format!("b{batch}d{depth}"), gated(batch, depth));
+            measure(
+                &mut rows,
+                "n5",
+                n5,
+                format!("b{batch}d{depth}"),
+                gated(batch, depth),
+            );
         }
     }
     // n=7 f=2: corners only.

@@ -71,11 +71,7 @@ fn main() {
     for (i, (s, e)) in sel.iter().zip(&en).enumerate() {
         let label = format!("{}–{}", i * 100, (i + 1) * 100);
         let mark = if i * 100 == 300 { " ← crash p2" } else { "" };
-        table.row(vec![
-            format!("{label}{mark}"),
-            s.to_string(),
-            e.to_string(),
-        ]);
+        table.row(vec![format!("{label}{mark}"), s.to_string(), e.to_string()]);
     }
     table.print("E12: committed ops per 100ms across a follower crash at t=300ms (n=4, f=1)");
     println!("views installed: selection = {sel_vc}, enumeration = {en_vc}");

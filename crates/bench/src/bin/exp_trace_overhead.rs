@@ -23,9 +23,9 @@ use std::path::PathBuf;
 
 use qsel_bench::{host, Table};
 use qsel_obs::{TraceEvent, TraceSink};
+use qsel_simnet::SimTime;
 use qsel_types::ClusterConfig;
 use qsel_xpaxos::harness::{total_committed, ClusterBuilder};
-use qsel_simnet::SimTime;
 
 const SEED: u64 = 9;
 const CLIENTS: u32 = 2;

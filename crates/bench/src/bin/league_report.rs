@@ -27,8 +27,7 @@ fn collect_verdicts(dir: &Path, out: &mut Vec<(PathBuf, Verdict)>) -> Result<(),
         if path.is_dir() {
             collect_verdicts(&path, out)?;
         } else if path.file_name().is_some_and(|n| n == "verdict.json") {
-            let text =
-                host::read_text(&path).map_err(|e| format!("{}: {e}", path.display()))?;
+            let text = host::read_text(&path).map_err(|e| format!("{}: {e}", path.display()))?;
             let verdict =
                 Verdict::parse_json(&text).map_err(|e| format!("{}: {e}", path.display()))?;
             out.push((path, verdict));
@@ -91,7 +90,13 @@ fn main() -> ExitCode {
         rendered.join(",\n")
     );
 
-    let mut table = Table::new(vec!["scenario", "seed", "result", "p99 commit", "failed checks"]);
+    let mut table = Table::new(vec![
+        "scenario",
+        "seed",
+        "result",
+        "p99 commit",
+        "failed checks",
+    ]);
     for (_, v) in &cells {
         let failed_checks: Vec<&str> = v
             .checks

@@ -651,7 +651,12 @@ mod tests {
     fn small_cluster_rejected() {
         let cfg = ClusterConfig::new(6, 2).unwrap();
         let chain = Keychain::new(&cfg, 1);
-        let _ = FollowerSelection::new(cfg, ProcessId(1), chain.signer(ProcessId(1)), chain.verifier());
+        let _ = FollowerSelection::new(
+            cfg,
+            ProcessId(1),
+            chain.signer(ProcessId(1)),
+            chain.verifier(),
+        );
     }
 
     #[test]

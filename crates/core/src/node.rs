@@ -252,12 +252,9 @@ impl SelectorNode {
     /// The most recent leader quorum. `None` when running Quorum Selection.
     pub fn current_leader_quorum(&self) -> Option<LeaderQuorum> {
         match &self.selector {
-            Selector::Follower(fs) => LeaderQuorum::of(
-                &self.cfg,
-                fs.leader(),
-                fs.current_members().iter(),
-            )
-            .ok(),
+            Selector::Follower(fs) => {
+                LeaderQuorum::of(&self.cfg, fs.leader(), fs.current_members().iter()).ok()
+            }
             Selector::Quorum(_) => None,
         }
     }
@@ -402,7 +399,12 @@ impl Actor<ServiceMsg> for SelectorNode {
         self.heartbeat_tick(ctx);
     }
 
-    fn on_message(&mut self, ctx: &mut Context<'_, ServiceMsg>, _link_sender: ProcessId, msg: ServiceMsg) {
+    fn on_message(
+        &mut self,
+        ctx: &mut Context<'_, ServiceMsg>,
+        _link_sender: ProcessId,
+        msg: ServiceMsg,
+    ) {
         // The authenticated origin is the signer, not the link-level sender
         // (UPDATE and FOLLOWERS messages are forwarded by third parties).
         let Some(origin) = self.authenticate(&msg) else {
@@ -446,12 +448,7 @@ mod tests {
     use qsel_simnet::{SimConfig, Simulation};
     use qsel_types::crypto::Keychain;
 
-    fn cluster(
-        n: u32,
-        f: u32,
-        seed: u64,
-        follower: bool,
-    ) -> Simulation<ServiceMsg, SelectorNode> {
+    fn cluster(n: u32, f: u32, seed: u64, follower: bool) -> Simulation<ServiceMsg, SelectorNode> {
         let cfg = ClusterConfig::new(n, f).unwrap();
         let chain = Keychain::new(&cfg, seed);
         let nodes: Vec<SelectorNode> = cfg

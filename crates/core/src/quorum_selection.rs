@@ -265,17 +265,18 @@ mod tests {
         let qs = quorums(&out);
         assert_eq!(qs.len(), 1);
         assert!(!qs[0].contains(ProcessId(2)));
-        assert_eq!(
-            qs[0].iter().map(|p| p.0).collect::<Vec<_>>(),
-            vec![1, 3, 4]
-        );
+        assert_eq!(qs[0].iter().map(|p| p.0).collect::<Vec<_>>(), vec![1, 3, 4]);
     }
 
     #[test]
     fn quorum_not_reissued_when_unchanged() {
         let (_, _, mut modules) = setup(5, 2);
         let out1 = modules[0].on_suspected(set(&[4]));
-        assert_eq!(quorums(&out1).len(), 0, "default quorum {{1,2,3}} unaffected");
+        assert_eq!(
+            quorums(&out1).len(),
+            0,
+            "default quorum {{1,2,3}} unaffected"
+        );
         let out2 = modules[0].on_suspected(set(&[2]));
         assert_eq!(quorums(&out2).len(), 1);
     }
@@ -307,9 +308,7 @@ mod tests {
             (3u32, vec![Epoch(0), Epoch(0), Epoch(0), Epoch(1)]), // 3 suspects 4
             (4u32, vec![Epoch(1), Epoch(0), Epoch(0), Epoch(0)]), // 4 suspects 1
         ] {
-            let msg = chain
-                .signer(ProcessId(signer))
-                .sign(UpdateRow { row });
+            let msg = chain.signer(ProcessId(signer)).sign(UpdateRow { row });
             all_out.extend(modules[0].on_update(msg));
         }
         // Graph in epoch 1: edges 1-2, 1-3, 2-3, 3-4, 1-4 → max IS = {2,4}:
@@ -317,7 +316,10 @@ mod tests {
         // own re-stamped suspicions (1-2, 1-3) remain.
         assert_eq!(modules[0].epoch(), Epoch(2));
         let final_q = modules[0].current_quorum();
-        assert_eq!(final_q.iter().map(|p| p.0).collect::<Vec<_>>(), vec![2, 3, 4]);
+        assert_eq!(
+            final_q.iter().map(|p| p.0).collect::<Vec<_>>(),
+            vec![2, 3, 4]
+        );
     }
 
     #[test]
@@ -331,7 +333,10 @@ mod tests {
         let out = modules[0].on_update(forged);
         assert!(out.is_empty());
         assert_eq!(modules[0].stats().invalid_updates, 1);
-        assert_eq!(modules[0].current_quorum(), Quorum::initial(modules[0].config()));
+        assert_eq!(
+            modules[0].current_quorum(),
+            Quorum::initial(modules[0].config())
+        );
     }
 
     #[test]
@@ -404,7 +409,10 @@ mod tests {
         });
         let out = modules[0].on_update(msg);
         assert_eq!(quorums(&out).len(), 0);
-        assert_eq!(modules[0].current_quorum(), Quorum::initial(modules[0].config()));
+        assert_eq!(
+            modules[0].current_quorum(),
+            Quorum::initial(modules[0].config())
+        );
     }
 
     #[test]
@@ -412,7 +420,12 @@ mod tests {
     fn f_zero_rejected() {
         let cfg = ClusterConfig::new(3, 0).unwrap();
         let chain = Keychain::new(&cfg, 1);
-        let _ = QuorumSelection::new(cfg, ProcessId(1), chain.signer(ProcessId(1)), chain.verifier());
+        let _ = QuorumSelection::new(
+            cfg,
+            ProcessId(1),
+            chain.signer(ProcessId(1)),
+            chain.verifier(),
+        );
     }
 
     #[test]

@@ -477,7 +477,10 @@ mod tests {
         assert!(fd.is_suspected(ProcessId(2)));
         let cleared = fd.on_receive(t(3), ProcessId(2), "commit");
         assert_eq!(cleared, Some(ProcessSet::new()));
-        assert!(fd.current_timeout(ProcessId(2)) > before, "timeout backed off");
+        assert!(
+            fd.current_timeout(ProcessId(2)) > before,
+            "timeout backed off"
+        );
         assert_eq!(fd.stats().suspicions_cancelled, 1);
     }
 

@@ -6,9 +6,9 @@
 //! executable so the proofs' premises can be checked in tests and by the
 //! adversary's strategy search.
 
-use qsel_types::ProcessSet;
 #[cfg(test)]
 use qsel_types::ProcessId;
+use qsel_types::ProcessSet;
 
 use crate::graph::SuspectGraph;
 
@@ -26,7 +26,8 @@ impl SuspectGraph {
     /// assert!(g.is_vertex_cover(&c));
     /// ```
     pub fn is_vertex_cover(&self, set: &ProcessSet) -> bool {
-        self.edges().all(|(a, b)| set.contains(a) || set.contains(b))
+        self.edges()
+            .all(|(a, b)| set.contains(a) || set.contains(b))
     }
 
     /// A minimum vertex cover, computed as the complement of a maximum

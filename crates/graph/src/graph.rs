@@ -113,7 +113,11 @@ impl SuspectGraph {
 
     /// Total number of edges.
     pub fn edge_count(&self) -> usize {
-        self.adj.iter().map(|row| row.count_ones() as usize).sum::<usize>() / 2
+        self.adj
+            .iter()
+            .map(|row| row.count_ones() as usize)
+            .sum::<usize>()
+            / 2
     }
 
     /// Iterates over all edges `(a, b)` with `a < b`.
@@ -226,7 +230,10 @@ mod tests {
         assert_eq!(g.degree(ProcessId(2)), 3);
         assert_eq!(g.degree(ProcessId(4)), 0);
         assert_eq!(
-            g.neighbors(ProcessId(2)).iter().map(|p| p.0).collect::<Vec<_>>(),
+            g.neighbors(ProcessId(2))
+                .iter()
+                .map(|p| p.0)
+                .collect::<Vec<_>>(),
             vec![1, 3, 5]
         );
         assert_eq!(

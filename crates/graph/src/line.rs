@@ -148,7 +148,11 @@ impl LinearForest {
 
     /// Number of edges.
     pub fn edge_count(&self) -> usize {
-        self.adj.iter().map(|r| r.count_ones() as usize).sum::<usize>() / 2
+        self.adj
+            .iter()
+            .map(|r| r.count_ones() as usize)
+            .sum::<usize>()
+            / 2
     }
 
     /// The nodes the forest *contains* (non-zero degree). The paper says a
@@ -202,10 +206,7 @@ impl LinearForest {
     /// Returns the first [`ForestError`] encountered. Use this when
     /// receiving a line subgraph from the network (Definition 3 b requires
     /// "L' is a line subgraph").
-    pub fn from_edge_list(
-        n: u32,
-        edges: &[(ProcessId, ProcessId)],
-    ) -> Result<Self, ForestError> {
+    pub fn from_edge_list(n: u32, edges: &[(ProcessId, ProcessId)]) -> Result<Self, ForestError> {
         let mut l = LinearForest::new(n);
         for &(a, b) in edges {
             l.add_edge(a, b)?;
@@ -317,7 +318,11 @@ impl SuspectGraph {
         }
         let forest = best.unwrap_or_else(|| LinearForest::new(n));
         let leader = if k < n { Some(ProcessId(k + 1)) } else { None };
-        debug_assert_eq!(forest.leader(), leader, "prefix cover left leader uncovered");
+        debug_assert_eq!(
+            forest.leader(),
+            leader,
+            "prefix cover left leader uncovered"
+        );
         MaximalLineSubgraph { forest, leader }
     }
 

@@ -282,7 +282,10 @@ mod tests {
 
     #[test]
     fn lifetimes_are_not_char_literals() {
-        assert_eq!(idents("fn f<'a>(x: &'a str) {}"), vec!["fn", "f", "a", "x", "a", "str"]);
+        assert_eq!(
+            idents("fn f<'a>(x: &'a str) {}"),
+            vec!["fn", "f", "a", "x", "a", "str"]
+        );
         let lit_count = lex("let c = 'x';")
             .iter()
             .filter(|t| matches!(t.tok, Tok::Literal(_)))
@@ -304,7 +307,10 @@ mod tests {
 
     #[test]
     fn nested_block_comments() {
-        assert_eq!(idents("/* outer /* inner */ still */ fn f() {}"), vec!["fn", "f"]);
+        assert_eq!(
+            idents("/* outer /* inner */ still */ fn f() {}"),
+            vec!["fn", "f"]
+        );
     }
 
     #[test]

@@ -166,8 +166,12 @@ pub fn workspace_deps(root: &Path) -> std::io::Result<BTreeMap<String, Vec<Strin
         if section != "workspace.dependencies" {
             continue;
         }
-        let Some((name, rest)) = line.split_once('=') else { continue };
-        let Some(path) = toml_str_value(rest, "path") else { continue };
+        let Some((name, rest)) = line.split_once('=') else {
+            continue;
+        };
+        let Some(path) = toml_str_value(rest, "path") else {
+            continue;
+        };
         if let Some(dir) = path.rsplit('/').next() {
             name_to_dir.insert(name.trim().to_string(), dir.to_string());
         }
@@ -188,7 +192,9 @@ pub fn workspace_deps(root: &Path) -> std::io::Result<BTreeMap<String, Vec<Strin
                 continue;
             }
             // `qsel-types.workspace = true` or `qsel-types = { ... }`.
-            let Some(head) = line.split('=').next() else { continue };
+            let Some(head) = line.split('=').next() else {
+                continue;
+            };
             let name = head.trim().trim_end_matches(".workspace").trim();
             if !name.is_empty() {
                 list.push(dir_of(name));
@@ -322,7 +328,10 @@ mod tests {
         assert_eq!(krate("/ws/crates/bench/src/bin/exp_thm3.rs"), "bench");
         assert_eq!(krate("/ws/examples/trace_run.rs"), "examples");
         assert_eq!(krate("/ws/src/lib.rs"), "qsel-repro");
-        assert_eq!(file_meta(root, Path::new("/ws/src/lib.rs")).path, "src/lib.rs");
+        assert_eq!(
+            file_meta(root, Path::new("/ws/src/lib.rs")).path,
+            "src/lib.rs"
+        );
     }
 
     #[test]

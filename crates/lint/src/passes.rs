@@ -18,7 +18,9 @@ use crate::model::Workspace;
 use crate::report::Finding;
 
 fn is_verify_ident(cfg: &LintConfig, s: &str) -> bool {
-    cfg.verify_prefixes.iter().any(|p| s.starts_with(p.as_str()))
+    cfg.verify_prefixes
+        .iter()
+        .any(|p| s.starts_with(p.as_str()))
 }
 
 // ----------------------------------------------------------------------
@@ -32,7 +34,9 @@ pub fn pass_s1(ws: &Workspace, cfg: &LintConfig, findings: &mut Vec<Finding>) {
         if def.item.in_test || !cfg.s1_applies(&def.krate) {
             continue;
         }
-        let Some((bs, be)) = def.item.body else { continue };
+        let Some((bs, be)) = def.item.body else {
+            continue;
+        };
         let file = ws.file_of(id);
         let params = &file.code[def.item.params.0..def.item.params.1];
         for pname in signed_param_names(params) {
@@ -114,8 +118,7 @@ fn signed_param_names(params: &[Token]) -> Vec<String> {
             Tok::Punct(')') | Tok::Punct(']') | Tok::Punct('}') => depth -= 1,
             Tok::Punct('>') => {
                 // `->` and `=>` are not closing angles.
-                let arrow =
-                    k > 0 && matches!(params[k - 1].tok, Tok::Punct('-') | Tok::Punct('='));
+                let arrow = k > 0 && matches!(params[k - 1].tok, Tok::Punct('-') | Tok::Punct('='));
                 if !arrow {
                     depth -= 1;
                 }
@@ -217,7 +220,11 @@ mod tests {
     fn s1_requires_verify_before_payload() {
         let run = |src: &str| {
             let mut f = Vec::new();
-            pass_s1(&ws(vec![pf("core", "a", src)]), &LintConfig::default(), &mut f);
+            pass_s1(
+                &ws(vec![pf("core", "a", src)]),
+                &LintConfig::default(),
+                &mut f,
+            );
             f.len()
         };
         assert_eq!(run("fn g(m: SignedVote) { let _ = m.payload.x; }"), 1);

@@ -90,7 +90,11 @@ impl Report {
                     Some(r) => format!("\"{}\"", esc(r)),
                 }
             );
-            s.push_str(if i + 1 < self.findings.len() { ",\n" } else { "\n" });
+            s.push_str(if i + 1 < self.findings.len() {
+                ",\n"
+            } else {
+                "\n"
+            });
         }
         let suppressed = self.findings.len() - self.unsuppressed_count();
         let _ = write!(

@@ -54,5 +54,7 @@ fn json_report_carries_exact_files_and_lines() {
     assert!(json.contains(r#""lint": "S1", "file": "fixtures/s1_bad.rs", "line": 2,"#));
     assert!(json.contains(r#""lint": "S1", "file": "fixtures/suppressed.rs", "line": 3,"#));
     assert!(json.contains(r#""suppressed": "fixture demonstrates the escape hatch""#));
-    assert!(json.contains(r#""summary": {"files_scanned": 2, "total": 2, "suppressed": 1, "unsuppressed": 1}"#));
+    assert!(json.contains(
+        r#""summary": {"files_scanned": 2, "total": 2, "suppressed": 1, "unsuppressed": 1}"#
+    ));
 }

@@ -303,7 +303,9 @@ impl Mmr {
         // and its left sibling exists (it always does in a from-zero
         // forest; in a resumed forest the seed peaks play the part).
         while i & 1 == 1 {
-            let Some(sib) = self.node(h, i - 1) else { break };
+            let Some(sib) = self.node(h, i - 1) else {
+                break;
+            };
             cur = node_hash(&sib, &cur);
             self.level_mut(h as usize + 1).insert(i >> 1, cur);
             i >>= 1;
@@ -435,7 +437,10 @@ impl Mmr {
             leaf_count,
             siblings,
             peaks_before: ms[..pos].iter().map(peak_of).collect::<Result<_, _>>()?,
-            peaks_after: ms[pos + 1..].iter().map(peak_of).collect::<Result<_, _>>()?,
+            peaks_after: ms[pos + 1..]
+                .iter()
+                .map(peak_of)
+                .collect::<Result<_, _>>()?,
         })
     }
 }
@@ -487,7 +492,11 @@ mod tests {
         // Tampered content.
         assert!(!verify(&leaf(5), &proof, &root));
         // Content re-bound to a different slot.
-        assert!(!verify(&leaf_hash(5, &sha256(&4u64.to_le_bytes())), &proof, &root));
+        assert!(!verify(
+            &leaf_hash(5, &sha256(&4u64.to_le_bytes())),
+            &proof,
+            &root
+        ));
         // Root of a different size.
         assert!(!verify(&leaf(4), &proof, &mmr.root_at(8).unwrap()));
     }

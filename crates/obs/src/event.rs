@@ -567,9 +567,16 @@ mod tests {
         names.dedup();
         assert_eq!(names.len(), samples.len(), "duplicate ev name");
         for event in samples {
-            let record = TraceRecord { seq: 1, t: 2, event };
+            let record = TraceRecord {
+                seq: 1,
+                t: 2,
+                event,
+            };
             let line = record.to_jsonl();
-            assert!(line.contains(&format!("\"ev\":\"{}\"", record.event.name())), "{line}");
+            assert!(
+                line.contains(&format!("\"ev\":\"{}\"", record.event.name())),
+                "{line}"
+            );
             let parsed = TraceRecord::parse_line(&line, 1, &mut Vec::new());
             assert_eq!(parsed.as_ref(), Ok(&record), "{line}");
         }

@@ -33,7 +33,10 @@
 //!    garbage-collected slot).
 
 use std::collections::BTreeMap;
-#[expect(clippy::disallowed_types, reason = "D1: lookup-only counters; never iterated")]
+#[expect(
+    clippy::disallowed_types,
+    reason = "D1: lookup-only counters; never iterated"
+)]
 use std::collections::HashMap;
 use std::fmt;
 
@@ -194,7 +197,10 @@ impl fmt::Display for ReplayReport {
 
 /// Replays `records` through the invariant checks described in the
 /// [module docs](self).
-#[expect(clippy::disallowed_types, reason = "D1: lookup-only counters; never iterated")]
+#[expect(
+    clippy::disallowed_types,
+    reason = "D1: lookup-only counters; never iterated"
+)]
 pub fn analyze(records: &[TraceRecord], cfg: &ReplayConfig) -> ReplayReport {
     let mut report = ReplayReport {
         records_checked: records.len() as u64,
@@ -253,7 +259,11 @@ pub fn analyze(records: &[TraceRecord], cfg: &ReplayConfig) -> ReplayReport {
                 if r.t >= cfg.stable_from_micros {
                     let c = stable_counts.entry((*p, *epoch, is_fs)).or_insert(0);
                     *c += 1;
-                    let bound = if is_fs { thm9_bound(cfg.f) } else { thm3_bound(cfg.f) };
+                    let bound = if is_fs {
+                        thm9_bound(cfg.f)
+                    } else {
+                        thm3_bound(cfg.f)
+                    };
                     if is_fs {
                         report.max_fs_quorums_per_epoch = report.max_fs_quorums_per_epoch.max(*c);
                     } else {
@@ -341,7 +351,9 @@ pub fn analyze(records: &[TraceRecord], cfg: &ReplayConfig) -> ReplayReport {
                 let floor = gc_floor.entry(*p).or_insert(0);
                 *floor = (*floor).max(*below);
             }
-            TraceEvent::BatchCommitted { p, slot, digest, .. } => {
+            TraceEvent::BatchCommitted {
+                p, slot, digest, ..
+            } => {
                 check_floor(&mut report, &gc_floor, r, *p, *slot);
                 let (d0, p0, seq0) = *slot_batch_digest
                     .entry(*slot)
@@ -578,8 +590,7 @@ mod tests {
     #[test]
     fn fs_bound_is_three_f_plus_one() {
         // f=1: Theorem 9 allows 3f+1=4; the 5th violates.
-        let records: Vec<TraceRecord> =
-            (0..5).map(|i| quorum(i, 100 + i, 2, 7, "fs")).collect();
+        let records: Vec<TraceRecord> = (0..5).map(|i| quorum(i, 100 + i, 2, 7, "fs")).collect();
         let report = analyze(
             &records,
             &ReplayConfig {
@@ -650,10 +661,42 @@ mod tests {
         // Two replicas each execute the same two-request batch in slot 5:
         // multiple executed events per slot are fine when order matches.
         let records = vec![
-            rec(0, 10, TraceEvent::Executed { p: 1, slot: 5, digest: 0xA1 }),
-            rec(1, 11, TraceEvent::Executed { p: 1, slot: 5, digest: 0xA2 }),
-            rec(2, 20, TraceEvent::Executed { p: 2, slot: 5, digest: 0xA1 }),
-            rec(3, 21, TraceEvent::Executed { p: 2, slot: 5, digest: 0xA2 }),
+            rec(
+                0,
+                10,
+                TraceEvent::Executed {
+                    p: 1,
+                    slot: 5,
+                    digest: 0xA1,
+                },
+            ),
+            rec(
+                1,
+                11,
+                TraceEvent::Executed {
+                    p: 1,
+                    slot: 5,
+                    digest: 0xA2,
+                },
+            ),
+            rec(
+                2,
+                20,
+                TraceEvent::Executed {
+                    p: 2,
+                    slot: 5,
+                    digest: 0xA1,
+                },
+            ),
+            rec(
+                3,
+                21,
+                TraceEvent::Executed {
+                    p: 2,
+                    slot: 5,
+                    digest: 0xA2,
+                },
+            ),
         ];
         let report = analyze(
             &records,
@@ -670,10 +713,42 @@ mod tests {
     fn batched_slot_order_mismatch_is_flagged() {
         // Same requests, different order at the second replica.
         let records = vec![
-            rec(0, 10, TraceEvent::Executed { p: 1, slot: 5, digest: 0xA1 }),
-            rec(1, 11, TraceEvent::Executed { p: 1, slot: 5, digest: 0xA2 }),
-            rec(2, 20, TraceEvent::Executed { p: 2, slot: 5, digest: 0xA2 }),
-            rec(3, 21, TraceEvent::Executed { p: 2, slot: 5, digest: 0xA1 }),
+            rec(
+                0,
+                10,
+                TraceEvent::Executed {
+                    p: 1,
+                    slot: 5,
+                    digest: 0xA1,
+                },
+            ),
+            rec(
+                1,
+                11,
+                TraceEvent::Executed {
+                    p: 1,
+                    slot: 5,
+                    digest: 0xA2,
+                },
+            ),
+            rec(
+                2,
+                20,
+                TraceEvent::Executed {
+                    p: 2,
+                    slot: 5,
+                    digest: 0xA2,
+                },
+            ),
+            rec(
+                3,
+                21,
+                TraceEvent::Executed {
+                    p: 2,
+                    slot: 5,
+                    digest: 0xA1,
+                },
+            ),
         ];
         let report = analyze(
             &records,
@@ -691,9 +766,33 @@ mod tests {
         // The second replica executes one more request in the slot than
         // the reference replica did.
         let records = vec![
-            rec(0, 10, TraceEvent::Executed { p: 1, slot: 5, digest: 0xA1 }),
-            rec(1, 20, TraceEvent::Executed { p: 2, slot: 5, digest: 0xA1 }),
-            rec(2, 21, TraceEvent::Executed { p: 2, slot: 5, digest: 0xA9 }),
+            rec(
+                0,
+                10,
+                TraceEvent::Executed {
+                    p: 1,
+                    slot: 5,
+                    digest: 0xA1,
+                },
+            ),
+            rec(
+                1,
+                20,
+                TraceEvent::Executed {
+                    p: 2,
+                    slot: 5,
+                    digest: 0xA1,
+                },
+            ),
+            rec(
+                2,
+                21,
+                TraceEvent::Executed {
+                    p: 2,
+                    slot: 5,
+                    digest: 0xA9,
+                },
+            ),
         ];
         let report = analyze(
             &records,
@@ -798,9 +897,15 @@ mod tests {
             "message from 1 delivered to 2, which crashed at seq 0 and has not restarted"
         );
         // A timer firing at the crashed process is the same invariant.
-        let v = sole_violation(&[records[0].clone(), rec(1, 20, TraceEvent::TimerFired { at: 2 })]);
+        let v = sole_violation(&[
+            records[0].clone(),
+            rec(1, 20, TraceEvent::TimerFired { at: 2 }),
+        ]);
         assert_eq!(v.kind, ViolationKind::CrashedDelivery);
-        assert_eq!(v.desc, "timer fired at 2, which crashed at seq 0 and has not restarted");
+        assert_eq!(
+            v.desc,
+            "timer fired at 2, which crashed at seq 0 and has not restarted"
+        );
     }
 
     /// The single violation `records` must produce (f = 1, whole trace
@@ -818,8 +923,24 @@ mod tests {
     #[test]
     fn kind_checkpoint_divergence() {
         let v = sole_violation(&[
-            rec(0, 10, TraceEvent::CheckpointStable { p: 1, slot: 8, digest: 1 }),
-            rec(1, 20, TraceEvent::CheckpointStable { p: 2, slot: 8, digest: 2 }),
+            rec(
+                0,
+                10,
+                TraceEvent::CheckpointStable {
+                    p: 1,
+                    slot: 8,
+                    digest: 1,
+                },
+            ),
+            rec(
+                1,
+                20,
+                TraceEvent::CheckpointStable {
+                    p: 2,
+                    slot: 8,
+                    digest: 2,
+                },
+            ),
         ]);
         assert_eq!(v.kind, ViolationKind::CheckpointDivergence);
         assert_eq!(
@@ -831,8 +952,20 @@ mod tests {
 
     #[test]
     fn kind_transfer_divergence() {
-        let ckpt = rec(0, 10, TraceEvent::CheckpointStable { p: 1, slot: 8, digest: 1 });
-        let done = TraceEvent::StateTransferDone { p: 4, slot: 8, digest: 9 };
+        let ckpt = rec(
+            0,
+            10,
+            TraceEvent::CheckpointStable {
+                p: 1,
+                slot: 8,
+                digest: 1,
+            },
+        );
+        let done = TraceEvent::StateTransferDone {
+            p: 4,
+            slot: 8,
+            digest: 9,
+        };
         // Either trace order: transfer after the checkpoint, or before it.
         let v = sole_violation(&[ckpt.clone(), rec(1, 20, done.clone())]);
         assert_eq!(v.kind, ViolationKind::TransferDivergence);
@@ -853,7 +986,15 @@ mod tests {
     #[test]
     fn kind_gc_floor() {
         let v = sole_violation(&[
-            rec(0, 10, TraceEvent::LogGc { p: 1, below: 10, len: 2 }),
+            rec(
+                0,
+                10,
+                TraceEvent::LogGc {
+                    p: 1,
+                    below: 10,
+                    len: 2,
+                },
+            ),
             rec(1, 20, TraceEvent::Decided { p: 1, slot: 4 }),
         ]);
         assert_eq!(v.kind, ViolationKind::GcFloor);
@@ -862,16 +1003,41 @@ mod tests {
             "process 1 decided references garbage-collected slot 4 below its GC floor 10"
         );
         // The offending event's own name is the verb.
-        let gc = rec(0, 10, TraceEvent::LogGc { p: 1, below: 10, len: 2 });
+        let gc = rec(
+            0,
+            10,
+            TraceEvent::LogGc {
+                p: 1,
+                below: 10,
+                len: 2,
+            },
+        );
         for (event, what) in [
-            (TraceEvent::Executed { p: 1, slot: 4, digest: 1 }, "executed"),
-            (TraceEvent::BatchCommitted { p: 1, slot: 4, size: 1, digest: 1 }, "batch_committed"),
+            (
+                TraceEvent::Executed {
+                    p: 1,
+                    slot: 4,
+                    digest: 1,
+                },
+                "executed",
+            ),
+            (
+                TraceEvent::BatchCommitted {
+                    p: 1,
+                    slot: 4,
+                    size: 1,
+                    digest: 1,
+                },
+                "batch_committed",
+            ),
         ] {
             let v = sole_violation(&[gc.clone(), rec(1, 20, event)]);
             assert_eq!(v.kind, ViolationKind::GcFloor);
             assert_eq!(
                 v.desc,
-                format!("process 1 {what} references garbage-collected slot 4 below its GC floor 10")
+                format!(
+                    "process 1 {what} references garbage-collected slot 4 below its GC floor 10"
+                )
             );
         }
     }

@@ -115,9 +115,7 @@ impl TraceSink {
 
     /// Number of buffered records.
     pub fn len(&self) -> usize {
-        self.inner
-            .as_ref()
-            .map_or(0, |b| b.borrow().records.len())
+        self.inner.as_ref().map_or(0, |b| b.borrow().records.len())
     }
 
     /// Whether the buffer is empty (always true when disabled).
@@ -177,7 +175,10 @@ mod tests {
         let b = a.clone();
         a.set_now(42);
         b.emit(|| TraceEvent::Crash { p: 1 });
-        a.emit(|| TraceEvent::Restart { p: 1, incarnation: 1 });
+        a.emit(|| TraceEvent::Restart {
+            p: 1,
+            incarnation: 1,
+        });
         let records = a.records();
         assert_eq!(records.len(), 2);
         assert_eq!(records[0].t, 42);

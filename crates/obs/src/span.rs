@@ -388,13 +388,65 @@ mod tests {
     /// client commit at 260 with latency 160.
     fn chain() -> Vec<TraceRecord> {
         vec![
-            rec(0, 110, TraceEvent::BatchAdmitted { p: 0, client: 10, op: 3 }),
-            rec(1, 150, TraceEvent::ReqProposed { p: 0, slot: 5, client: 10, op: 3 }),
-            rec(2, 180, TraceEvent::CommitVote { p: 0, slot: 5, from: 1, have: 1 }),
-            rec(3, 220, TraceEvent::CommitVote { p: 0, slot: 5, from: 2, have: 2 }),
+            rec(
+                0,
+                110,
+                TraceEvent::BatchAdmitted {
+                    p: 0,
+                    client: 10,
+                    op: 3,
+                },
+            ),
+            rec(
+                1,
+                150,
+                TraceEvent::ReqProposed {
+                    p: 0,
+                    slot: 5,
+                    client: 10,
+                    op: 3,
+                },
+            ),
+            rec(
+                2,
+                180,
+                TraceEvent::CommitVote {
+                    p: 0,
+                    slot: 5,
+                    from: 1,
+                    have: 1,
+                },
+            ),
+            rec(
+                3,
+                220,
+                TraceEvent::CommitVote {
+                    p: 0,
+                    slot: 5,
+                    from: 2,
+                    have: 2,
+                },
+            ),
             rec(4, 220, TraceEvent::Decided { p: 0, slot: 5 }),
-            rec(5, 225, TraceEvent::ReplySent { p: 0, client: 10, op: 3, slot: 5 }),
-            rec(6, 260, TraceEvent::ClientCommit { client: 10, op: 3, latency_us: 160 }),
+            rec(
+                5,
+                225,
+                TraceEvent::ReplySent {
+                    p: 0,
+                    client: 10,
+                    op: 3,
+                    slot: 5,
+                },
+            ),
+            rec(
+                6,
+                260,
+                TraceEvent::ClientCommit {
+                    client: 10,
+                    op: 3,
+                    latency_us: 160,
+                },
+            ),
         ]
     }
 
@@ -419,7 +471,15 @@ mod tests {
         let mut records = chain();
         records.insert(
             0,
-            rec(9, 105, TraceEvent::ClientRetry { client: 10, op: 3, interval_us: 5 }),
+            rec(
+                9,
+                105,
+                TraceEvent::ClientRetry {
+                    client: 10,
+                    op: 3,
+                    interval_us: 5,
+                },
+            ),
         );
         let report = SpanReport::build(&records);
         let s = &report.spans[0];
@@ -449,11 +509,49 @@ mod tests {
         let mut seq = 0;
         for (op, commit_t, latency) in [(0u64, 300u64, 200u64), (1, 700, 120), (2, 1100, 250)] {
             let base = commit_t - latency;
-            records.push(rec(seq, base + 10, TraceEvent::BatchAdmitted { p: 0, client: 1, op }));
-            records.push(rec(seq + 1, base + 20, TraceEvent::ReqProposed { p: 0, slot: op, client: 1, op }));
-            records.push(rec(seq + 2, base + 60, TraceEvent::Decided { p: 0, slot: op }));
-            records.push(rec(seq + 3, base + 60, TraceEvent::ReplySent { p: 0, client: 1, op, slot: op }));
-            records.push(rec(seq + 4, commit_t, TraceEvent::ClientCommit { client: 1, op, latency_us: latency }));
+            records.push(rec(
+                seq,
+                base + 10,
+                TraceEvent::BatchAdmitted {
+                    p: 0,
+                    client: 1,
+                    op,
+                },
+            ));
+            records.push(rec(
+                seq + 1,
+                base + 20,
+                TraceEvent::ReqProposed {
+                    p: 0,
+                    slot: op,
+                    client: 1,
+                    op,
+                },
+            ));
+            records.push(rec(
+                seq + 2,
+                base + 60,
+                TraceEvent::Decided { p: 0, slot: op },
+            ));
+            records.push(rec(
+                seq + 3,
+                base + 60,
+                TraceEvent::ReplySent {
+                    p: 0,
+                    client: 1,
+                    op,
+                    slot: op,
+                },
+            ));
+            records.push(rec(
+                seq + 4,
+                commit_t,
+                TraceEvent::ClientCommit {
+                    client: 1,
+                    op,
+                    latency_us: latency,
+                },
+            ));
             seq += 5;
         }
         let report = SpanReport::build(&records);

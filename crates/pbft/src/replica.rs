@@ -169,7 +169,13 @@ impl PbftReplica {
         if let Some(&slot) = self.assigned.get(&(op.client, op.seq)) {
             // Duplicate: re-reply if executed.
             if slot < self.exec_cursor {
-                ctx.send(op.client, PbftMsg::Reply { seq: op.seq, result: slot });
+                ctx.send(
+                    op.client,
+                    PbftMsg::Reply {
+                        seq: op.seq,
+                        result: slot,
+                    },
+                );
             }
             return;
         }
@@ -180,14 +186,26 @@ impl PbftReplica {
         entry.op = Some(op.clone());
         for p in self.participants() {
             if p != self.me {
-                ctx.send(p, PbftMsg::PrePrepare { slot, op: op.clone() });
+                ctx.send(
+                    p,
+                    PbftMsg::PrePrepare {
+                        slot,
+                        op: op.clone(),
+                    },
+                );
             }
         }
         // The primary counts as prepared for its own proposal.
         self.advance(ctx, slot);
     }
 
-    fn on_pre_prepare(&mut self, ctx: &mut Context<'_, PbftMsg>, from: ProcessId, slot: u64, op: Op) {
+    fn on_pre_prepare(
+        &mut self,
+        ctx: &mut Context<'_, PbftMsg>,
+        from: ProcessId,
+        slot: u64,
+        op: Op,
+    ) {
         if from != self.primary() || !self.is_participant(self.me) {
             return;
         }
@@ -206,7 +224,13 @@ impl PbftReplica {
         self.advance(ctx, slot);
     }
 
-    fn on_prepare(&mut self, ctx: &mut Context<'_, PbftMsg>, from: ProcessId, slot: u64, digest: Digest) {
+    fn on_prepare(
+        &mut self,
+        ctx: &mut Context<'_, PbftMsg>,
+        from: ProcessId,
+        slot: u64,
+        digest: Digest,
+    ) {
         if !self.is_participant(self.me) {
             return;
         }
@@ -218,7 +242,13 @@ impl PbftReplica {
         self.advance(ctx, slot);
     }
 
-    fn on_commit(&mut self, ctx: &mut Context<'_, PbftMsg>, from: ProcessId, slot: u64, digest: Digest) {
+    fn on_commit(
+        &mut self,
+        ctx: &mut Context<'_, PbftMsg>,
+        from: ProcessId,
+        slot: u64,
+        digest: Digest,
+    ) {
         if !self.is_participant(self.me) {
             return;
         }
@@ -245,7 +275,8 @@ impl PbftReplica {
         // Prepared: pre-prepare + 2f prepares (primary's pre-prepare
         // stands in for its prepare; our own prepare is implicit).
         let enough_prepares = me == primary
-            || entry.prepares.iter().filter(|p| **p != me).count() >= prepare_needed.saturating_sub(1);
+            || entry.prepares.iter().filter(|p| **p != me).count()
+                >= prepare_needed.saturating_sub(1);
         if !entry.prepared && enough_prepares {
             entry.prepared = true;
             entry.commits.insert(me);
@@ -374,7 +405,10 @@ impl Actor<PbftMsg> for PbftNode {
     }
 
     /// P1: every wire variant is routed by name (no wildcard arm).
-    #[deny(clippy::wildcard_enum_match_arm, clippy::match_wildcard_for_single_variants)]
+    #[deny(
+        clippy::wildcard_enum_match_arm,
+        clippy::match_wildcard_for_single_variants
+    )]
     fn on_message(&mut self, ctx: &mut Context<'_, PbftMsg>, from: ProcessId, msg: PbftMsg) {
         match self {
             PbftNode::Replica(r) => match msg {

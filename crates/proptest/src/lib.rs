@@ -31,7 +31,9 @@ pub mod prelude {
     pub use crate::arbitrary::{any, Arbitrary};
     pub use crate::strategy::{BoxedStrategy, Just, Strategy, Union};
     pub use crate::test_runner::{ProptestConfig, TestCaseError, TestRng};
-    pub use crate::{prop_assert, prop_assert_eq, prop_assert_ne, prop_assume, prop_oneof, proptest};
+    pub use crate::{
+        prop_assert, prop_assert_eq, prop_assert_ne, prop_assume, prop_oneof, proptest,
+    };
 }
 
 /// Defines deterministic property tests over strategy-drawn inputs.

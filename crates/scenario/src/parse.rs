@@ -126,9 +126,7 @@ impl Fields {
     /// Errors on any key nobody consumed — the unknown-key guarantee.
     fn finish(self, section: &str) -> Result<(), String> {
         if let Some((key, (line, _))) = self.map.into_iter().next() {
-            return Err(format!(
-                "line {line}: unknown key \"{key}\" in [{section}]"
-            ));
+            return Err(format!("line {line}: unknown key \"{key}\" in [{section}]"));
         }
         Ok(())
     }
@@ -314,7 +312,9 @@ fn parse_val(text: &str, line_no: usize) -> Result<Val, String> {
 
 fn parse_int(text: &str, line_no: usize) -> Result<u64, String> {
     if text.is_empty() || !text.bytes().all(|b| b.is_ascii_digit() || b == b'_') {
-        return Err(format!("line {line_no}: expected unsigned integer, got {text:?}"));
+        return Err(format!(
+            "line {line_no}: expected unsigned integer, got {text:?}"
+        ));
     }
     let digits: String = text.chars().filter(|c| *c != '_').collect();
     digits
@@ -384,8 +384,8 @@ fn finish_single(section: &'static str, mut f: Fields, sc: &mut Scenario) -> Res
                 .take_str("strategy")?
                 .ok_or_else(|| format!("line {}: [adversary] needs a strategy", f.line))?;
             let delay_us = f.take_int("delay_us")?;
-            sc.adversary.strategy = Strategy::from_name(&name, delay_us)
-                .map_err(|e| format!("line {line}: {e}"))?;
+            sc.adversary.strategy =
+                Strategy::from_name(&name, delay_us).map_err(|e| format!("line {line}: {e}"))?;
             if let Some(v) = f.take_int("process")? {
                 sc.adversary.process = u32::try_from(v)
                     .map_err(|_| format!("line {}: \"process\" does not fit in u32", f.line))?;
@@ -436,9 +436,12 @@ fn finish_link(mut f: Fields) -> Result<GeoLink, String> {
 
 fn finish_fault(mut f: Fields) -> Result<Fault, String> {
     let at_us = f.require_int("at_us", "fault")?;
-    let (kind_line, kind_name) = f
-        .take_str("kind")?
-        .ok_or_else(|| format!("line {}: [[fault]] is missing required key \"kind\"", f.line))?;
+    let (kind_line, kind_name) = f.take_str("kind")?.ok_or_else(|| {
+        format!(
+            "line {}: [[fault]] is missing required key \"kind\"",
+            f.line
+        )
+    })?;
     let kind = match kind_name.as_str() {
         "partition" => {
             let group = f
@@ -597,11 +600,17 @@ kind = "heal_all"
     fn duplicate_key_and_section_are_rejected() {
         let dup_key = "name = \"x\"\n\n[cluster]\nn = 4\nn = 5\n";
         let err = parse(dup_key).expect_err("dup key");
-        assert!(err.starts_with("line 5:") && err.contains("duplicate key"), "{err}");
+        assert!(
+            err.starts_with("line 5:") && err.contains("duplicate key"),
+            "{err}"
+        );
 
         let dup_sec = "name = \"x\"\n\n[run]\n\n[run]\n";
         let err = parse(dup_sec).expect_err("dup section");
-        assert!(err.starts_with("line 5:") && err.contains("appears twice"), "{err}");
+        assert!(
+            err.starts_with("line 5:") && err.contains("appears twice"),
+            "{err}"
+        );
     }
 
     #[test]
@@ -621,7 +630,10 @@ kind = "heal_all"
     fn unknown_enumerations_are_rejected() {
         let bad_algo = "name = \"x\"\n\n[cluster]\nalgorithm = \"fastest\"\n";
         let err = parse(bad_algo).expect_err("bad algorithm");
-        assert!(err.starts_with("line 4:") && err.contains("unknown algorithm"), "{err}");
+        assert!(
+            err.starts_with("line 4:") && err.contains("unknown algorithm"),
+            "{err}"
+        );
 
         let bad_kind = "name = \"x\"\n\n[[fault]]\nat_us = 1\nkind = \"explode\"\n";
         let err = parse(bad_kind).expect_err("bad kind");

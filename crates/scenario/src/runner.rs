@@ -99,16 +99,14 @@ pub fn run_scenario(sc: &Scenario, seed: u64) -> Result<RunArtifacts, String> {
         match adversary.strategy {
             Strategy::None => None,
             Strategy::Mute => Some(XpActor::Mute),
-            Strategy::Equivocate => {
-                Some(XpActor::Equivocator(Equivocator::new(cfg, chain, p)))
-            }
+            Strategy::Equivocate => Some(XpActor::Equivocator(Equivocator::new(cfg, chain, p))),
             Strategy::Gray { delay_us } => Some(XpActor::Gray(GrayReplica::new(
                 Replica::new(cfg, p, chain, rcfg.clone()),
                 SimDuration::micros(delay_us),
             ))),
-            Strategy::CorruptTransfer => Some(XpActor::CorruptTransfer(
-                CorruptTransferPeer::new(Replica::new(cfg, p, chain, rcfg.clone())),
-            )),
+            Strategy::CorruptTransfer => Some(XpActor::CorruptTransfer(CorruptTransferPeer::new(
+                Replica::new(cfg, p, chain, rcfg.clone()),
+            ))),
         }
     });
     sim.schedule_plan(plan);
@@ -185,7 +183,11 @@ pub fn run_scenario(sc: &Scenario, seed: u64) -> Result<RunArtifacts, String> {
             r
         }
         Err(e) => {
-            verdict.check("trace_roundtrip", false, format!("export does not reparse: {e}"));
+            verdict.check(
+                "trace_roundtrip",
+                false,
+                format!("export does not reparse: {e}"),
+            );
             Vec::new()
         }
     };
@@ -370,15 +372,11 @@ pub fn compile_plan(sc: &Scenario) -> FaultPlan {
     for ft in faults {
         let t = SimTime::from_micros(ft.at_us);
         let partition_group: Option<Vec<ProcessId>> = match &ft.kind {
-            FaultKind::Partition(group) => {
-                Some(group.iter().map(|p| ProcessId(*p)).collect())
-            }
+            FaultKind::Partition(group) => Some(group.iter().map(|p| ProcessId(*p)).collect()),
             _ => None,
         };
         let ev = match &ft.kind {
-            FaultKind::Partition(_) => {
-                FaultEvent::Partition(partition_group.clone().unwrap())
-            }
+            FaultKind::Partition(_) => FaultEvent::Partition(partition_group.clone().unwrap()),
             FaultKind::HealAll => FaultEvent::HealAll,
             FaultKind::Crash(p) => FaultEvent::Crash(ProcessId(*p)),
             FaultKind::Restart(p) => FaultEvent::Restart(ProcessId(*p)),
@@ -408,8 +406,7 @@ pub fn compile_plan(sc: &Scenario) -> FaultPlan {
                 },
             },
         };
-        let replaces_links =
-            matches!(ft.kind, FaultKind::Partition(_) | FaultKind::HealAll);
+        let replaces_links = matches!(ft.kind, FaultKind::Partition(_) | FaultKind::HealAll);
         plan.push(t, ev);
         if replaces_links && !sc.links.is_empty() {
             for (from, to, state) in geo_states(sc, partition_group.as_deref()) {
@@ -467,20 +464,85 @@ mod tests {
     fn one_of_each() -> Vec<TraceRecord> {
         let quorum = |seq, t| {
             let (algo, members) = ("qs".into(), vec![1, 2, 3]);
-            rec(seq, t, TraceEvent::QuorumIssued { p: 1, epoch: 5, algo, members })
+            rec(
+                seq,
+                t,
+                TraceEvent::QuorumIssued {
+                    p: 1,
+                    epoch: 5,
+                    algo,
+                    members,
+                },
+            )
         };
         vec![
             quorum(0, 100),
             quorum(1, 200),
             quorum(2, 300),
-            rec(3, 310, TraceEvent::Executed { p: 1, slot: 3, digest: 0xAA }),
-            rec(4, 320, TraceEvent::Executed { p: 3, slot: 3, digest: 0xBB }),
+            rec(
+                3,
+                310,
+                TraceEvent::Executed {
+                    p: 1,
+                    slot: 3,
+                    digest: 0xAA,
+                },
+            ),
+            rec(
+                4,
+                320,
+                TraceEvent::Executed {
+                    p: 3,
+                    slot: 3,
+                    digest: 0xBB,
+                },
+            ),
             rec(5, 330, TraceEvent::Crash { p: 2 }),
-            rec(6, 340, TraceEvent::MsgDeliver { from: 1, to: 2, kind: "prepare".into() }),
-            rec(7, 350, TraceEvent::CheckpointStable { p: 1, slot: 8, digest: 1 }),
-            rec(8, 360, TraceEvent::CheckpointStable { p: 3, slot: 8, digest: 2 }),
-            rec(9, 370, TraceEvent::StateTransferDone { p: 4, slot: 8, digest: 9 }),
-            rec(10, 380, TraceEvent::LogGc { p: 1, below: 10, len: 2 }),
+            rec(
+                6,
+                340,
+                TraceEvent::MsgDeliver {
+                    from: 1,
+                    to: 2,
+                    kind: "prepare".into(),
+                },
+            ),
+            rec(
+                7,
+                350,
+                TraceEvent::CheckpointStable {
+                    p: 1,
+                    slot: 8,
+                    digest: 1,
+                },
+            ),
+            rec(
+                8,
+                360,
+                TraceEvent::CheckpointStable {
+                    p: 3,
+                    slot: 8,
+                    digest: 2,
+                },
+            ),
+            rec(
+                9,
+                370,
+                TraceEvent::StateTransferDone {
+                    p: 4,
+                    slot: 8,
+                    digest: 9,
+                },
+            ),
+            rec(
+                10,
+                380,
+                TraceEvent::LogGc {
+                    p: 1,
+                    below: 10,
+                    len: 2,
+                },
+            ),
             rec(11, 390, TraceEvent::Decided { p: 1, slot: 4 }),
         ]
     }
@@ -492,7 +554,11 @@ mod tests {
         };
         let mut verdict = Verdict::new("unit", 1);
         invariant_checks(&mut verdict, &analyze(records, &cfg), &cfg);
-        verdict.checks.into_iter().map(|c| (c.name, c.pass, c.detail)).collect()
+        verdict
+            .checks
+            .into_iter()
+            .map(|c| (c.name, c.pass, c.detail))
+            .collect()
     }
 
     /// More replicas than a `ProcessSet` holds is a configuration error,
@@ -510,7 +576,9 @@ mod tests {
     #[test]
     fn invariant_checks_keep_their_names_order_and_details() {
         let want = |rows: [(&str, bool, &str); 6]| -> Vec<(String, bool, String)> {
-            rows.iter().map(|(n, p, d)| (n.to_string(), *p, d.to_string())).collect()
+            rows.iter()
+                .map(|(n, p, d)| (n.to_string(), *p, d.to_string()))
+                .collect()
         };
         assert_eq!(
             checks_for(&one_of_each()),
@@ -526,12 +594,36 @@ mod tests {
         assert_eq!(
             checks_for(&[]),
             want([
-                ("quorum_bounds", true, "max qs 0/2 fs 0/4 quorums per epoch from t=50us, 0 violation(s)"),
-                ("per_slot_agreement", true, "0 slot(s) cross-checked, 0 violation(s)"),
-                ("no_crashed_delivery", true, "0 record(s) scanned, 0 violation(s)"),
-                ("checkpoint_agreement", true, "0 divergent checkpoint certificate(s)"),
-                ("state_transfer_integrity", true, "0 recovered-state mismatch(es)"),
-                ("gc_floor", true, "0 access(es) below a garbage-collected floor"),
+                (
+                    "quorum_bounds",
+                    true,
+                    "max qs 0/2 fs 0/4 quorums per epoch from t=50us, 0 violation(s)"
+                ),
+                (
+                    "per_slot_agreement",
+                    true,
+                    "0 slot(s) cross-checked, 0 violation(s)"
+                ),
+                (
+                    "no_crashed_delivery",
+                    true,
+                    "0 record(s) scanned, 0 violation(s)"
+                ),
+                (
+                    "checkpoint_agreement",
+                    true,
+                    "0 divergent checkpoint certificate(s)"
+                ),
+                (
+                    "state_transfer_integrity",
+                    true,
+                    "0 recovered-state mismatch(es)"
+                ),
+                (
+                    "gc_floor",
+                    true,
+                    "0 access(es) below a garbage-collected floor"
+                ),
             ])
         );
     }

@@ -92,7 +92,9 @@ impl WorkloadMode {
         match name {
             "closed" => Ok(WorkloadMode::Closed),
             "open" => Ok(WorkloadMode::Open),
-            other => Err(format!("unknown workload mode {other:?} (known: closed, open)")),
+            other => Err(format!(
+                "unknown workload mode {other:?} (known: closed, open)"
+            )),
         }
     }
 }
@@ -490,7 +492,11 @@ impl Scenario {
         let _ = writeln!(out);
         let _ = writeln!(out, "[run]");
         let _ = writeln!(out, "settle_us = {}", self.run.settle_us);
-        let _ = writeln!(out, "min_commit_permille = {}", self.run.min_commit_permille);
+        let _ = writeln!(
+            out,
+            "min_commit_permille = {}",
+            self.run.min_commit_permille
+        );
         if let Some(s) = self.run.stable_from_us {
             let _ = writeln!(out, "stable_from_us = {s}");
         }

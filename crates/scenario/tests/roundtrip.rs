@@ -149,11 +149,10 @@ fn arb_run() -> impl Strategy<Value = RunSpec> {
 }
 
 fn arb_checkpoint() -> impl Strategy<Value = CheckpointSpec> {
-    (0u64..=1_000, 0u64..=100_000)
-        .prop_map(|(interval, archive_retain)| CheckpointSpec {
-            interval,
-            archive_retain,
-        })
+    (0u64..=1_000, 0u64..=100_000).prop_map(|(interval, archive_retain)| CheckpointSpec {
+        interval,
+        archive_retain,
+    })
 }
 
 fn arb_ceiling() -> impl Strategy<Value = Option<u64>> {
@@ -192,7 +191,11 @@ fn arb_scenario() -> impl Strategy<Value = Scenario> {
     (
         (arb_name(), arb_cluster(), arb_workload()),
         (arb_batch(), arb_checkpoint(), arb_adversary(), arb_run()),
-        (vec(arb_link(), 0..=4), vec(arb_fault(), 0..=6), arb_expect()),
+        (
+            vec(arb_link(), 0..=4),
+            vec(arb_fault(), 0..=6),
+            arb_expect(),
+        ),
     )
         .prop_map(
             |(

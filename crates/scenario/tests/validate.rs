@@ -15,7 +15,10 @@ fn calm_baseline_without_faults(algorithm: Algorithm) -> Scenario {
 fn quorum_selection_without_a_fault_threshold_is_rejected() {
     let sc = calm_baseline_without_faults(Algorithm::Qs);
     let err = sc.validate().unwrap_err();
-    assert!(err.contains("\"qs\""), "error must name the algorithm: {err}");
+    assert!(
+        err.contains("\"qs\""),
+        "error must name the algorithm: {err}"
+    );
     assert_eq!(run_scenario(&sc, 1).err(), Some(err));
 }
 

@@ -174,11 +174,15 @@ mod tests {
         let d = DelayModel::default();
         let a: Vec<u64> = {
             let mut rng = StdRng::seed_from_u64(9);
-            (0..20).map(|_| d.sample(&mut rng, SimTime::ZERO).as_micros()).collect()
+            (0..20)
+                .map(|_| d.sample(&mut rng, SimTime::ZERO).as_micros())
+                .collect()
         };
         let b: Vec<u64> = {
             let mut rng = StdRng::seed_from_u64(9);
-            (0..20).map(|_| d.sample(&mut rng, SimTime::ZERO).as_micros()).collect()
+            (0..20)
+                .map(|_| d.sample(&mut rng, SimTime::ZERO).as_micros())
+                .collect()
         };
         assert_eq!(a, b);
     }

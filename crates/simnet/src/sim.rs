@@ -241,12 +241,25 @@ impl fmt::Display for NetStats {
         writeln!(f, "  timers fired         {:>12}", self.timers_fired)?;
         writeln!(f, "  messages duplicated  {:>12}", self.messages_duplicated)?;
         writeln!(f, "  messages reordered   {:>12}", self.messages_reordered)?;
-        writeln!(f, "  stale timers dropped {:>12}", self.stale_timers_dropped)?;
-        writeln!(f, "  buffered while paused{:>12}", self.events_buffered_paused)?;
+        writeln!(
+            f,
+            "  stale timers dropped {:>12}",
+            self.stale_timers_dropped
+        )?;
+        writeln!(
+            f,
+            "  buffered while paused{:>12}",
+            self.events_buffered_paused
+        )?;
         writeln!(f, "  restarts             {:>12}", self.restarts)?;
         write!(f, "  faults injected      {:>12}", self.faults_injected)?;
         for (kind, n) in &self.by_kind {
-            write!(f, "\n  sent[{kind}]{:>pad$}", n, pad = 27usize.saturating_sub(kind.len()))?;
+            write!(
+                f,
+                "\n  sent[{kind}]{:>pad$}",
+                n,
+                pad = 27usize.saturating_sub(kind.len())
+            )?;
         }
         Ok(())
     }
@@ -440,8 +453,10 @@ impl<M: Clone, A: Actor<M>> Simulation<M, A> {
         self.incarnation[p.index()] += 1;
         self.stats.restarts += 1;
         let incarnation = self.incarnation[p.index()];
-        self.trace
-            .emit(|| TraceEvent::Restart { p: p.0, incarnation });
+        self.trace.emit(|| TraceEvent::Restart {
+            p: p.0,
+            incarnation,
+        });
         if self.started {
             self.dispatch(p, |actor, ctx| actor.on_recover(ctx));
         }
@@ -943,7 +958,10 @@ mod tests {
     }
 
     fn two(seed: u64) -> Simulation<Msg, Counter> {
-        Simulation::new(SimConfig::new(2, seed), vec![Counter::new(0), Counter::new(0)])
+        Simulation::new(
+            SimConfig::new(2, seed),
+            vec![Counter::new(0), Counter::new(0)],
+        )
     }
 
     #[test]
@@ -953,7 +971,10 @@ mod tests {
             format!("{:?}", LinkState::default())
         );
         let mut sim = two(1);
-        assert!(sim.links.is_empty(), "a healthy network allocates no link table");
+        assert!(
+            sim.links.is_empty(),
+            "a healthy network allocates no link table"
+        );
         let cut = LinkState {
             drop_all: true,
             ..Default::default()
@@ -1116,10 +1137,7 @@ mod tests {
 
     #[test]
     fn timers_fire_and_rearm() {
-        let mut sim = Simulation::new(
-            SimConfig::new(1, 5),
-            vec![Counter::new(4)],
-        );
+        let mut sim = Simulation::new(SimConfig::new(1, 5), vec![Counter::new(4)]);
         sim.run_to_quiescence();
         assert_eq!(sim.actor(ProcessId(1)).timers, 4);
         assert_eq!(sim.stats().timers_fired, 4);
@@ -1164,7 +1182,12 @@ mod tests {
     #[test]
     fn injection() {
         let mut sim = two(9);
-        sim.inject_at(SimTime::from_micros(50), ProcessId(2), ProcessId(2), Msg::Ping);
+        sim.inject_at(
+            SimTime::from_micros(50),
+            ProcessId(2),
+            ProcessId(2),
+            Msg::Ping,
+        );
         sim.run_to_quiescence();
         assert_eq!(sim.actor(ProcessId(2)).pings, 3);
     }
@@ -1266,10 +1289,20 @@ mod tests {
         // one delivered after restart arrives (the network outlives the
         // process).
         sim.crash(ProcessId(2));
-        sim.inject_at(SimTime::from_micros(100), ProcessId(1), ProcessId(2), Msg::Ping);
+        sim.inject_at(
+            SimTime::from_micros(100),
+            ProcessId(1),
+            ProcessId(2),
+            Msg::Ping,
+        );
         sim.run_until(SimTime::from_micros(200));
         sim.restart(ProcessId(2));
-        sim.inject_at(SimTime::from_micros(300), ProcessId(1), ProcessId(2), Msg::Ping);
+        sim.inject_at(
+            SimTime::from_micros(300),
+            ProcessId(1),
+            ProcessId(2),
+            Msg::Ping,
+        );
         sim.run_until(SimTime::from_micros(1_000));
         assert_eq!(sim.actor(ProcessId(2)).pings, 1);
         assert_eq!(sim.stats().messages_dropped, 1);
@@ -1363,7 +1396,10 @@ mod tests {
         // Across seeds, jitter must sometimes stretch the completion time
         // beyond the no-jitter run.
         let stretched = (0..10).filter(|&s| jittered(s) > base(s)).count();
-        assert!(stretched >= 5, "jitter had no effect in {stretched}/10 runs");
+        assert!(
+            stretched >= 5,
+            "jitter had no effect in {stretched}/10 runs"
+        );
     }
 
     #[test]
@@ -1438,7 +1474,10 @@ mod tests {
             sim.schedule_plan(
                 FaultPlan::new()
                     .at(SimTime::from_micros(3_000), FaultEvent::Pause(ProcessId(2)))
-                    .at(SimTime::from_micros(6_000), FaultEvent::Resume(ProcessId(2)))
+                    .at(
+                        SimTime::from_micros(6_000),
+                        FaultEvent::Resume(ProcessId(2)),
+                    )
                     .at(SimTime::from_micros(9_000), FaultEvent::Crash(ProcessId(3)))
                     .at(
                         SimTime::from_micros(12_000),
@@ -1489,13 +1528,18 @@ mod tests {
 
         impl Scripted {
             fn new() -> Self {
-                Scripted { calls: 0, fuel: 40, seen: Vec::new() }
+                Scripted {
+                    calls: 0,
+                    fuel: 40,
+                    seen: Vec::new(),
+                }
             }
 
             fn react(&mut self, me: ProcessId, now: SimTime, input: Input) -> Effects {
                 self.seen.push((now, input));
                 self.calls += 1;
-                let mut x = (u64::from(me.0) << 32 | self.calls).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                let mut x =
+                    (u64::from(me.0) << 32 | self.calls).wrapping_mul(0x9E37_79B9_7F4A_7C15);
                 let mut draw = |n: u64| {
                     x ^= x >> 29;
                     x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -1584,15 +1628,29 @@ mod tests {
                 m
             }
 
-            fn push(&mut self, time: SimTime, to: ProcessId, inc: u32, body: Option<(u32, u64)>, timer: u64) {
-                self.queue.push(Reverse((time, self.seq, to.0, inc, body, timer)));
+            fn push(
+                &mut self,
+                time: SimTime,
+                to: ProcessId,
+                inc: u32,
+                body: Option<(u32, u64)>,
+                timer: u64,
+            ) {
+                self.queue
+                    .push(Reverse((time, self.seq, to.0, inc, body, timer)));
                 self.seq += 1;
             }
 
             fn dispatch(&mut self, id: ProcessId, input: Input) {
                 let (sends, timers) = self.actors[id.index()].react(id, self.now, input);
                 for (after, tid) in timers {
-                    self.push(self.now + after, id, self.incarnation[id.index()], None, tid.0);
+                    self.push(
+                        self.now + after,
+                        id,
+                        self.incarnation[id.index()],
+                        None,
+                        tid.0,
+                    );
                 }
                 for (to, msg) in sends {
                     self.stats.messages_sent += 1;
@@ -1657,7 +1715,9 @@ mod tests {
 
             fn resume(&mut self, p: ProcessId) {
                 if std::mem::take(&mut self.paused[p.index()]) {
-                    for Reverse((_, _, to, inc, body, timer)) in std::mem::take(&mut self.pause_buf[p.index()]) {
+                    for Reverse((_, _, to, inc, body, timer)) in
+                        std::mem::take(&mut self.pause_buf[p.index()])
+                    {
                         self.push(self.now, ProcessId(to), inc, body, timer);
                     }
                 }
@@ -1677,7 +1737,14 @@ mod tests {
             for from in sim.ids() {
                 for to in sim.ids() {
                     let extra_delay = SimDuration::micros(link_extra(from, to));
-                    sim.set_link(from, to, LinkState { extra_delay, ..Default::default() });
+                    sim.set_link(
+                        from,
+                        to,
+                        LinkState {
+                            extra_delay,
+                            ..Default::default()
+                        },
+                    );
                 }
             }
             sim.start();
@@ -1707,7 +1774,10 @@ mod tests {
             ]
         }
 
-        fn assert_same(sim: &Simulation<u64, Scripted>, model: &Model) -> Result<(), TestCaseError> {
+        fn assert_same(
+            sim: &Simulation<u64, Scripted>,
+            model: &Model,
+        ) -> Result<(), TestCaseError> {
             prop_assert_eq!(sim.stats(), &model.stats);
             prop_assert_eq!(sim.now(), model.now);
             for id in sim.ids() {

@@ -152,7 +152,10 @@ mod tests {
 
     #[test]
     fn saturating_mul() {
-        assert_eq!(SimDuration::micros(u64::MAX).saturating_mul(2).as_micros(), u64::MAX);
+        assert_eq!(
+            SimDuration::micros(u64::MAX).saturating_mul(2).as_micros(),
+            u64::MAX
+        );
         assert_eq!(SimDuration::micros(10).saturating_mul(3).as_micros(), 30);
     }
 

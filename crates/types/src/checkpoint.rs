@@ -71,8 +71,14 @@ mod tests {
         };
         let bytes = encode_to_vec(&a);
         assert_eq!(&bytes[..4], b"CKPT");
-        assert_eq!(decode_from_slice::<CheckpointPayload>(&bytes), Ok(a.clone()));
-        let b = CheckpointPayload { state: 0xbeef, ..a.clone() };
+        assert_eq!(
+            decode_from_slice::<CheckpointPayload>(&bytes),
+            Ok(a.clone())
+        );
+        let b = CheckpointPayload {
+            state: 0xbeef,
+            ..a.clone()
+        };
         assert_ne!(a.digest(), b.digest());
     }
 }

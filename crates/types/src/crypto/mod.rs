@@ -24,4 +24,4 @@ mod sha256;
 mod sign;
 
 pub use sha256::{sha256, Digest, Sha256};
-pub use sign::{Keychain, SigTag, Signed, Signer, VerifyError, Verifier};
+pub use sign::{Keychain, SigTag, Signed, Signer, Verifier, VerifyError};

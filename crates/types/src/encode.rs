@@ -440,10 +440,16 @@ mod tests {
 
     #[test]
     fn invalid_bool_and_utf8_are_rejected() {
-        assert_eq!(decode_from_slice::<bool>(&[2]), Err(DecodeError::BadBool(2)));
+        assert_eq!(
+            decode_from_slice::<bool>(&[2]),
+            Err(DecodeError::BadBool(2))
+        );
         let mut bytes = Vec::new();
         2u64.encode(&mut bytes);
         bytes.extend([0xff, 0xfe]);
-        assert_eq!(decode_from_slice::<String>(&bytes), Err(DecodeError::BadUtf8));
+        assert_eq!(
+            decode_from_slice::<String>(&bytes),
+            Err(DecodeError::BadUtf8)
+        );
     }
 }

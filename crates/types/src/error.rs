@@ -96,7 +96,11 @@ mod tests {
             "correct majority violated: n - f = 1 is not greater than f = 1"
         );
         assert_eq!(
-            QuorumError::WrongSize { expected: 3, got: 2 }.to_string(),
+            QuorumError::WrongSize {
+                expected: 3,
+                got: 2
+            }
+            .to_string(),
             "quorum must have exactly 3 members, got 2"
         );
         assert_eq!(

@@ -442,7 +442,10 @@ mod tests {
         let a: ProcessSet = [1, 2, 3].into_iter().map(ProcessId).collect();
         let b: ProcessSet = [3, 4].into_iter().map(ProcessId).collect();
         assert_eq!(a.union(&b).len(), 4);
-        assert_eq!(a.intersection(&b).iter().collect::<Vec<_>>(), vec![ProcessId(3)]);
+        assert_eq!(
+            a.intersection(&b).iter().collect::<Vec<_>>(),
+            vec![ProcessId(3)]
+        );
         assert_eq!(
             a.difference(&b).iter().collect::<Vec<_>>(),
             vec![ProcessId(1), ProcessId(2)]

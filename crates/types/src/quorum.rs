@@ -196,7 +196,13 @@ mod tests {
     fn of_validates_size() {
         let cfg = cfg53();
         let err = Quorum::of(&cfg, [ProcessId(1), ProcessId(2)]).unwrap_err();
-        assert_eq!(err, QuorumError::WrongSize { expected: 3, got: 2 });
+        assert_eq!(
+            err,
+            QuorumError::WrongSize {
+                expected: 3,
+                got: 2
+            }
+        );
         // Duplicates are counted as provided, not deduplicated silently.
         let err = Quorum::of(&cfg, [ProcessId(1), ProcessId(1), ProcessId(2)]).unwrap_err();
         assert!(matches!(err, QuorumError::WrongSize { .. }));
@@ -223,12 +229,19 @@ mod tests {
     #[test]
     fn leader_quorum_validation() {
         let cfg = ClusterConfig::new(4, 1).unwrap();
-        let err = LeaderQuorum::of(&cfg, ProcessId(1), [ProcessId(2), ProcessId(3), ProcessId(4)])
-            .unwrap_err();
+        let err = LeaderQuorum::of(
+            &cfg,
+            ProcessId(1),
+            [ProcessId(2), ProcessId(3), ProcessId(4)],
+        )
+        .unwrap_err();
         assert_eq!(err, QuorumError::LeaderNotMember(ProcessId(1)));
-        let lq =
-            LeaderQuorum::of(&cfg, ProcessId(3), [ProcessId(2), ProcessId(3), ProcessId(4)])
-                .unwrap();
+        let lq = LeaderQuorum::of(
+            &cfg,
+            ProcessId(3),
+            [ProcessId(2), ProcessId(3), ProcessId(4)],
+        )
+        .unwrap();
         assert_eq!(
             lq.followers().iter().collect::<Vec<_>>(),
             vec![ProcessId(2), ProcessId(4)]

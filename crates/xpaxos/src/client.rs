@@ -126,7 +126,10 @@ impl Client {
         for r in self.cluster.processes() {
             ctx.send(r, XpMsg::Request(req.clone()));
         }
-        ctx.set_timer(self.backoff.current(), TimerId(TIMER_RETRY_BASE + self.next_op));
+        ctx.set_timer(
+            self.backoff.current(),
+            TimerId(TIMER_RETRY_BASE + self.next_op),
+        );
     }
 
     fn on_reply(&mut self, ctx: &mut Context<'_, XpMsg>, from: ProcessId, reply: Reply) {

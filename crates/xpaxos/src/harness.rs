@@ -235,7 +235,9 @@ impl CorruptTransferPeer {
         let to = to_slot.min(proof_slot).min(log.watermark());
         let mut entries = Vec::new();
         for slot in from_slot..to {
-            let Some(batch) = log.batch_at(slot) else { break };
+            let Some(batch) = log.batch_at(slot) else {
+                break;
+            };
             let Ok(proof) = log.mmr().proof_at(slot, proof_slot) else {
                 break;
             };

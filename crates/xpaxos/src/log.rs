@@ -3,7 +3,10 @@
 //! authenticates compacted history.
 
 use std::collections::BTreeMap;
-#[expect(clippy::disallowed_types, reason = "D1: lookup-only dedup indexes; never iterated")]
+#[expect(
+    clippy::disallowed_types,
+    reason = "D1: lookup-only dedup indexes; never iterated"
+)]
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::Range;
@@ -30,7 +33,10 @@ impl Hasher for OpKeyHasher {
     }
 
     fn write_u64(&mut self, word: u64) {
-        self.0 = self.0.wrapping_add(word).wrapping_mul(0xf135_7aea_2e62_a9c5);
+        self.0 = self
+            .0
+            .wrapping_add(word)
+            .wrapping_mul(0xf135_7aea_2e62_a9c5);
     }
 
     fn finish(&self) -> u64 {
@@ -41,7 +47,10 @@ impl Hasher for OpKeyHasher {
 type OpKeys = BuildHasherDefault<OpKeyHasher>;
 
 /// Inserts the dedup assignment of every request in `prepare`'s batch.
-#[expect(clippy::disallowed_types, reason = "D1: lookup-only dedup index; never iterated")]
+#[expect(
+    clippy::disallowed_types,
+    reason = "D1: lookup-only dedup index; never iterated"
+)]
 // lint: allow(S1, σ_l checked at the replica boundary before log admission)
 fn assign_batch(assigned: &mut HashMap<(ProcessId, u64), u64, OpKeys>, prepare: &SignedPrepare) {
     for req in prepare.payload.batch.reqs() {
@@ -88,11 +97,17 @@ pub struct Log {
     /// State-machine state: a running digest-free fold of payloads.
     pub state: u64,
     /// Request dedup: (client, op) → slot.
-    #[expect(clippy::disallowed_types, reason = "D1: lookup-only dedup index; never iterated")]
+    #[expect(
+        clippy::disallowed_types,
+        reason = "D1: lookup-only dedup index; never iterated"
+    )]
     assigned: HashMap<(ProcessId, u64), u64, OpKeys>,
     /// Execution dedup: a request re-proposed at a second slot after a
     /// view change must not be applied twice.
-    #[expect(clippy::disallowed_types, reason = "D1: membership-only dedup set; never iterated")]
+    #[expect(
+        clippy::disallowed_types,
+        reason = "D1: membership-only dedup set; never iterated"
+    )]
     executed_ops: HashSet<(ProcessId, u64), OpKeys>,
     /// Merkle mountain range over executed batch digests: leaf `i` is
     /// `leaf_hash(i, batch_i.digest())`, appended as the cursor passes
@@ -143,8 +158,7 @@ impl Log {
             Some(existing) => {
                 if existing.prepare == prepare {
                     true
-                } else if prepare.payload.view > existing.prepare.payload.view
-                    && !existing.decided
+                } else if prepare.payload.view > existing.prepare.payload.view && !existing.decided
                 {
                     // Re-proposal in a later view supersedes.
                     assign_batch(&mut self.assigned, &prepare);
@@ -254,10 +268,7 @@ impl Log {
     /// Slots at or above `from` that hold a prepare but are not yet
     /// decided — the leader's in-flight pipeline occupancy.
     pub fn undecided_from(&self, from: u64) -> usize {
-        self.slots
-            .range(from..)
-            .filter(|(_, s)| !s.decided)
-            .count()
+        self.slots.range(from..).filter(|(_, s)| !s.decided).count()
     }
 
     /// Prepared entries at or above `from_slot` (for VIEW-CHANGE
@@ -538,12 +549,14 @@ mod tests {
         prepare: &SignedPrepare,
         digest: qsel_types::crypto::Digest,
     ) -> crate::messages::SignedCommit {
-        chain.signer(ProcessId(signer)).sign(crate::messages::CommitPayload {
-            view: prepare.payload.view,
-            slot: prepare.payload.slot,
-            digest,
-            prepare: prepare.clone(),
-        })
+        chain
+            .signer(ProcessId(signer))
+            .sign(crate::messages::CommitPayload {
+                view: prepare.payload.view,
+                slot: prepare.payload.slot,
+                digest,
+                prepare: prepare.clone(),
+            })
     }
 
     #[test]
@@ -629,7 +642,10 @@ mod tests {
         log.record_commit(1, commit_for(&c, 3, &pr, d));
         assert!(log.try_decide(1, &quorum, ProcessId(1), ProcessId(2)));
         let executed = log.execute_ready();
-        assert_eq!(executed.iter().map(|(s, _)| *s).collect::<Vec<_>>(), vec![1, 2]);
+        assert_eq!(
+            executed.iter().map(|(s, _)| *s).collect::<Vec<_>>(),
+            vec![1, 2]
+        );
         assert_eq!(log.exec_cursor, 3);
     }
 
@@ -726,7 +742,12 @@ mod tests {
         /// `(kind, view, slot, batch keys)`: kind 0 accepts a PREPARE,
         /// 1 adopts a decided entry, 2 executes what is ready.
         fn arb_step() -> impl Strategy<Value = (u8, u64, u64, Vec<(u32, u64)>)> {
-            (0u8..3, 0u64..3, 0u64..6, proptest::collection::vec((1u32..4, 0u64..5), 1..4))
+            (
+                0u8..3,
+                0u64..3,
+                0u64..6,
+                proptest::collection::vec((1u32..4, 0u64..5), 1..4),
+            )
         }
 
         proptest! {

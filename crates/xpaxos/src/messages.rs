@@ -710,7 +710,11 @@ mod tests {
 
     #[test]
     fn request_digest_distinguishes() {
-        let a = Request { client: ProcessId(9), op: 1, payload: 7 };
+        let a = Request {
+            client: ProcessId(9),
+            op: 1,
+            payload: 7,
+        };
         let mut b = a.clone();
         b.payload = 8;
         assert_ne!(a.digest(), b.digest());
@@ -721,7 +725,11 @@ mod tests {
     fn commit_embeds_prepare() {
         let cfg = ClusterConfig::new(3, 1).unwrap();
         let chain = Keychain::new(&cfg, 1);
-        let batch = Batch::single(Request { client: ProcessId(9), op: 1, payload: 7 });
+        let batch = Batch::single(Request {
+            client: ProcessId(9),
+            op: 1,
+            payload: 7,
+        });
         let prep = chain.signer(ProcessId(1)).sign(PreparePayload {
             view: 0,
             slot: 1,
@@ -743,8 +751,16 @@ mod tests {
 
     #[test]
     fn batch_digest_distinguishes_order_and_split() {
-        let a = Request { client: ProcessId(9), op: 1, payload: 7 };
-        let b = Request { client: ProcessId(9), op: 2, payload: 8 };
+        let a = Request {
+            client: ProcessId(9),
+            op: 1,
+            payload: 7,
+        };
+        let b = Request {
+            client: ProcessId(9),
+            op: 2,
+            payload: 8,
+        };
         let ab = Batch::new(vec![a.clone(), b.clone()]);
         let ba = Batch::new(vec![b, a.clone()]);
         assert_ne!(ab.digest(), ba.digest(), "batch order is significant");
@@ -760,9 +776,21 @@ mod tests {
 
     #[test]
     fn kinds_and_classification() {
-        let req = Request { client: ProcessId(9), op: 1, payload: 0 };
+        let req = Request {
+            client: ProcessId(9),
+            op: 1,
+            payload: 0,
+        };
         assert_eq!(XpMsg::Request(req.clone()).kind(), "request");
         assert!(!XpMsg::Request(req).is_inter_replica());
-        assert!(XpMsg::Reply(Reply { view: 0, op: 1, result: 1 }).kind() == "reply");
+        assert!(
+            XpMsg::Reply(Reply {
+                view: 0,
+                op: 1,
+                result: 1
+            })
+            .kind()
+                == "reply"
+        );
     }
 }

@@ -190,10 +190,7 @@ impl ViewPolicy {
         for &m in &members {
             for skipped in (prev + 1) as u32..m {
                 // Combinations starting with `skipped` in this position.
-                rank += binomial(
-                    (self.n - skipped - 1) as u64,
-                    remaining - 1,
-                );
+                rank += binomial((self.n - skipped - 1) as u64, remaining - 1);
             }
             prev = m as i64;
             remaining -= 1;
@@ -303,7 +300,9 @@ mod tests {
     fn memoized_views_match_a_fresh_computation_for_small_clusters() {
         for n in 1..=10u32 {
             for f in 1..n {
-                let Ok(c) = ClusterConfig::new(n, f) else { continue };
+                let Ok(c) = ClusterConfig::new(n, f) else {
+                    continue;
+                };
                 let p = ViewPolicy::new(&c);
                 assert_eq!(p.quorum_count(), binomial(n as u64, c.quorum_size() as u64));
                 for v in 0..3 * p.quorum_count() as u64 {

@@ -359,12 +359,7 @@ fn digest_fingerprint(d: &qsel_types::crypto::Digest) -> u64 {
 
 impl Replica {
     /// Creates a replica.
-    pub fn new(
-        cfg: ClusterConfig,
-        me: ProcessId,
-        chain: &Keychain,
-        rcfg: ReplicaConfig,
-    ) -> Self {
+    pub fn new(cfg: ClusterConfig, me: ProcessId, chain: &Keychain, rcfg: ReplicaConfig) -> Self {
         let qs = match rcfg.policy {
             QuorumPolicy::Selection => Some(QuorumSelection::new(
                 cfg,
@@ -579,7 +574,10 @@ impl Replica {
     /// messages inside are self-authenticating).
     ///
     /// P1: every wire variant is routed by name, never by a wildcard arm.
-    #[deny(clippy::wildcard_enum_match_arm, clippy::match_wildcard_for_single_variants)]
+    #[deny(
+        clippy::wildcard_enum_match_arm,
+        clippy::match_wildcard_for_single_variants
+    )]
     pub fn handle_message(
         &mut self,
         ctx: &mut Context<'_, XpMsg>,
@@ -699,9 +697,7 @@ impl Replica {
                 // View-change stall timer (enumeration policy): if the
                 // targeted view never activated, try the next quorum.
                 let gen = id - TIMER_VC_BASE;
-                if gen == self.vc_gen
-                    && self.rcfg.policy == QuorumPolicy::Enumeration
-                {
+                if gen == self.vc_gen && self.rcfg.policy == QuorumPolicy::Enumeration {
                     if let Phase::ViewChange { target } = self.phase {
                         // No view lies above `u64::MAX`: stay put.
                         if let Some(next) = target.checked_add(1) {
@@ -807,8 +803,7 @@ impl Replica {
                 op: req.op,
             });
             self.pending_batch.push(req);
-            if self.batch_deadline.is_none()
-                && self.rcfg.batch.max_batch_delay > SimDuration::ZERO
+            if self.batch_deadline.is_none() && self.rcfg.batch.max_batch_delay > SimDuration::ZERO
             {
                 self.batch_deadline = Some(now + self.rcfg.batch.max_batch_delay);
                 ctx.set_timer(self.rcfg.batch.max_batch_delay, TIMER_BATCH);
@@ -963,8 +958,7 @@ impl Replica {
         // in the same view (paper §V-A: "it issues a ⟨DETECTED⟩ event for
         // the leader").
         if let Some(mine) = self.log.prepare_at(slot) {
-            if mine.payload.view == sc.payload.view && mine.payload != sc.payload.prepare.payload
-            {
+            if mine.payload.view == sc.payload.view && mine.payload != sc.payload.prepare.payload {
                 self.detect(ctx, self.views.leader(sc.payload.view));
                 return;
             }
@@ -1099,15 +1093,10 @@ impl Replica {
     fn try_decide_and_execute(&mut self, ctx: &mut Context<'_, XpMsg>, slot: u64) {
         let quorum = self.views.group(self.view);
         let leader = self.views.leader(self.view);
-        if self
-            .log
-            .try_decide(slot, quorum.members(), leader, self.me)
-        {
+        if self.log.try_decide(slot, quorum.members(), leader, self.me) {
             self.stats.decided += 1;
-            self.trace.emit(|| TraceEvent::Decided {
-                p: self.me.0,
-                slot,
-            });
+            self.trace
+                .emit(|| TraceEvent::Decided { p: self.me.0, slot });
             if !self.rcfg.batch.is_passthrough() {
                 if let Some(sp) = self.log.prepare_at(slot) {
                     let batch = &sp.payload.batch;
@@ -1321,9 +1310,7 @@ impl Replica {
         // All re-proposals must be signed by the new leader for the new
         // view; a NEW-VIEW smuggling anything else is proof of misbehaviour.
         let all_ok = nv.payload.reproposals.iter().all(|sp| {
-            self.verifier.verify(sp).is_ok()
-                && sp.signer == nv.signer
-                && sp.payload.view == target
+            self.verifier.verify(sp).is_ok() && sp.signer == nv.signer && sp.payload.view == target
         });
         if !all_ok {
             self.detect(ctx, nv.signer);
@@ -1387,12 +1374,8 @@ impl Replica {
         let protocol = std::mem::take(&mut self.pending_protocol);
         for msg in protocol {
             match msg {
-                XpMsg::Prepare(sp) if sp.payload.view >= self.view => {
-                    self.on_prepare(ctx, sp)
-                }
-                XpMsg::Commit(sc) if sc.payload.view >= self.view => {
-                    self.on_commit(ctx, sc)
-                }
+                XpMsg::Prepare(sp) if sp.payload.view >= self.view => self.on_prepare(ctx, sp),
+                XpMsg::Commit(sc) if sc.payload.view >= self.view => self.on_commit(ctx, sc),
                 _ => {}
             }
         }
@@ -1592,7 +1575,10 @@ impl Replica {
         if slot <= self.stable_checkpoint_slot() || !self.cfg.contains(sc.signer) {
             return;
         }
-        self.ckpt_votes.entry(slot).or_default().insert(sc.signer, sc);
+        self.ckpt_votes
+            .entry(slot)
+            .or_default()
+            .insert(sc.signer, sc);
         while self.ckpt_votes.len() > MAX_VOTE_SLOTS {
             self.ckpt_votes.pop_last();
         }
@@ -1635,7 +1621,8 @@ impl Replica {
         self.stable_ckpt = Some(cert);
         self.stats.checkpoints_stable += 1;
         let p = self.me.0;
-        self.trace.emit(|| TraceEvent::CheckpointStable { p, slot, digest });
+        self.trace
+            .emit(|| TraceEvent::CheckpointStable { p, slot, digest });
         self.gc_log_below(slot);
         self.ckpt_votes = self.ckpt_votes.split_off(&(slot + 1));
         // Far behind the certified frontier? The quorum moved on without
@@ -1840,7 +1827,10 @@ impl Replica {
                     *k,
                     i.archive_from,
                     i.frontier,
-                    i.checkpoint.as_ref().and_then(|c| c.payload()).map(|p| p.slot),
+                    i.checkpoint
+                        .as_ref()
+                        .and_then(|c| c.payload())
+                        .map(|p| p.slot),
                 )
             })
             .collect();
@@ -2170,7 +2160,8 @@ impl Replica {
             (slot, digest)
         });
         let p = self.me.0;
-        self.trace.emit(|| TraceEvent::StateTransferDone { p, slot, digest });
+        self.trace
+            .emit(|| TraceEvent::StateTransferDone { p, slot, digest });
         self.sync = SyncState::Idle;
         self.sync_gen += 1;
         self.sync_infos.clear();
@@ -2241,7 +2232,8 @@ impl Replica {
                         Phase::ViewChange { target } => self.views.group(target) == q,
                     };
                     if !already {
-                        if let Some(target) = self.views.view_for_quorum(self.effective_view(), &q) {
+                        if let Some(target) = self.views.view_for_quorum(self.effective_view(), &q)
+                        {
                             self.start_view_change(ctx, target);
                         }
                     }
@@ -2425,8 +2417,11 @@ mod tests {
                 let b = oracle.actor(p).replica().unwrap();
                 // Same buffer, same order: the replay after install is the same.
                 assert_eq!(a.pending_requests, b.pending_requests, "replica {p}");
-                let keys: BTreeSet<_> =
-                    a.pending_requests.iter().map(|r| (r.client, r.op)).collect();
+                let keys: BTreeSet<_> = a
+                    .pending_requests
+                    .iter()
+                    .map(|r| (r.client, r.op))
+                    .collect();
                 assert_eq!(a.pending_keys, keys, "replica {p}");
                 assert_eq!(keys.len(), a.pending_requests.len(), "replica {p}");
                 let len = a.pending_requests_len();
@@ -2437,11 +2432,17 @@ mod tests {
                 most = most.max(len);
             }
         }
-        let retries: u64 =
-            sim.ids().filter_map(|p| sim.actor(p).client()).map(|c| c.retries).sum();
+        let retries: u64 = sim
+            .ids()
+            .filter_map(|p| sim.actor(p).client())
+            .map(|c| c.retries)
+            .sum();
         // p1, restarted mid view change, buffers retransmissions from the
         // second crash's retry storm and replays them at its next install.
-        assert!(most >= 100 && replayed >= 100 && retries > 0, "{most} {replayed} {retries}");
+        assert!(
+            most >= 100 && replayed >= 100 && retries > 0,
+            "{most} {replayed} {retries}"
+        );
         assert_eq!(total_committed(&sim), total_committed(&oracle));
     }
 

@@ -83,7 +83,11 @@ fn crashed_follower_triggers_quorum_change_and_recovers() {
     sim.run_until(SimTime::from_micros(50_000));
     sim.crash(ProcessId(2)); // follower in the active quorum
     sim.run_until(SimTime::from_micros(2_000_000));
-    assert_eq!(total_committed(&sim), 12, "client finished despite the crash");
+    assert_eq!(
+        total_committed(&sim),
+        12,
+        "client finished despite the crash"
+    );
     assert_safety(&sim);
     for p in [1, 3, 4].map(ProcessId) {
         let r = sim.actor(p).replica().unwrap();
@@ -126,7 +130,10 @@ fn restarted_replica_rejoins_and_catches_up() {
     sim.crash(ProcessId(2));
     sim.run_until(SimTime::from_micros(800_000));
     let frontier_before = sim.actor(ProcessId(1)).replica().unwrap().log().watermark();
-    assert!(frontier_before > 0, "survivors made progress while p2 was down");
+    assert!(
+        frontier_before > 0,
+        "survivors made progress while p2 was down"
+    );
     sim.restart(ProcessId(2));
     sim.run_until(SimTime::from_micros(3_000_000));
     assert_eq!(total_committed(&sim), 16);
@@ -168,7 +175,11 @@ fn partition_blocks_commits_and_heal_restores_liveness() {
     assert_safety(&sim);
     sim.partition(&[]); // heal
     sim.run_until(SimTime::from_micros(6_000_000));
-    assert_eq!(total_committed(&sim), 20, "commits did not resume after heal");
+    assert_eq!(
+        total_committed(&sim),
+        20,
+        "commits did not resume after heal"
+    );
     assert_safety(&sim);
 }
 

@@ -26,9 +26,15 @@ fn run_checking(sim: &mut Simulation<XpMsg, XpActor>, until: SimTime) -> u64 {
     let mut installs = 0;
     while sim.now() < until && sim.step() {
         for id in sim.ids() {
-            let Some(r) = sim.actor(id).replica() else { continue };
+            let Some(r) = sim.actor(id).replica() else {
+                continue;
+            };
             if let Some(t) = r.collected_view_change_targets().find(|&t| t <= r.view()) {
-                panic!("p{} holds VIEW-CHANGE target {t} at view {}", id.0, r.view());
+                panic!(
+                    "p{} holds VIEW-CHANGE target {t} at view {}",
+                    id.0,
+                    r.view()
+                );
             }
         }
     }
@@ -63,7 +69,12 @@ fn injected_view_change_leaves_no_target_at_or_below_the_view() {
             prepared: Vec::new(),
         });
         for p in 1..N {
-            sim.inject_at(ATTACK_AT, ProcessId(N), ProcessId(p), XpMsg::ViewChange(vc.clone()));
+            sim.inject_at(
+                ATTACK_AT,
+                ProcessId(N),
+                ProcessId(p),
+                XpMsg::ViewChange(vc.clone()),
+            );
         }
         installs += run_checking(&mut sim, HORIZON);
         assert_safety(&sim);
@@ -98,7 +109,12 @@ fn view_change_to_the_last_view_does_not_overflow() {
             prepared: Vec::new(),
         });
         for p in 1..N {
-            sim.inject_at(ATTACK_AT, ProcessId(N), ProcessId(p), XpMsg::ViewChange(vc.clone()));
+            sim.inject_at(
+                ATTACK_AT,
+                ProcessId(N),
+                ProcessId(p),
+                XpMsg::ViewChange(vc.clone()),
+            );
         }
         run_checking(&mut sim, SimTime::from_micros(1_000_000));
         assert_safety(&sim);

@@ -7,9 +7,9 @@
 use proptest::prelude::*;
 use qsel::messages::UpdateRow;
 use qsel_mmr::{leaf_hash, Mmr};
-use qsel_types::CheckpointPayload;
 use qsel_types::crypto::{sha256, Keychain};
 use qsel_types::encode::{decode_from_slice, encode_to_vec};
+use qsel_types::CheckpointPayload;
 use qsel_types::{ClusterConfig, Epoch, ProcessId};
 use qsel_xpaxos::messages::{
     Batch, CheckpointCert, CommitPayload, CompactEntry, DecidedEntry, HeartbeatPayload,
@@ -109,7 +109,10 @@ fn mmr_fixture(
     chain: &Keychain,
     view: u64,
     batch: &Batch,
-) -> (Vec<qsel_xpaxos::messages::SignedCheckpoint>, Vec<CompactEntry>) {
+) -> (
+    Vec<qsel_xpaxos::messages::SignedCheckpoint>,
+    Vec<CompactEntry>,
+) {
     let mut mmr = Mmr::new();
     for leaf_slot in 0..3u64 {
         mmr.push(leaf_hash(leaf_slot, &batch.digest()));
@@ -254,23 +257,91 @@ fn fixed_requests() -> Vec<Request> {
 /// `all_variants(3, 17, fixed_requests())` builds, computed at the commit
 /// before `Batch` shared its requests and memoized its digest.
 const PINNED_WIRE: &[(&str, usize, &str)] = &[
-    ("request", 25, "7d6430c763d4cf95af1163abc1470153a230e513ddf2e7c8c730864828ec3824"),
-    ("prepare", 141, "ae3eb0fadd63d7d5a4729e4ba2ee9b851f5dd48e887ac5c3b375f46f3c956107"),
-    ("commit", 229, "21af499a9a1be3ef19ab895ca9a57c1b52bf937b603a5950301e9235c9a626f8"),
-    ("reply", 25, "327d81e49c53e15c09c9947f99755ab1607ae00b946d7bbe5f3b1162ca330db6"),
-    ("view-change", 205, "edb5d4d0ae1a5c6c86fdb5a2d1c40f9d3a9ace748f2688036cc46494f53b4fe0"),
-    ("new-view", 205, "e06c19cca59276236bea8abc809dccf57de468017fd891414df8a766b82e8f4c"),
-    ("update", 81, "b722b19d11dd24ae269f76e6b78140bff660082f038509d39e0a463814464b0f"),
-    ("heartbeat", 49, "025c117a740ad8ea8eb47ea92553104edfe65327ecc205762420dae8d507d738"),
-    ("lazy-update", 389, "ec079f913f0efebbcd8a174cf53b5160454049dffb826450b19d95cfb671ca25"),
-    ("state-fetch", 17, "c82a64c48848b5f6a03a5518b05aa468e07412c1374dc013eb30cba902642f85"),
-    ("state-batch", 161, "06c18f25901a07d5db5365912eeee9002653f5eb2d267b6b833159f9d9b72960"),
-    ("checkpoint", 129, "21ada19c282f56222cdb7e77bd28a53d62c0471e40821babd6455e643cd4b4d2"),
-    ("sync-query", 9, "d09f1e618674c45e24fe3359a31c0be90b381fda9dbc33561fd89b52108668b9"),
-    ("sync-info", 286, "759e67f0e8294dffd506a2422868a0ec8a02566961a54e31300562eb06a3499b"),
-    ("sync-info", 18, "0ba26595d7b70b38eb07e64234c4894eba3a10bfe8bac64247841bf64be4fae3"),
-    ("sync-fetch", 25, "0126ed7df94490968b0576a22ac78229c1d0c3fe852bc81638d9198c6c8d2b00"),
-    ("sync-chunk", 597, "15f004bd5af839fc26cf1d3c24f3b792724cfbc0358bf1ace6a5bbc603a1b571"),
+    (
+        "request",
+        25,
+        "7d6430c763d4cf95af1163abc1470153a230e513ddf2e7c8c730864828ec3824",
+    ),
+    (
+        "prepare",
+        141,
+        "ae3eb0fadd63d7d5a4729e4ba2ee9b851f5dd48e887ac5c3b375f46f3c956107",
+    ),
+    (
+        "commit",
+        229,
+        "21af499a9a1be3ef19ab895ca9a57c1b52bf937b603a5950301e9235c9a626f8",
+    ),
+    (
+        "reply",
+        25,
+        "327d81e49c53e15c09c9947f99755ab1607ae00b946d7bbe5f3b1162ca330db6",
+    ),
+    (
+        "view-change",
+        205,
+        "edb5d4d0ae1a5c6c86fdb5a2d1c40f9d3a9ace748f2688036cc46494f53b4fe0",
+    ),
+    (
+        "new-view",
+        205,
+        "e06c19cca59276236bea8abc809dccf57de468017fd891414df8a766b82e8f4c",
+    ),
+    (
+        "update",
+        81,
+        "b722b19d11dd24ae269f76e6b78140bff660082f038509d39e0a463814464b0f",
+    ),
+    (
+        "heartbeat",
+        49,
+        "025c117a740ad8ea8eb47ea92553104edfe65327ecc205762420dae8d507d738",
+    ),
+    (
+        "lazy-update",
+        389,
+        "ec079f913f0efebbcd8a174cf53b5160454049dffb826450b19d95cfb671ca25",
+    ),
+    (
+        "state-fetch",
+        17,
+        "c82a64c48848b5f6a03a5518b05aa468e07412c1374dc013eb30cba902642f85",
+    ),
+    (
+        "state-batch",
+        161,
+        "06c18f25901a07d5db5365912eeee9002653f5eb2d267b6b833159f9d9b72960",
+    ),
+    (
+        "checkpoint",
+        129,
+        "21ada19c282f56222cdb7e77bd28a53d62c0471e40821babd6455e643cd4b4d2",
+    ),
+    (
+        "sync-query",
+        9,
+        "d09f1e618674c45e24fe3359a31c0be90b381fda9dbc33561fd89b52108668b9",
+    ),
+    (
+        "sync-info",
+        286,
+        "759e67f0e8294dffd506a2422868a0ec8a02566961a54e31300562eb06a3499b",
+    ),
+    (
+        "sync-info",
+        18,
+        "0ba26595d7b70b38eb07e64234c4894eba3a10bfe8bac64247841bf64be4fae3",
+    ),
+    (
+        "sync-fetch",
+        25,
+        "0126ed7df94490968b0576a22ac78229c1d0c3fe852bc81638d9198c6c8d2b00",
+    ),
+    (
+        "sync-chunk",
+        597,
+        "15f004bd5af839fc26cf1d3c24f3b792724cfbc0358bf1ace6a5bbc603a1b571",
+    ),
 ];
 
 /// Sharing the requests and memoizing the digest are in-memory changes

@@ -17,7 +17,10 @@ fn main() {
     let cfg = ClusterConfig::new(n, f).expect("valid configuration");
     let mut cluster = FsCluster::new(cfg, 7);
 
-    println!("Follower Selection on n={n}, f={f} (Theorem 9 bound: {} per epoch)\n", 3 * f + 1);
+    println!(
+        "Follower Selection on n={n}, f={f} (Theorem 9 bound: {} per epoch)\n",
+        3 * f + 1
+    );
     let lq = cluster.agreed_quorum().expect("initial agreement");
     println!("initial: {lq}");
 
@@ -34,7 +37,10 @@ fn main() {
         match cluster.agreed_quorum() {
             Some(new_lq) => println!(
                 "round {round:2}: {suspecter} suspects leader {leader} → {new_lq}  (epoch {})",
-                cluster.agreed_epoch().map(|e| e.to_string()).unwrap_or_default()
+                cluster
+                    .agreed_epoch()
+                    .map(|e| e.to_string())
+                    .unwrap_or_default()
             ),
             None => println!("round {round:2}: no agreement yet"),
         }

@@ -7,8 +7,8 @@
 //! suspect graph, epochs and the issued quorums evolve — including the
 //! Figure 4 scenario where inconsistent suspicions force an epoch change.
 
-use qsel::{QsOutput, QuorumSelection};
 use qsel::messages::UpdateRow;
+use qsel::{QsOutput, QuorumSelection};
 use qsel_types::crypto::Keychain;
 use qsel_types::{ClusterConfig, Epoch, ProcessId, ProcessSet};
 
@@ -27,7 +27,12 @@ fn main() {
     // A cluster Π = {p1..p5} with f = 2, so quorums have q = 3 members.
     let cfg = ClusterConfig::new(5, 2).expect("valid configuration");
     let chain = Keychain::new(&cfg, 42);
-    let mut qs = QuorumSelection::new(cfg, ProcessId(1), chain.signer(ProcessId(1)), chain.verifier());
+    let mut qs = QuorumSelection::new(
+        cfg,
+        ProcessId(1),
+        chain.signer(ProcessId(1)),
+        chain.verifier(),
+    );
     println!("initial quorum: {}", qs.current_quorum());
 
     // The local failure detector suspects p2 (say, a missed heartbeat).

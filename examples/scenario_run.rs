@@ -72,8 +72,11 @@ fn main() -> ExitCode {
         .expect("cannot write trace");
     std::fs::write(out_dir.join("metrics.json"), &artifacts.metrics_json)
         .expect("cannot write metrics");
-    std::fs::write(out_dir.join("latency_report.json"), &artifacts.latency_report)
-        .expect("cannot write latency report");
+    std::fs::write(
+        out_dir.join("latency_report.json"),
+        &artifacts.latency_report,
+    )
+    .expect("cannot write latency report");
 
     print!("{}", artifacts.verdict);
     println!();

@@ -27,7 +27,10 @@ fn main() {
 
     println!("XPaxos + Quorum Selection, n=4 f=1, clients=2");
     println!("crashing follower p2 at t=300ms\n");
-    println!("{:>12} {:>12} {:>10} {:>22}", "t (ms)", "ops/100ms", "view", "active quorum (at p1)");
+    println!(
+        "{:>12} {:>12} {:>10} {:>22}",
+        "t (ms)", "ops/100ms", "view", "active quorum (at p1)"
+    );
 
     let mut committed_before = 0u64;
     let mut crashed = false;
@@ -57,7 +60,10 @@ fn main() {
 
     assert_safety(&sim);
     let r1 = sim.actor(ProcessId(1)).replica().expect("replica");
-    println!("\nfinal active quorum: {} (p2 excluded)", r1.active_quorum());
+    println!(
+        "\nfinal active quorum: {} (p2 excluded)",
+        r1.active_quorum()
+    );
     println!(
         "view changes: {}, detections: {}, decided slots: {}",
         r1.stats().views_installed,

@@ -35,7 +35,10 @@ use qsel_repro::qsel_obs::replay::{analyze, parse_jsonl};
 use qsel_repro::qsel_obs::{ReplayConfig, TraceSink};
 use qsel_repro::qsel_types::ClusterConfig;
 
-#[expect(clippy::disallowed_methods, reason = "writes the trace and metrics artifacts")]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "writes the trace and metrics artifacts"
+)]
 fn main() {
     let mut args = std::env::args().skip(1);
     let seed: u64 = args

@@ -232,12 +232,7 @@ pub fn run_chaos_with_sink(seed: u64, sink: TraceSink) -> ChaosRun {
 /// [`run_chaos_with_sink`] with an explicit workload size — the
 /// log-compaction soak drives enough slots past the checkpoint interval
 /// that the bounded-residency assertion is non-vacuous.
-pub fn run_chaos_sized(
-    seed: u64,
-    clients: u32,
-    ops_per_client: u64,
-    sink: TraceSink,
-) -> ChaosRun {
+pub fn run_chaos_sized(seed: u64, clients: u32, ops_per_client: u64, sink: TraceSink) -> ChaosRun {
     let plan = plan_for(seed, N);
     let heal_time = plan.last_fault_time().expect("plan is never empty");
     let expected = clients as u64 * ops_per_client;

@@ -14,9 +14,9 @@ use std::collections::HashSet;
 
 use proptest::prelude::*;
 use qsel_obs::TraceSink;
+use qsel_simnet::Simulation;
 use qsel_simnet::{SimDuration, SimTime};
 use qsel_types::ClusterConfig;
-use qsel_simnet::Simulation;
 use qsel_xpaxos::harness::{assert_safety, total_committed, ClusterBuilder, XpActor};
 use qsel_xpaxos::messages::XpMsg;
 use qsel_xpaxos::policy::BatchPolicy;

@@ -57,7 +57,10 @@ fn chaos_soak_over_twenty_seeds() {
         total.faults_injected >= 24 * 6,
         "suspiciously few faults applied\n{report}"
     );
-    assert!(total.restarts > 0, "no run exercised crash-recovery\n{report}");
+    assert!(
+        total.restarts > 0,
+        "no run exercised crash-recovery\n{report}"
+    );
     assert!(
         total.messages_duplicated > 0,
         "no run exercised duplication\n{report}"
@@ -133,7 +136,10 @@ fn reruns_of_a_chaos_seed_are_identical() {
         let (sa, sb) = (a.sim.stats(), b.sim.stats());
         assert_eq!(sa.messages_sent, sb.messages_sent, "seed {seed}");
         assert_eq!(sa.messages_delivered, sb.messages_delivered, "seed {seed}");
-        assert_eq!(sa.messages_duplicated, sb.messages_duplicated, "seed {seed}");
+        assert_eq!(
+            sa.messages_duplicated, sb.messages_duplicated,
+            "seed {seed}"
+        );
         assert_eq!(sa.messages_reordered, sb.messages_reordered, "seed {seed}");
         assert_eq!(sa.timers_fired, sb.timers_fired, "seed {seed}");
         assert_eq!(sa.faults_injected, sb.faults_injected, "seed {seed}");
@@ -141,9 +147,17 @@ fn reruns_of_a_chaos_seed_are_identical() {
             let ra = a.sim.actor(p).replica().unwrap();
             let rb = b.sim.actor(p).replica().unwrap();
             assert_eq!(ra.view(), rb.view(), "seed {seed} at {p}");
-            assert_eq!(ra.log().watermark(), rb.log().watermark(), "seed {seed} at {p}");
+            assert_eq!(
+                ra.log().watermark(),
+                rb.log().watermark(),
+                "seed {seed} at {p}"
+            );
             assert_eq!(ra.log().log_len(), rb.log().log_len(), "seed {seed} at {p}");
-            assert_eq!(ra.log().gc_floor(), rb.log().gc_floor(), "seed {seed} at {p}");
+            assert_eq!(
+                ra.log().gc_floor(),
+                rb.log().gc_floor(),
+                "seed {seed} at {p}"
+            );
             assert_eq!(
                 ra.stats().recoveries,
                 rb.stats().recoveries,
@@ -178,8 +192,12 @@ fn seed_derived_batch_policies_cover_the_space() {
     }
     assert!(policies.iter().any(|p| p.max_batch_size > 1));
     assert!(policies.iter().any(|p| p.pipeline_depth > 1));
-    assert!(policies.iter().any(|p| p.max_batch_delay == SimDuration::ZERO));
-    assert!(policies.iter().any(|p| p.max_batch_delay > SimDuration::ZERO));
+    assert!(policies
+        .iter()
+        .any(|p| p.max_batch_delay == SimDuration::ZERO));
+    assert!(policies
+        .iter()
+        .any(|p| p.max_batch_delay > SimDuration::ZERO));
 }
 
 #[test]

@@ -39,12 +39,20 @@ fn mixed_byzantine_cluster_converges() {
     let mut sim = Simulation::new(SimConfig::new(7, 31), actors);
     sim.run_until(SimTime::from_micros(1_000_000));
     let honest: Vec<ProcessId> = [1u32, 3, 4, 6, 7].map(ProcessId).to_vec();
-    let reference = sim.actor(honest[0]).node().unwrap().current_plain_quorum().unwrap();
+    let reference = sim
+        .actor(honest[0])
+        .node()
+        .unwrap()
+        .current_plain_quorum()
+        .unwrap();
     for &p in &honest {
         let node = sim.actor(p).node().unwrap();
         let q = node.current_plain_quorum().unwrap();
         assert_eq!(q, reference, "disagreement at {p}");
-        assert!(!q.contains(ProcessId(2)), "mute process inside quorum at {p}");
+        assert!(
+            !q.contains(ProcessId(2)),
+            "mute process inside quorum at {p}"
+        );
         // The accuser's fabricated edges keep (5,1) and (5,6) apart.
         assert!(
             !(q.contains(ProcessId(5)) && q.contains(ProcessId(1))),
@@ -116,8 +124,22 @@ fn passive_omissions_are_free() {
             // p4 is passive ({p1,p2,p3} is the initial quorum): cut all of
             // its links. Nothing should change.
             for other in [1u32, 2, 3].map(ProcessId) {
-                sim.set_link(ProcessId(4), other, LinkState { drop_all: true, ..Default::default() });
-                sim.set_link(other, ProcessId(4), LinkState { drop_all: true, ..Default::default() });
+                sim.set_link(
+                    ProcessId(4),
+                    other,
+                    LinkState {
+                        drop_all: true,
+                        ..Default::default()
+                    },
+                );
+                sim.set_link(
+                    other,
+                    ProcessId(4),
+                    LinkState {
+                        drop_all: true,
+                        ..Default::default()
+                    },
+                );
             }
         }
         sim.run_until(SimTime::from_micros(1_500_000));
@@ -127,7 +149,10 @@ fn passive_omissions_are_free() {
     };
     let (view_healthy, vc_healthy) = run(false);
     let (view_cut, vc_cut) = run(true);
-    assert_eq!(view_healthy, view_cut, "cutting a passive replica changed the view");
+    assert_eq!(
+        view_healthy, view_cut,
+        "cutting a passive replica changed the view"
+    );
     assert_eq!(vc_healthy, vc_cut);
     assert_eq!(vc_cut, 0);
 }

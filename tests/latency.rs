@@ -17,8 +17,8 @@
 
 use qsel_repro::qsel_obs::replay::parse_jsonl;
 use qsel_repro::qsel_obs::span::{SpanReport, PHASES};
-use qsel_repro::qsel_scenario::{BatchSpec, Cluster, RunSpec, Scenario, Workload};
 use qsel_repro::qsel_scenario::run_scenario;
+use qsel_repro::qsel_scenario::{BatchSpec, Cluster, RunSpec, Scenario, Workload};
 
 /// One closed-loop workload under the given batch policy, spans rebuilt
 /// from the exported (not in-memory) trace.
@@ -95,7 +95,10 @@ fn batch_wait_is_part_of_client_observed_latency() {
         mean(&passthrough)
     );
     let pt_wait: u64 = passthrough.spans.iter().map(|s| s.phases[bw]).sum();
-    assert_eq!(pt_wait, 0, "passthrough has no accumulation window to wait in");
+    assert_eq!(
+        pt_wait, 0,
+        "passthrough has no accumulation window to wait in"
+    );
 }
 
 #[test]
@@ -109,7 +112,11 @@ fn phases_partition_latency_exactly_for_every_span() {
         },
     ] {
         let (report, committed) = spans_under(batch);
-        assert_eq!(report.spans.len() as u64, committed, "all commits attribute");
+        assert_eq!(
+            report.spans.len() as u64,
+            committed,
+            "all commits attribute"
+        );
         for s in &report.spans {
             assert_eq!(
                 s.phase_sum(),

@@ -82,12 +82,8 @@ fn fig5_f3_scenario() {
     let q = n - f;
     let result = max_interruptions(&LexFirstIs::new(n, q), n, f);
     assert_eq!(result.changes + 1, binomial(5, 2) as u64); // 10 proposed
-    // The schedule uses at most f+2 distinct nodes (the F+2 window).
-    let mut nodes: Vec<ProcessId> = result
-        .schedule
-        .iter()
-        .flat_map(|&(a, b)| [a, b])
-        .collect();
+                                                           // The schedule uses at most f+2 distinct nodes (the F+2 window).
+    let mut nodes: Vec<ProcessId> = result.schedule.iter().flat_map(|&(a, b)| [a, b]).collect();
     nodes.sort();
     nodes.dedup();
     assert!(nodes.len() <= (f + 2) as usize);

@@ -76,21 +76,15 @@ fn lazarus_replica_recovers_in_o_gap_messages() {
         .build();
     sim.start();
     sim.run_until(SimTime::from_micros(20_000));
-    let wm_at_crash = sim
-        .actor(ProcessId(4))
-        .replica()
-        .unwrap()
-        .log()
-        .watermark();
+    let wm_at_crash = sim.actor(ProcessId(4)).replica().unwrap().log().watermark();
     sim.crash(ProcessId(4)); // passive replica: agreement is undisturbed
     sim.run_until(SimTime::from_micros(30_000_000));
-    assert_eq!(total_committed(&sim), ops, "cluster finished while p4 slept");
-    let frontier = sim
-        .actor(ProcessId(1))
-        .replica()
-        .unwrap()
-        .log()
-        .watermark();
+    assert_eq!(
+        total_committed(&sim),
+        ops,
+        "cluster finished while p4 slept"
+    );
+    let frontier = sim.actor(ProcessId(1)).replica().unwrap().log().watermark();
     let gap = frontier - wm_at_crash;
     assert!(gap >= 9_000, "p4 must have missed ~10k slots, gap = {gap}");
 
@@ -132,8 +126,16 @@ fn lazarus_replica_recovers_in_o_gap_messages() {
     // One probe round (n−1 queries, n−1 answers) plus a small retry
     // allowance; certified-tail traffic covers at most the suffix past
     // the last stable checkpoint.
-    assert!(delta("sync-query") <= 12, "sync-query: {}", delta("sync-query"));
-    assert!(delta("sync-info") <= 12, "sync-info: {}", delta("sync-info"));
+    assert!(
+        delta("sync-query") <= 12,
+        "sync-query: {}",
+        delta("sync-query")
+    );
+    assert!(
+        delta("sync-info") <= 12,
+        "sync-info: {}",
+        delta("sync-info")
+    );
     assert!(
         delta("state-fetch") + delta("state-batch") <= 2 * interval + 16,
         "certified tail traffic blew up: {} fetches / {} batches",
@@ -194,12 +196,7 @@ fn recovery_degrades_to_certified_replay_without_a_checkpoint() {
     sim.crash(ProcessId(4));
     sim.run_until(SimTime::from_micros(2_000_000));
     assert_eq!(total_committed(&sim), ops);
-    let frontier = sim
-        .actor(ProcessId(1))
-        .replica()
-        .unwrap()
-        .log()
-        .watermark();
+    let frontier = sim.actor(ProcessId(1)).replica().unwrap().log().watermark();
     sim.restart(ProcessId(4));
     sim.run_until(SimTime::from_micros(6_000_000));
 

@@ -17,7 +17,11 @@ fn fig2_message_pattern_counts() {
     assert_safety(&sim);
     let stats = sim.stats();
     let q = 5u64;
-    assert_eq!(stats.by_kind["prepare"], ops * (q - 1), "one PREPARE per member");
+    assert_eq!(
+        stats.by_kind["prepare"],
+        ops * (q - 1),
+        "one PREPARE per member"
+    );
     let commits = stats.by_kind["commit"];
     let formula = ops * (q - 1) * (q - 1);
     assert!(
@@ -86,7 +90,11 @@ fn fig3_commit_overtakes_prepare() {
     }
     // p3 decided everything despite the overtaking.
     assert_eq!(
-        sim.actor(ProcessId(3)).replica().unwrap().log().decided_count(),
+        sim.actor(ProcessId(3))
+            .replica()
+            .unwrap()
+            .log()
+            .decided_count(),
         ops as usize
     );
 }
