@@ -45,7 +45,8 @@ pub enum Strategy {
     /// every state-transfer chunk it serves (flipping batch contents while
     /// keeping the claimed slots and proofs). A recovering replica must
     /// reject the chunks by MMR verification and fail over to another
-    /// donor (qsel-lint S1: verify before use).
+    /// donor (verify before use: nothing from a chunk reaches the log
+    /// before its proof checks).
     CorruptTransfer,
 }
 

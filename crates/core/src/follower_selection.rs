@@ -154,20 +154,19 @@ impl FollowerSelection {
     /// lines 27–37).
     pub fn on_followers(&mut self, msg: SignedFollowers) -> Vec<FsOutput> {
         let mut out = Vec::new();
-        if self.base.verifier.verify(&msg).is_err() {
+        let Ok(payload) = self.base.verifier.verify(&msg) else {
             self.base.stats.invalid_followers += 1;
             return out;
-        }
+        };
         let sender = msg.signer;
-        if sender != self.leader || msg.payload.epoch != self.base.epoch {
+        if sender != self.leader || payload.epoch != self.base.epoch {
             return out; // stale or not from the current leader (line 28)
         }
-        if !self.is_well_formed(&msg.payload, sender) {
+        if !self.is_well_formed(payload, sender) {
             self.detect(sender, &mut out);
             return out;
         }
-        let quorum: ProcessSet = msg
-            .payload
+        let quorum: ProcessSet = payload
             .followers
             .iter()
             .copied()
@@ -244,13 +243,13 @@ impl FollowerSelection {
                         line_edges: m.forest.edges(),
                         epoch: self.base.epoch,
                     };
-                    let signed = self.base.signer.sign(payload);
-                    out.push(FsOutput::BroadcastFollowers(signed.clone()));
+                    let sealed = self.base.signer.seal(payload);
+                    out.push(FsOutput::BroadcastFollowers(sealed.signed().clone()));
                     // The paper broadcasts "including self": the leader
                     // accepts its own message immediately.
                     self.stable = true;
-                    self.q_last = signed
-                        .payload
+                    self.q_last = sealed
+                        .payload()
                         .followers
                         .iter()
                         .copied()

@@ -74,6 +74,10 @@ enum ServiceExpect {
 }
 
 impl Expected<ServiceMsg> for ServiceExpect {
+    #[expect(
+        clippy::disallowed_fields,
+        reason = "S1: the detector sees only messages `authenticate` verified, and the selectors verify them again on delivery"
+    )]
     fn is_met_by(&self, m: &ServiceMsg) -> bool {
         match *self {
             ServiceExpect::Heartbeat => matches!(m, ServiceMsg::Heartbeat(_)),

@@ -59,11 +59,14 @@ impl Propagation {
     /// and recomputes its quorum. Invalid signatures and malformed rows are
     /// dropped: an unauthenticated message cannot be attributed to anyone.
     pub(crate) fn merge_update(&mut self, update: &SignedUpdate) -> bool {
-        if self.verifier.verify(update).is_err() || !update.payload.is_valid_for(self.cfg.n()) {
-            self.stats.invalid_updates += 1;
-            return false;
-        }
-        let changed = self.matrix.merge_row(update.signer, &update.payload.row);
+        let row = match self.verifier.verify(update) {
+            Ok(row) if row.is_valid_for(self.cfg.n()) => row,
+            _ => {
+                self.stats.invalid_updates += 1;
+                return false;
+            }
+        };
+        let changed = self.matrix.merge_row(update.signer, &row.row);
         if changed {
             self.stats.updates_forwarded += 1;
         }

@@ -5,7 +5,8 @@
 //!
 //! * [`sha256`] — a from-scratch SHA-256 used for message digests (XPaxos
 //!   COMMIT messages carry request hashes, Section V-A).
-//! * [`Keychain`] / [`Signer`] / [`Signed`] — a simulated signature scheme.
+//! * [`Keychain`] / [`Signer`] / [`Signed`] / [`Verified`] — a simulated
+//!   signature scheme whose payloads are read only once verified.
 //!
 //! # Signature model
 //!
@@ -24,4 +25,4 @@ mod sha256;
 mod sign;
 
 pub use sha256::{sha256, Digest, Sha256};
-pub use sign::{Keychain, SigTag, Signed, Signer, Verifier, VerifyError};
+pub use sign::{Keychain, SigTag, Signed, Signer, Verified, Verifier, VerifyError};

@@ -1,6 +1,10 @@
 //! Simulated unforgeable signatures.
 //!
 //! See the [module documentation](crate::crypto) for the threat model.
+#![expect(
+    clippy::disallowed_fields,
+    reason = "S1: the defining module: the derived impls, the encoding, the check itself and `Verified::payload`"
+)]
 
 use std::error::Error;
 use std::fmt;
@@ -34,7 +38,11 @@ impl Decode for SigTag {
 
 /// A payload together with the identity of its signer and a signature tag.
 ///
-/// Built by [`Signer::sign`], checked by [`Verifier::verify`].
+/// Built by [`Signer::sign`], checked by [`Verifier::verify`]. The fields
+/// stay public so a Byzantine process can assemble any message it likes,
+/// but clippy's `disallowed-fields` bans reading `payload` outside this
+/// module (S1, verify before use): a correct process reads a payload
+/// through `verify`'s return value or a [`Verified`].
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Signed<T> {
     /// The signed payload.
@@ -60,6 +68,50 @@ impl<T: Decode> Decode for Signed<T> {
             signer: ProcessId::decode(r)?,
             tag: SigTag::decode(r)?,
         })
+    }
+}
+
+/// A signed payload whose signature this process checked, or that it
+/// signed itself.
+///
+/// Only [`Verifier`] and [`Signer`] build one, so holding a `Verified<T>`
+/// is proof that the check ran; it has the layout of the [`Signed<T>`] it
+/// wraps, and [`Verified::signed`] hands that back for the wire.
+///
+/// ```compile_fail
+/// use qsel_types::crypto::{Signed, Verified};
+///
+/// fn forge<T>(signed: Signed<T>) -> Verified<T> {
+///     Verified(signed)
+/// }
+/// ```
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub struct Verified<T>(Signed<T>);
+
+impl<T> Verified<T> {
+    /// The verified payload.
+    pub fn payload(&self) -> &T {
+        &self.0.payload
+    }
+
+    /// The process whose signature verified.
+    pub fn signer(&self) -> ProcessId {
+        self.0.signer
+    }
+
+    /// The signed message, as it travels on the wire.
+    pub fn signed(&self) -> &Signed<T> {
+        &self.0
+    }
+
+    /// Unwraps the signed message, e.g. to send or store it.
+    pub fn into_signed(self) -> Signed<T> {
+        self.0
+    }
+
+    /// Unwraps the verified payload.
+    pub fn into_payload(self) -> T {
+        self.0.payload
     }
 }
 
@@ -151,6 +203,12 @@ impl Signer {
         }
     }
 
+    /// Signs `payload` and keeps it as verified: what this process
+    /// signed needs no check before it acts on it.
+    pub fn seal<T: Encode>(&self, payload: T) -> Verified<T> {
+        Verified(self.sign(payload))
+    }
+
     fn tag_for<T: Encode + ?Sized>(&self, payload: &T) -> SigTag {
         let mut h = Sha256::new();
         h.update(b"qsel-sig");
@@ -169,13 +227,14 @@ pub struct Verifier {
 
 impl Verifier {
     /// Checks that `signed.tag` is a valid signature by `signed.signer` over
-    /// `signed.payload`.
+    /// `signed.payload`, and returns the payload if it is: the one way to
+    /// read a payload that arrived from someone else.
     ///
     /// # Errors
     ///
     /// Returns [`VerifyError::UnknownSigner`] for out-of-cluster ids and
     /// [`VerifyError::BadSignature`] for tag mismatches.
-    pub fn verify<T: Encode>(&self, signed: &Signed<T>) -> Result<(), VerifyError> {
+    pub fn verify<'a, T: Encode>(&self, signed: &'a Signed<T>) -> Result<&'a T, VerifyError> {
         let idx = signed.signer.index();
         let secret = self
             .secrets
@@ -187,10 +246,38 @@ impl Verifier {
         }
         .tag_for(&signed.payload);
         if expected == signed.tag {
-            Ok(())
+            Ok(&signed.payload)
         } else {
             Err(VerifyError::BadSignature(signed.signer))
         }
+    }
+
+    /// [`Verifier::verify`] for an owned message, kept as a [`Verified`].
+    ///
+    /// # Errors
+    ///
+    /// As [`Verifier::verify`]; the message is dropped.
+    pub fn check<T: Encode>(&self, signed: Signed<T>) -> Result<Verified<T>, VerifyError> {
+        self.verify(&signed)?;
+        Ok(Verified(signed))
+    }
+
+    /// [`Verifier::check`], without recomputing the tag when `signed` is
+    /// identical (signer, tag and every payload byte) to `earlier`, a
+    /// message this process already checked or signed.
+    ///
+    /// # Errors
+    ///
+    /// As [`Verifier::verify`]; the message is dropped.
+    pub fn check_once<T: Encode + PartialEq>(
+        &self,
+        signed: Signed<T>,
+        earlier: Option<&Signed<T>>,
+    ) -> Result<Verified<T>, VerifyError> {
+        if earlier == Some(&signed) {
+            return Ok(Verified(signed));
+        }
+        self.check(signed)
     }
 }
 

@@ -12,9 +12,18 @@ use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::Range;
 
 use qsel_mmr::{leaf_hash, Mmr, MmrError};
-use qsel_types::{CheckpointPayload, ProcessId, ProcessSet};
+use qsel_types::{CheckpointPayload, ProcessId, ProcessSet, Signed};
 
-use crate::messages::{Batch, DecidedEntry, Request, SignedCommit, SignedPrepare};
+use crate::messages::{Batch, DecidedEntry, PreparePayload, Request, SignedCommit, SignedPrepare};
+
+/// The payload of a PREPARE or COMMIT the log admitted.
+#[expect(
+    clippy::disallowed_fields,
+    reason = "S1: the replica verifies or signs every entry before `accept_prepare`, `record_commit` or `adopt_decided`, which take raw `Signed` values because the benchmark's log probe calls them"
+)]
+fn held<T>(entry: &Signed<T>) -> &T {
+    &entry.payload
+}
 
 /// Hasher of the `(client, op)` dedup keys: one add-and-multiply per
 /// integer word, rotated on output so the bucket index (the low bits)
@@ -51,10 +60,10 @@ type OpKeys = BuildHasherDefault<OpKeyHasher>;
     clippy::disallowed_types,
     reason = "D1: lookup-only dedup index; never iterated"
 )]
-// lint: allow(S1, σ_l checked at the replica boundary before log admission)
 fn assign_batch(assigned: &mut HashMap<(ProcessId, u64), u64, OpKeys>, prepare: &SignedPrepare) {
-    for req in prepare.payload.batch.reqs() {
-        assigned.insert((req.client, req.op), prepare.payload.slot);
+    let p = held(prepare);
+    for req in p.batch.reqs() {
+        assigned.insert((req.client, req.op), p.slot);
     }
 }
 
@@ -76,6 +85,11 @@ pub struct Slot {
 }
 
 impl Slot {
+    /// The accepted PREPARE's payload.
+    pub fn prepared(&self) -> &PreparePayload {
+        held(&self.prepare)
+    }
+
     fn new(prepare: SignedPrepare) -> Self {
         Slot {
             prepare,
@@ -146,9 +160,8 @@ impl Log {
     /// nothing) if the slot already holds a *different* prepare — the
     /// caller decides whether that means equivocation (same view) or a
     /// legitimate re-proposal (higher view, which replaces the entry).
-    // lint: allow(S1, σ_l checked by replica authenticate/verify_certificate before log admission)
     pub fn accept_prepare(&mut self, prepare: SignedPrepare) -> bool {
-        let slot_no = prepare.payload.slot;
+        let slot_no = held(&prepare).slot;
         match self.slots.get_mut(&slot_no) {
             None => {
                 assign_batch(&mut self.assigned, &prepare);
@@ -158,8 +171,7 @@ impl Log {
             Some(existing) => {
                 if existing.prepare == prepare {
                     true
-                } else if prepare.payload.view > existing.prepare.payload.view && !existing.decided
-                {
+                } else if held(&prepare).view > existing.prepared().view && !existing.decided {
                     // Re-proposal in a later view supersedes.
                     assign_batch(&mut self.assigned, &prepare);
                     *existing = Slot::new(prepare);
@@ -190,12 +202,11 @@ impl Log {
 
     /// Records a signed COMMIT. Returns `true` if its digest matches the
     /// accepted prepare's batch digest.
-    // lint: allow(S1, σ_l checked by replica authenticate/verify_certificate before log admission)
     pub fn record_commit(&mut self, slot: u64, commit: SignedCommit) -> bool {
         let Some(s) = self.slots.get_mut(&slot) else {
             return false;
         };
-        let matches = s.prepare.payload.batch.digest() == commit.payload.digest;
+        let matches = s.prepared().batch.digest() == held(&commit).digest;
         s.commits.insert(commit.signer, commit);
         matches
     }
@@ -216,12 +227,12 @@ impl Log {
         if s.decided {
             return false;
         }
-        let want = s.prepare.payload.batch.digest();
+        let want = s.prepared().batch.digest();
         let all_in = quorum.iter().filter(|p| *p != leader).all(|p| {
             if p == me {
                 s.committed_by_us
             } else {
-                s.commits.get(&p).is_some_and(|c| c.payload.digest == want)
+                s.commits.get(&p).is_some_and(|c| held(c).digest == want)
             }
         });
         if all_in {
@@ -240,7 +251,7 @@ impl Log {
     pub fn execute_ready(&mut self) -> Vec<(u64, Request)> {
         let mut out = Vec::new();
         while let Some(s) = self.slots.get(&self.exec_cursor).filter(|s| s.decided) {
-            let batch = s.prepare.payload.batch.clone();
+            let batch = s.prepared().batch.clone();
             self.execute_at_cursor(&batch, &mut out);
         }
         out
@@ -306,11 +317,9 @@ impl Log {
     /// marks the slot decided. A conflicting *decided* entry is never
     /// overwritten; returns `false` in that case.
     pub fn adopt_decided(&mut self, prepare: SignedPrepare, commits: Vec<SignedCommit>) -> bool {
-        let slot_no = prepare.payload.slot;
+        let slot_no = held(&prepare).slot;
         match self.slots.get_mut(&slot_no) {
-            Some(existing) if existing.decided => {
-                existing.prepare.payload.batch == prepare.payload.batch
-            }
+            Some(existing) if existing.decided => existing.prepared().batch == held(&prepare).batch,
             existing => {
                 assign_batch(&mut self.assigned, &prepare);
                 let mut slot = Slot::new(prepare);
@@ -457,7 +466,7 @@ impl Log {
         let dropped = std::mem::replace(&mut self.slots, keep);
         let n = dropped.len();
         for (slot, s) in dropped {
-            self.archive.insert(slot, s.prepare.payload.batch);
+            self.archive.insert(slot, s.prepared().batch.clone());
         }
         let floor = bound.saturating_sub(archive_retain);
         self.archive = self.archive.split_off(&floor);
@@ -473,7 +482,7 @@ impl Log {
         }
         self.archive
             .get(&slot)
-            .or_else(|| self.slots.get(&slot).map(|s| &s.prepare.payload.batch))
+            .or_else(|| self.slots.get(&slot).map(|s| &s.prepared().batch))
     }
 
     /// Jumps the log forward to a verified stable checkpoint: the cursor

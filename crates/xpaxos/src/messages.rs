@@ -389,7 +389,11 @@ pub struct CheckpointCert {
 impl CheckpointCert {
     /// The certified payload (all votes carry the same one; structural
     /// agreement is enforced by the verifier, not assumed here).
-    pub fn payload(&self) -> Option<&CheckpointPayload> {
+    #[expect(
+        clippy::disallowed_fields,
+        reason = "S1: read only on certificates the replica assembled from verified votes or accepted after checking every vote"
+    )]
+    pub(crate) fn payload(&self) -> Option<&CheckpointPayload> {
         self.sigs.first().map(|s| &s.payload)
     }
 }

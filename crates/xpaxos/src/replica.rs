@@ -25,18 +25,22 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
+use qsel::messages::UpdateRow;
 use qsel::{QsOutput, QuorumSelection};
 use qsel_detector::{Expected, FailureDetector, FdConfig, PollSchedule};
 use qsel_obs::{TraceEvent, TraceSink};
 use qsel_simnet::{Context, SimDuration, TimerId};
-use qsel_types::crypto::{Keychain, Signer, Verifier};
-use qsel_types::{thresholds, CheckpointPayload, ClusterConfig, ProcessId, ProcessSet, Quorum};
+use qsel_types::crypto::{Keychain, Signer, Verified, Verifier};
+use qsel_types::encode::Encode;
+use qsel_types::{
+    thresholds, CheckpointPayload, ClusterConfig, ProcessId, ProcessSet, Quorum, Signed,
+};
 
-use crate::log::Log;
+use crate::log::{Log, Slot};
 use crate::messages::{
     Batch, CheckpointCert, CommitPayload, CompactEntry, DecidedEntry, HeartbeatPayload,
-    NewViewPayload, PreparePayload, Reply, Request, SignedCheckpoint, SignedCommit, SignedNewView,
-    SignedPrepare, SignedViewChange, ViewChangePayload, XpMsg,
+    NewViewPayload, PreparePayload, Reply, Request, SignedCheckpoint, SignedCommit, SignedPrepare,
+    ViewChangePayload, XpMsg,
 };
 use crate::policy::{BatchPolicy, CheckpointPolicy, ViewPolicy};
 
@@ -173,40 +177,53 @@ enum XpExpect {
     StateBatch,
 }
 
-impl Expected<XpMsg> for XpExpect {
-    fn is_met_by(&self, m: &XpMsg) -> bool {
-        match *self {
-            XpExpect::Heartbeat => matches!(m, XpMsg::Heartbeat(_)),
-            XpExpect::PrepareFor { view, client, op } => {
-                matches!(
-                    m,
-                    XpMsg::Prepare(sp)
-                        if sp.payload.view == view
-                            && sp.payload.batch.contains(client, op)
-                ) || matches!(
-                    m,
-                    XpMsg::Commit(c)
-                        if c.payload.prepare.payload.batch.contains(client, op)
-                )
+/// A replica-to-replica message whose signature verified, or the arrival
+/// of a state batch (whose certificates are checked entry by entry): what
+/// the failure detector observes and the handlers take.
+enum Authentic {
+    Prepare(Verified<PreparePayload>),
+    Commit(Verified<CommitPayload>),
+    ViewChange(Verified<ViewChangePayload>),
+    NewView(Verified<NewViewPayload>),
+    Update(Verified<UpdateRow>),
+    Heartbeat,
+    Checkpoint(Verified<CheckpointPayload>),
+    StateBatch,
+}
+
+/// The content a message claims before its signature is checked: read
+/// only to find the stored copy it must equal, to match a detector
+/// expectation, or to pass it over without spending a verification.
+#[expect(
+    clippy::disallowed_fields,
+    reason = "S1: nothing acts on a claimed payload until `verify` accepts it"
+)]
+fn claimed<T>(signed: &Signed<T>) -> &T {
+    &signed.payload
+}
+
+impl Expected<Authentic> for XpExpect {
+    fn is_met_by(&self, m: &Authentic) -> bool {
+        match (*self, m) {
+            (XpExpect::Heartbeat, Authentic::Heartbeat) => true,
+            (XpExpect::PrepareFor { view, client, op }, Authentic::Prepare(sp)) => {
+                sp.payload().view == view && sp.payload().batch.contains(client, op)
             }
-            XpExpect::OvertakenPrepare { view, slot } => matches!(
-                m,
-                XpMsg::Prepare(p) if p.payload.view == view && p.payload.slot == slot
-            ),
-            XpExpect::Commit { view, slot } => matches!(
-                m,
-                XpMsg::Commit(c) if c.payload.view == view && c.payload.slot == slot
-            ),
-            XpExpect::ViewChange { target } => matches!(
-                m,
-                XpMsg::ViewChange(v) if v.payload.target_view >= target
-            ),
-            XpExpect::NewView { target } => {
-                matches!(m, XpMsg::NewView(nv) if nv.payload.view >= target)
+            (XpExpect::PrepareFor { client, op, .. }, Authentic::Commit(c)) => {
+                claimed(&c.payload().prepare).batch.contains(client, op)
             }
-            XpExpect::RecoverState | XpExpect::StateBatch => {
-                matches!(m, XpMsg::StateBatch { .. })
+            (XpExpect::OvertakenPrepare { view, slot }, Authentic::Prepare(p)) => {
+                p.payload().view == view && p.payload().slot == slot
             }
+            (XpExpect::Commit { view, slot }, Authentic::Commit(c)) => {
+                c.payload().view == view && c.payload().slot == slot
+            }
+            (XpExpect::ViewChange { target }, Authentic::ViewChange(v)) => {
+                v.payload().target_view >= target
+            }
+            (XpExpect::NewView { target }, Authentic::NewView(nv)) => nv.payload().view >= target,
+            (XpExpect::RecoverState | XpExpect::StateBatch, Authentic::StateBatch) => true,
+            _ => false,
         }
     }
 
@@ -276,7 +293,7 @@ pub struct Replica {
     signer: Signer,
     verifier: Verifier,
     views: ViewPolicy,
-    fd: FailureDetector<XpMsg, XpExpect>,
+    fd: FailureDetector<Authentic, XpExpect>,
     /// The `TIMER_FD_POLL` timers in flight.
     polls: PollSchedule,
     /// The policy [`PollSchedule`] replaced, kept as the test oracle: arm
@@ -299,7 +316,7 @@ pub struct Replica {
     /// same view) must resolve identically on every replica. Only
     /// targets above `view` are kept: a view change never targets an
     /// installed view again.
-    collected_vc: BTreeMap<u64, BTreeMap<ProcessId, SignedViewChange>>,
+    collected_vc: BTreeMap<u64, BTreeMap<ProcessId, Verified<ViewChangePayload>>>,
     /// Whether the NEW-VIEW expectation for the current target is armed.
     nv_expected: bool,
     /// Client requests buffered mid view change, in arrival order (the
@@ -317,14 +334,14 @@ pub struct Replica {
     /// ahead of ours), replayed once the next view is installed so brief
     /// view-change windows do not turn into false omission suspicions at
     /// the senders.
-    pending_protocol: std::collections::VecDeque<XpMsg>,
+    pending_protocol: std::collections::VecDeque<Authentic>,
     /// First decided slot not yet shipped by lazy replication (leader).
     lazy_sent: u64,
     hb_seq: u64,
     /// Checkpoint votes by slot, then signer (ordered: a stable
     /// certificate's signature order must not leak map iteration order
     /// into message bytes).
-    ckpt_votes: BTreeMap<u64, BTreeMap<ProcessId, SignedCheckpoint>>,
+    ckpt_votes: BTreeMap<u64, BTreeMap<ProcessId, Verified<CheckpointPayload>>>,
     /// Newest stable checkpoint certificate (served to recovering peers).
     stable_ckpt: Option<CheckpointCert>,
     /// Recovery state machine.
@@ -597,7 +614,7 @@ impl Replica {
                 // verifies. A StateBatch additionally fulfils the fetch
                 // expectation, which flows through the detector below.
                 self.adopt_entries(ctx, entries);
-                let marker = XpMsg::StateBatch { entries: vec![] };
+                let marker = Authentic::StateBatch;
                 let suspected = self.fd.on_receive(ctx.now(), link_sender, &marker);
                 self.on_suspected(ctx, suspected);
                 self.sync_progress(ctx);
@@ -625,44 +642,49 @@ impl Replica {
             } => {
                 self.on_sync_chunk(ctx, link_sender, entries, proof_slot);
             }
-            // Replica-to-replica traffic is authenticated and observed by
-            // the failure detector (Fig. 1), then delivered here, then the
-            // suspicion change the detector computed for it is handled.
-            // Spelled out per variant (no `_` arm) so adding a wire message
-            // forces a routing decision here.
-            signed @ (XpMsg::Prepare(_)
-            | XpMsg::Commit(_)
-            | XpMsg::ViewChange(_)
-            | XpMsg::NewView(_)
-            | XpMsg::Update(_)
-            | XpMsg::Heartbeat(_)
-            | XpMsg::Checkpoint(_)) => {
-                if let Some(origin) = self.authenticate(&signed) {
-                    let suspected = self.fd.on_receive(ctx.now(), origin, &signed);
-                    #[expect(
-                        clippy::wildcard_enum_match_arm,
-                        reason = "the `_` arm is Heartbeat: the enclosing arm binds only the seven signed variants"
-                    )]
-                    match signed {
-                        XpMsg::Prepare(sp) => self.on_prepare(ctx, sp),
-                        XpMsg::Commit(sc) => self.on_commit(ctx, sc),
-                        XpMsg::ViewChange(vc) => self.on_view_change(ctx, vc),
-                        XpMsg::NewView(nv) => self.on_new_view(ctx, nv),
-                        XpMsg::Update(u) => {
-                            if let Some(qs) = &mut self.qs {
-                                let qs_out = qs.on_update(u);
-                                self.pump_qs(ctx, qs_out);
-                            }
-                        }
-                        XpMsg::Checkpoint(sc) => self.on_checkpoint(ctx, sc),
-                        // A heartbeat only meets expectations.
-                        _ => {}
-                    }
-                    self.on_suspected(ctx, suspected);
-                }
-            }
+            // Replica-to-replica traffic is authenticated by its signer.
+            XpMsg::Prepare(m) => self.deliver(ctx, m, Authentic::Prepare),
+            XpMsg::Commit(m) => self.deliver(ctx, m, Authentic::Commit),
+            XpMsg::ViewChange(m) => self.deliver(ctx, m, Authentic::ViewChange),
+            XpMsg::NewView(m) => self.deliver(ctx, m, Authentic::NewView),
+            XpMsg::Update(m) => self.deliver(ctx, m, Authentic::Update),
+            XpMsg::Heartbeat(m) => self.deliver(ctx, m, |_| Authentic::Heartbeat),
+            XpMsg::Checkpoint(m) => self.deliver(ctx, m, Authentic::Checkpoint),
         }
         self.arm_poll(ctx);
+    }
+
+    /// Verifies `m`, shows it to the failure detector (Fig. 1), delivers
+    /// it, then handles the suspicion change the detector computed for it.
+    /// A message whose signature does not verify is dropped.
+    fn deliver<T: Encode>(
+        &mut self,
+        ctx: &mut Context<'_, XpMsg>,
+        m: Signed<T>,
+        wrap: fn(Verified<T>) -> Authentic,
+    ) {
+        let origin = m.signer;
+        let Ok(m) = self.verifier.check(m) else {
+            return;
+        };
+        let msg = wrap(m);
+        let suspected = self.fd.on_receive(ctx.now(), origin, &msg);
+        match msg {
+            Authentic::Prepare(sp) => self.on_prepare(ctx, sp),
+            Authentic::Commit(sc) => self.on_commit(ctx, sc),
+            Authentic::ViewChange(vc) => self.on_view_change(ctx, vc),
+            Authentic::NewView(nv) => self.on_new_view(ctx, nv),
+            Authentic::Update(u) => {
+                if let Some(qs) = &mut self.qs {
+                    let qs_out = qs.on_update(u.into_signed());
+                    self.pump_qs(ctx, qs_out);
+                }
+            }
+            Authentic::Checkpoint(sc) => self.on_checkpoint(ctx, sc),
+            // A heartbeat only meets expectations.
+            Authentic::Heartbeat | Authentic::StateBatch => {}
+        }
+        self.on_suspected(ctx, suspected);
     }
 
     /// Handles a timer event.
@@ -749,6 +771,23 @@ impl Replica {
             if k != self.me {
                 ctx.send(k, make());
             }
+        }
+    }
+
+    /// Queues `msg` for each of `peers`, in order: a clone for all but
+    /// the last, which takes `msg` itself.
+    fn send_all(
+        &self,
+        ctx: &mut Context<'_, XpMsg>,
+        peers: impl Iterator<Item = ProcessId>,
+        msg: XpMsg,
+    ) {
+        let mut peers = peers.peekable();
+        while let Some(k) = peers.next() {
+            if peers.peek().is_none() {
+                return ctx.send(k, msg);
+            }
+            ctx.send(k, msg.clone());
         }
     }
 
@@ -855,14 +894,14 @@ impl Replica {
                 op: r.op,
             });
         }
-        let sp = self.signer.sign(PreparePayload {
+        let sp = self.signer.seal(PreparePayload {
             view: self.view,
             slot,
             batch,
         });
         for k in members.iter() {
             if k != self.me {
-                ctx.send(k, XpMsg::Prepare(sp.clone()));
+                ctx.send(k, XpMsg::Prepare(sp.signed().clone()));
             }
         }
         self.process_prepare_locally(ctx, sp);
@@ -912,54 +951,57 @@ impl Replica {
         }
     }
 
-    fn on_prepare(&mut self, ctx: &mut Context<'_, XpMsg>, sp: SignedPrepare) {
-        if self.phase != Phase::Normal || sp.payload.view > self.view {
-            self.stash(XpMsg::Prepare(sp));
+    fn on_prepare(&mut self, ctx: &mut Context<'_, XpMsg>, sp: Verified<PreparePayload>) {
+        let view = sp.payload().view;
+        if self.phase != Phase::Normal || view > self.view {
+            self.stash(Authentic::Prepare(sp));
             return;
         }
-        if sp.payload.view != self.view {
+        if view != self.view {
             return; // stale view
         }
-        if sp.signer != self.leader() || !self.active_quorum().contains(self.me) {
+        if sp.signer() != self.leader() || !self.active_quorum().contains(self.me) {
             return;
         }
         self.process_prepare_locally(ctx, sp);
     }
 
-    fn on_commit(&mut self, ctx: &mut Context<'_, XpMsg>, sc: SignedCommit) {
+    fn on_commit(&mut self, ctx: &mut Context<'_, XpMsg>, sc: Verified<CommitPayload>) {
         let now = ctx.now();
+        let (view, slot, signer) = (sc.payload().view, sc.payload().slot, sc.signer());
         // Malformed COMMIT: authenticated but without a valid embedded
         // PREPARE → the sender is detected (paper §V-A).
-        let embedded_ok = self.verify_prepare_once(&sc.payload.prepare)
-            && sc.payload.prepare.payload.view == sc.payload.view
-            && sc.payload.prepare.payload.slot == sc.payload.slot
-            && sc.payload.prepare.signer == self.views.leader(sc.payload.view)
-            && sc.payload.digest == sc.payload.prepare.payload.batch.digest();
-        if !embedded_ok {
-            self.detect(ctx, sc.signer);
+        let prepare = self.verify_prepare_once(sc.payload().prepare.clone());
+        let Some(prepare) = prepare.filter(|sp| {
+            let p = sp.payload();
+            p.view == view
+                && p.slot == slot
+                && sp.signer() == self.views.leader(view)
+                && sc.payload().digest == p.batch.digest()
+        }) else {
+            self.detect(ctx, signer);
             return;
-        }
-        if sc.payload.slot < self.log.gc_floor() {
+        };
+        if slot < self.log.gc_floor() {
             // The slot was compacted below a stable checkpoint: its
             // agreement record is gone, so this late COMMIT must not be
             // re-admitted as a fresh slot (it would re-decide below the
             // GC floor and issue expectations no decided member answers).
             return;
         }
-        if self.phase != Phase::Normal || sc.payload.view > self.view {
-            self.stash(XpMsg::Commit(sc));
+        if self.phase != Phase::Normal || view > self.view {
+            self.stash(Authentic::Commit(sc));
             return;
         }
-        if sc.payload.view != self.view || !self.active_quorum().contains(self.me) {
+        if view != self.view || !self.active_quorum().contains(self.me) {
             return; // stale view, or we are passive
         }
-        let slot = sc.payload.slot;
         // Equivocation: a valid PREPARE different from the one we accepted
         // in the same view (paper §V-A: "it issues a ⟨DETECTED⟩ event for
         // the leader").
-        if let Some(mine) = self.log.prepare_at(slot) {
-            if mine.payload.view == sc.payload.view && mine.payload != sc.payload.prepare.payload {
-                self.detect(ctx, self.views.leader(sc.payload.view));
+        if let Some(mine) = self.log.slot(slot).map(Slot::prepared) {
+            if mine.view == view && mine != prepare.payload() {
+                self.detect(ctx, self.views.leader(view));
                 return;
             }
         }
@@ -967,7 +1009,7 @@ impl Replica {
             // Already decided: record and stop. In particular do NOT
             // answer a COMMIT with our own COMMIT — decided members would
             // echo commits at each other indefinitely.
-            self.log.record_commit(slot, sc);
+            self.log.record_commit(slot, sc.into_signed());
             return;
         }
         let had_prepare = self.log.prepare_at(slot).is_some();
@@ -975,18 +1017,18 @@ impl Replica {
             // Fig. 3: the COMMIT overtook the PREPARE — adopt the embedded
             // prepare first so this COMMIT is recorded (otherwise we would
             // issue an expectation for a commit we already consumed).
-            self.log.accept_prepare(sc.payload.prepare.clone());
+            self.log.accept_prepare(prepare.signed().clone());
         }
         let fresh_vote = !self
             .log
             .slot(slot)
-            .is_some_and(|s| s.commits.contains_key(&sc.signer));
-        self.log.record_commit(slot, sc.clone());
+            .is_some_and(|s| s.commits.contains_key(&signer));
+        self.log.record_commit(slot, sc.into_signed());
         if fresh_vote {
             // Quorum-formation timing: a previously-unseen vote for an
             // undecided slot (the first-to-last gap is the straggler gap).
             let have = self.log.slot(slot).map_or(0, |s| s.commits.len() as u64);
-            let from = sc.signer.0;
+            let from = signer.0;
             self.trace.emit(|| TraceEvent::CommitVote {
                 p: self.me.0,
                 slot,
@@ -994,11 +1036,10 @@ impl Replica {
                 have,
             });
         }
-        self.process_prepare_locally(ctx, sc.payload.prepare.clone());
+        self.process_prepare_locally(ctx, prepare);
         if !had_prepare {
             // Fig. 3: COMMIT overtook the PREPARE — expect the PREPARE
             // from the leader (third subtlety).
-            let view = sc.payload.view;
             let leader = self.views.leader(view);
             let key = XpExpect::OvertakenPrepare { view, slot };
             self.fd.arm(now, leader, SimDuration::ZERO, key);
@@ -1010,18 +1051,20 @@ impl Replica {
     /// issues COMMIT expectations for the other members, and tries to
     /// decide. Shared by the leader's own proposal, a follower receiving
     /// a PREPARE, a COMMIT-embedded PREPARE, and NEW-VIEW re-proposals.
-    // lint: allow(S1, every caller holds a verified prepare: authenticate, on_commit embedded-check, or our own signature)
-    fn process_prepare_locally(&mut self, ctx: &mut Context<'_, XpMsg>, sp: SignedPrepare) {
-        let slot = sp.payload.slot;
+    fn process_prepare_locally(
+        &mut self,
+        ctx: &mut Context<'_, XpMsg>,
+        sp: Verified<PreparePayload>,
+    ) {
+        let (view, slot) = (sp.payload().view, sp.payload().slot);
         if slot < self.log.gc_floor() {
             return; // compacted below a stable checkpoint — old news
         }
-        let view = sp.payload.view;
         let leader = self.views.leader(view);
         let members = *self.views.group(view).members();
         if let Some(existing) = self.log.slot(slot) {
             if existing.decided {
-                if existing.prepare.payload.batch == sp.payload.batch {
+                if existing.prepared().batch == sp.payload().batch {
                     // Re-proposal of a decided slot: help the others decide.
                     if self.me != leader {
                         self.send_commit(ctx, members, sp);
@@ -1033,12 +1076,12 @@ impl Replica {
                 }
                 return;
             }
-            if existing.prepare.payload.view == view && existing.prepare.payload != sp.payload {
+            if existing.prepared().view == view && existing.prepared() != sp.payload() {
                 self.detect(ctx, leader);
                 return;
             }
         }
-        if !self.log.accept_prepare(sp.clone()) {
+        if !self.log.accept_prepare(sp.signed().clone()) {
             return; // older-view prepare; ignore
         }
         if self.me != leader && !self.log.slot(slot).is_some_and(|s| s.committed_by_us) {
@@ -1069,18 +1112,18 @@ impl Replica {
 
     /// Signs our COMMIT for `sp` and sends it to the other `members`, in id
     /// order.
-    // lint: allow(S1, called only by process_prepare_locally, whose callers hold a verified prepare)
     fn send_commit(
         &self,
         ctx: &mut Context<'_, XpMsg>,
         members: ProcessSet,
-        sp: SignedPrepare,
+        sp: Verified<PreparePayload>,
     ) -> SignedCommit {
+        let p = sp.payload();
         let commit = self.signer.sign(CommitPayload {
-            view: sp.payload.view,
-            slot: sp.payload.slot,
-            digest: sp.payload.batch.digest(),
-            prepare: sp,
+            view: p.view,
+            slot: p.slot,
+            digest: p.batch.digest(),
+            prepare: sp.into_signed(),
         });
         for k in members.iter() {
             if k != self.me {
@@ -1098,8 +1141,7 @@ impl Replica {
             self.trace
                 .emit(|| TraceEvent::Decided { p: self.me.0, slot });
             if !self.rcfg.batch.is_passthrough() {
-                if let Some(sp) = self.log.prepare_at(slot) {
-                    let batch = &sp.payload.batch;
+                if let Some(batch) = self.log.slot(slot).map(|s| &s.prepared().batch) {
                     self.trace.emit(|| TraceEvent::BatchCommitted {
                         p: self.me.0,
                         slot,
@@ -1171,12 +1213,12 @@ impl Replica {
         let suspected = self.fd.cancel_all(now);
         self.on_suspected(ctx, suspected);
         let watermark = self.log.watermark();
-        let vc = self.signer.sign(ViewChangePayload {
+        let vc = self.signer.seal(ViewChangePayload {
             target_view: target,
             watermark,
             prepared: self.log.prepared_entries_from(watermark),
         });
-        self.broadcast(ctx, || XpMsg::ViewChange(vc.clone()));
+        self.broadcast(ctx, || XpMsg::ViewChange(vc.signed().clone()));
         self.collected_vc
             .entry(target)
             .or_default()
@@ -1207,15 +1249,15 @@ impl Replica {
         }
     }
 
-    fn on_view_change(&mut self, ctx: &mut Context<'_, XpMsg>, vc: SignedViewChange) {
-        let target = vc.payload.target_view;
+    fn on_view_change(&mut self, ctx: &mut Context<'_, XpMsg>, vc: Verified<ViewChangePayload>) {
+        let target = vc.payload().target_view;
         if target <= self.view {
             return; // a late vote for a view already installed (or passed)
         }
         self.collected_vc
             .entry(target)
             .or_default()
-            .insert(vc.signer, vc);
+            .insert(vc.signer(), vc);
         if target > self.effective_view() {
             // Join the higher view change.
             self.start_view_change(ctx, target);
@@ -1253,51 +1295,54 @@ impl Replica {
         // per slot, the prepare of the highest view wins.
         let base = collected
             .values()
-            .map(|vc| vc.payload.watermark)
+            .map(|vc| vc.payload().watermark)
             .max()
             .unwrap_or(0);
-        let mut merged: BTreeMap<u64, SignedPrepare> = BTreeMap::new();
+        let mut merged: BTreeMap<u64, Verified<PreparePayload>> = BTreeMap::new();
         for vc in collected.values() {
-            for sp in &vc.payload.prepared {
+            for sp in &vc.payload().prepared {
                 // Only honor entries actually signed by their view's leader.
-                if sp.payload.slot < base
-                    || self.verifier.verify(sp).is_err()
-                    || sp.signer != self.views.leader(sp.payload.view)
-                {
+                if claimed(sp).slot < base {
                     continue;
                 }
-                merged
-                    .entry(sp.payload.slot)
-                    .and_modify(|cur| {
-                        if sp.payload.view > cur.payload.view {
-                            *cur = sp.clone();
-                        }
-                    })
-                    .or_insert_with(|| sp.clone());
+                let Ok(sp) = self.verifier.check(sp.clone()) else {
+                    continue;
+                };
+                let p = sp.payload();
+                if sp.signer() != self.views.leader(p.view) {
+                    continue;
+                }
+                if merged
+                    .get(&p.slot)
+                    .is_none_or(|cur| p.view > cur.payload().view)
+                {
+                    merged.insert(p.slot, sp);
+                }
             }
         }
-        let reproposals: Vec<SignedPrepare> = merged
+        let reproposals: Vec<Verified<PreparePayload>> = merged
             .values()
             .map(|sp| {
-                self.signer.sign(PreparePayload {
+                self.signer.seal(PreparePayload {
                     view: target,
-                    slot: sp.payload.slot,
-                    batch: sp.payload.batch.clone(),
+                    slot: sp.payload().slot,
+                    batch: sp.payload().batch.clone(),
                 })
             })
             .collect();
         let nv = self.signer.sign(NewViewPayload {
             view: target,
             base,
-            reproposals,
+            reproposals: reproposals.iter().map(|sp| sp.signed().clone()).collect(),
         });
-        self.broadcast(ctx, || XpMsg::NewView(nv.clone()));
-        self.install_new_view(ctx, nv);
+        let peers = self.cfg.processes().filter(|&k| k != self.me);
+        self.send_all(ctx, peers, XpMsg::NewView(nv));
+        self.install_new_view(ctx, target, base, reproposals);
     }
 
-    fn on_new_view(&mut self, ctx: &mut Context<'_, XpMsg>, nv: SignedNewView) {
-        let target = nv.payload.view;
-        if nv.signer != self.views.leader(target) {
+    fn on_new_view(&mut self, ctx: &mut Context<'_, XpMsg>, nv: Verified<NewViewPayload>) {
+        let (target, leader) = (nv.payload().view, nv.signer());
+        if leader != self.views.leader(target) {
             return;
         }
         let acceptable = match self.phase {
@@ -1309,14 +1354,21 @@ impl Replica {
         }
         // All re-proposals must be signed by the new leader for the new
         // view; a NEW-VIEW smuggling anything else is proof of misbehaviour.
-        let all_ok = nv.payload.reproposals.iter().all(|sp| {
-            self.verifier.verify(sp).is_ok() && sp.signer == nv.signer && sp.payload.view == target
-        });
-        if !all_ok {
-            self.detect(ctx, nv.signer);
+        let NewViewPayload {
+            base, reproposals, ..
+        } = nv.into_payload();
+        let reproposals: Option<Vec<_>> = reproposals
+            .into_iter()
+            .map(|sp| {
+                let sp = self.verifier.check(sp).ok()?;
+                (sp.signer() == leader && sp.payload().view == target).then_some(sp)
+            })
+            .collect();
+        let Some(reproposals) = reproposals else {
+            self.detect(ctx, leader);
             return;
-        }
-        self.install_new_view(ctx, nv);
+        };
+        self.install_new_view(ctx, target, base, reproposals);
     }
 
     /// Sends `StateFetch { from_slot, to_slot }` to every target but
@@ -1337,9 +1389,14 @@ impl Replica {
         }
     }
 
-    fn install_new_view(&mut self, ctx: &mut Context<'_, XpMsg>, nv: SignedNewView) {
+    fn install_new_view(
+        &mut self,
+        ctx: &mut Context<'_, XpMsg>,
+        target: u64,
+        base: u64,
+        reproposals: Vec<Verified<PreparePayload>>,
+    ) {
         let now = ctx.now();
-        let target = nv.payload.view;
         self.view = target;
         self.phase = Phase::Normal;
         self.vc_gen += 1; // invalidates any pending stall timer
@@ -1357,7 +1414,6 @@ impl Replica {
         let suspected = self.fd.cancel_all(now);
         self.on_suspected(ctx, suspected);
         let in_quorum = self.views.group(target).contains(self.me);
-        let base = nv.payload.base;
         if self.log.watermark() < base {
             // Slots below `base` are decided elsewhere: fetch their
             // certificates rather than re-agreeing on them. Every member
@@ -1374,20 +1430,22 @@ impl Replica {
         let protocol = std::mem::take(&mut self.pending_protocol);
         for msg in protocol {
             match msg {
-                XpMsg::Prepare(sp) if sp.payload.view >= self.view => self.on_prepare(ctx, sp),
-                XpMsg::Commit(sc) if sc.payload.view >= self.view => self.on_commit(ctx, sc),
+                Authentic::Prepare(sp) if sp.payload().view >= self.view => {
+                    self.on_prepare(ctx, sp)
+                }
+                Authentic::Commit(sc) if sc.payload().view >= self.view => self.on_commit(ctx, sc),
                 _ => {}
             }
         }
         let mut max_slot = self.next_slot.max(base);
-        for sp in &nv.payload.reproposals {
-            max_slot = max_slot.max(sp.payload.slot + 1);
+        for sp in reproposals {
+            max_slot = max_slot.max(sp.payload().slot + 1);
             if in_quorum {
-                self.process_prepare_locally(ctx, sp.clone());
+                self.process_prepare_locally(ctx, sp);
             } else {
                 // Passive replicas track the log so their future
                 // VIEW-CHANGE messages carry the entries.
-                self.log.accept_prepare(sp.clone());
+                self.log.accept_prepare(sp.into_signed());
             }
         }
         self.next_slot = max_slot;
@@ -1430,7 +1488,7 @@ impl Replica {
 
     /// Buffers a protocol message for replay after the next view install,
     /// bounded to keep a Byzantine flood from growing memory.
-    fn stash(&mut self, msg: XpMsg) {
+    fn stash(&mut self, msg: Authentic) {
         const MAX_PENDING: usize = 100_000;
         if self.pending_protocol.len() >= MAX_PENDING {
             self.pending_protocol.pop_front();
@@ -1458,27 +1516,17 @@ impl Replica {
         if start >= end {
             return;
         }
-        let mut entries = self.log.decided_entries(start..end);
+        let entries = self.log.decided_entries(start..end);
         self.lazy_sent = end;
         if entries.is_empty() {
             return;
         }
         let members = *self.active_quorum().members();
-        let mut passive = self
+        let passive = self
             .cfg
             .processes()
-            .filter(|&k| k != self.me && !members.contains(k))
-            .peekable();
-        // Clones for all but the last passive replica, which takes the
-        // original.
-        while let Some(k) = passive.next() {
-            let entries = if passive.peek().is_some() {
-                entries.clone()
-            } else {
-                std::mem::take(&mut entries)
-            };
-            ctx.send(k, XpMsg::LazyUpdate { entries });
-        }
+            .filter(|&k| k != self.me && !members.contains(k));
+        self.send_all(ctx, passive, XpMsg::LazyUpdate { entries });
     }
 
     /// Answers a state-transfer request with whatever certified decided
@@ -1504,11 +1552,10 @@ impl Replica {
     /// batch) after verifying each certificate, then executes anything
     /// that became ready.
     fn adopt_entries(&mut self, ctx: &mut Context<'_, XpMsg>, entries: Vec<DecidedEntry>) {
-        for entry in entries {
-            if !self.verify_certificate(&entry) {
-                continue;
+        for DecidedEntry { prepare, commits } in entries {
+            if let Some(prepare) = self.verify_certificate(prepare, &commits) {
+                self.log.adopt_decided(prepare.into_signed(), commits);
             }
-            self.log.adopt_decided(entry.prepare, entry.commits);
         }
         self.execute_and_reply(ctx);
     }
@@ -1517,27 +1564,30 @@ impl Replica {
     /// leader and every non-leader member of that view's quorum
     /// contributed a matching signed commit — the exact evidence a decided
     /// slot rests on, so not even a Byzantine sender can forge one.
-    fn verify_certificate(&self, entry: &DecidedEntry) -> bool {
-        let sp = &entry.prepare;
-        if !self.verify_prepare_once(sp) {
-            return false;
+    fn verify_certificate(
+        &self,
+        prepare: SignedPrepare,
+        commits: &[SignedCommit],
+    ) -> Option<Verified<PreparePayload>> {
+        let sp = self.verify_prepare_once(prepare)?;
+        let p = sp.payload();
+        let leader = self.views.leader(p.view);
+        if sp.signer() != leader {
+            return None;
         }
-        let view = sp.payload.view;
-        let leader = self.views.leader(view);
-        if sp.signer != leader {
-            return false;
-        }
-        let members = *self.views.group(view).members();
-        let digest = sp.payload.batch.digest();
-        members.iter().filter(|k| *k != leader).all(|k| {
-            entry.commits.iter().any(|c| {
+        let members = *self.views.group(p.view).members();
+        let digest = p.batch.digest();
+        let complete = members.iter().filter(|k| *k != leader).all(|k| {
+            commits.iter().any(|c| {
+                let cp = claimed(c);
                 c.signer == k
-                    && c.payload.view == view
-                    && c.payload.slot == sp.payload.slot
-                    && c.payload.digest == digest
+                    && cp.view == p.view
+                    && cp.slot == p.slot
+                    && cp.digest == digest
                     && self.verifier.verify(c).is_ok()
             })
-        })
+        });
+        complete.then_some(sp)
     }
 
     // ------------------------------------------------------------------
@@ -1556,29 +1606,24 @@ impl Replica {
             if payload.slot <= self.stable_checkpoint_slot() {
                 continue;
             }
-            let vote = self.signer.sign(payload);
-            self.broadcast(ctx, || XpMsg::Checkpoint(vote.clone()));
+            let vote = self.signer.seal(payload);
+            self.broadcast(ctx, || XpMsg::Checkpoint(vote.signed().clone()));
             self.on_checkpoint(ctx, vote);
         }
     }
 
-    /// Records a checkpoint vote (a peer's signature was verified by
-    /// `authenticate`; our own is trivially valid) and promotes the slot
-    /// to stable once `f + 1` byte-identical payloads carry signatures
-    /// from distinct replicas.
-    // lint: allow(S1, σ verified by authenticate in handle_message; own votes are self-signed)
-    fn on_checkpoint(&mut self, ctx: &mut Context<'_, XpMsg>, sc: SignedCheckpoint) {
+    /// Records a checkpoint vote (a peer's or our own) and promotes the
+    /// slot to stable once `f + 1` byte-identical payloads carry
+    /// signatures from distinct replicas.
+    fn on_checkpoint(&mut self, ctx: &mut Context<'_, XpMsg>, sc: Verified<CheckpointPayload>) {
         if !self.rcfg.checkpoint.enabled() {
             return;
         }
-        let slot = sc.payload.slot;
-        if slot <= self.stable_checkpoint_slot() || !self.cfg.contains(sc.signer) {
+        let (slot, signer) = (sc.payload().slot, sc.signer());
+        if slot <= self.stable_checkpoint_slot() || !self.cfg.contains(signer) {
             return;
         }
-        self.ckpt_votes
-            .entry(slot)
-            .or_default()
-            .insert(sc.signer, sc);
+        self.ckpt_votes.entry(slot).or_default().insert(signer, sc);
         while self.ckpt_votes.len() > MAX_VOTE_SLOTS {
             self.ckpt_votes.pop_last();
         }
@@ -1592,8 +1637,8 @@ impl Replica {
         for candidate in votes.values() {
             let matching: Vec<SignedCheckpoint> = votes
                 .values()
-                .filter(|v| v.payload == candidate.payload)
-                .cloned()
+                .filter(|v| v.payload() == candidate.payload())
+                .map(|v| v.signed().clone())
                 .collect();
             if matching.len() >= need {
                 cert_sigs = Some(matching);
@@ -1650,7 +1695,7 @@ impl Replica {
     /// pattern. At least one signer is then correct, and correct replicas
     /// only sign checkpoints they computed by executing the prefix.
     fn verify_checkpoint_cert(&self, cert: &CheckpointCert) -> bool {
-        let Some(payload) = cert.payload() else {
+        let Some(payload) = cert.sigs.first().map(claimed) else {
             return false;
         };
         if payload.peaks.len() != payload.slot.count_ones() as usize {
@@ -1658,7 +1703,7 @@ impl Replica {
         }
         let mut signers = BTreeSet::new();
         for s in &cert.sigs {
-            if s.payload != *payload
+            if claimed(s) != payload
                 || !self.cfg.contains(s.signer)
                 || self.verifier.verify(s).is_err()
                 || !signers.insert(s.signer)
@@ -2242,31 +2287,13 @@ impl Replica {
         }
     }
 
-    /// Whether `sp` carries a valid signature. A PREPARE equal in signer,
-    /// tag and every payload byte to the one the log holds for its slot
-    /// was verified before it was admitted (every `Log::accept_prepare` /
+    /// `sp`, if its signature is valid. A PREPARE equal in signer, tag
+    /// and every payload byte to the one the log holds for its slot was
+    /// verified before it was admitted (every `Log::accept_prepare` /
     /// `adopt_decided` caller verifies first); any other is verified now.
-    // lint: allow(S1, reads only the slot number, to find the already-verified log entry the PREPARE is compared with; everything else falls through to verify)
-    fn verify_prepare_once(&self, sp: &SignedPrepare) -> bool {
-        self.log.prepare_at(sp.payload.slot) == Some(sp) || self.verifier.verify(sp).is_ok()
-    }
-
-    fn authenticate(&self, msg: &XpMsg) -> Option<ProcessId> {
-        match msg {
-            XpMsg::Prepare(m) => self.verifier.verify(m).ok().map(|_| m.signer),
-            XpMsg::Commit(m) => self.verifier.verify(m).ok().map(|_| m.signer),
-            XpMsg::ViewChange(m) => self.verifier.verify(m).ok().map(|_| m.signer),
-            XpMsg::NewView(m) => self.verifier.verify(m).ok().map(|_| m.signer),
-            XpMsg::Update(m) => self.verifier.verify(m).ok().map(|_| m.signer),
-            XpMsg::Heartbeat(m) => self.verifier.verify(m).ok().map(|_| m.signer),
-            XpMsg::Checkpoint(m) => self.verifier.verify(m).ok().map(|_| m.signer),
-            XpMsg::LazyUpdate { .. } | XpMsg::StateFetch { .. } | XpMsg::StateBatch { .. } => None,
-            XpMsg::SyncQuery { .. }
-            | XpMsg::SyncInfo { .. }
-            | XpMsg::SyncFetch { .. }
-            | XpMsg::SyncChunk { .. } => None,
-            XpMsg::Request(_) | XpMsg::Reply(_) => None,
-        }
+    fn verify_prepare_once(&self, sp: SignedPrepare) -> Option<Verified<PreparePayload>> {
+        let earlier = self.log.prepare_at(claimed(&sp).slot);
+        self.verifier.check_once(sp, earlier).ok()
     }
 
     /// Arms the `TIMER_FD_POLL` the detector's earliest deadline needs,
@@ -2612,6 +2639,27 @@ mod expect_oracle {
         ]
     }
 
+    /// What the detector is shown for `m`: the message itself for the
+    /// closures (a state batch's marker for either batch kind), its
+    /// verified form for the keys; `None` for those it never sees.
+    fn shown(v: &Verifier, m: &XpMsg) -> Option<(XpMsg, Authentic)> {
+        let seen = match m.clone() {
+            XpMsg::Prepare(s) => Authentic::Prepare(v.check(s).ok()?),
+            XpMsg::Commit(s) => Authentic::Commit(v.check(s).ok()?),
+            XpMsg::ViewChange(s) => Authentic::ViewChange(v.check(s).ok()?),
+            XpMsg::NewView(s) => Authentic::NewView(v.check(s).ok()?),
+            XpMsg::Update(s) => Authentic::Update(v.check(s).ok()?),
+            XpMsg::Heartbeat(_) => Authentic::Heartbeat,
+            XpMsg::Checkpoint(s) => Authentic::Checkpoint(v.check(s).ok()?),
+            XpMsg::LazyUpdate { .. } | XpMsg::StateBatch { .. } => {
+                let marker = XpMsg::StateBatch { entries: vec![] };
+                return Some((marker, Authentic::StateBatch));
+            }
+            _ => return None,
+        };
+        Some((m.clone(), seen))
+    }
+
     /// Every key, on field values the messages carry and on values they do
     /// not, is met by exactly the messages its closure accepted, under the
     /// same label.
@@ -2661,13 +2709,14 @@ mod expect_oracle {
         absent.push(XpExpect::ViewChange { target: 6 });
         absent.push(XpExpect::NewView { target: 6 });
         let keys = carried.into_iter().map(|k| (k, true));
+        let verifier = chain.verifier();
         for (key, carried) in keys.chain(absent.into_iter().map(|k| (k, false))) {
             let closure = oracle(key);
             assert_eq!(key.label(), closure.label(), "{key:?}");
             let mut met = [false; 2];
-            for m in &msgs {
-                let is_met = key.is_met_by(m);
-                assert_eq!(is_met, closure.is_met_by(m), "{key:?} on {m:?}");
+            for (m, seen) in msgs.iter().filter_map(|m| shown(&verifier, m)) {
+                let is_met = key.is_met_by(&seen);
+                assert_eq!(is_met, closure.is_met_by(&m), "{key:?} on {m:?}");
                 met[usize::from(is_met)] = true;
             }
             assert!(met[0], "{key:?} is missed by some message");

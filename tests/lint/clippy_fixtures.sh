@@ -1,16 +1,16 @@
 #!/usr/bin/env bash
-# The determinism, panic, unsafe, sans-io and quorum-arithmetic checks
-# (H1, D1–D3, S2, P1, P2, P3) are enforced by rustc and clippy, not by
-# qsel-lint. This script proves that configuration still rejects each
-# check's bad fixture and accepts its good twin:
+# The verify-before-use, determinism, panic, unsafe, sans-io and
+# quorum-arithmetic checks (S1, H1, D1–D3, S2, P1, P2, P3) are enforced
+# by rustc and clippy. This script proves that configuration still
+# rejects each check's bad fixtures and accepts its good twin:
 #
 #   tests/lint/clippy_fixtures.sh          # from the repo root
 #
-# Each `crates/lint/tests/fixtures/{d1,d2,d3,s2,h1,p1,p2,p3}_{bad,good}.rs`
+# Each `tests/lint/fixtures/<check>_bad*.rs` and `<check>_good.rs`
 # becomes the `lib.rs` of a throwaway crate in a scratch workspace that
 # carries the root manifest's `[workspace.lints.*]` tables verbatim and
 # the root `clippy.toml`, and depends on the real `qsel-types` (P2's
-# fixtures use its opaque `Faults`). A bad fixture must fail
+# fixtures use its opaque `Faults`, S1's its `Signed`). A bad fixture must fail
 # `cargo clippy -- -D warnings`, and for every `//! rejected-by: CODE
 # NEEDLE` line it carries, some error must have code CODE (a lint name
 # or a rustc error code) and mention NEEDLE. A good fixture must pass
@@ -18,7 +18,7 @@
 set -euo pipefail
 
 root=$(cd "$(dirname "$0")/../.." && pwd)
-fixtures=$root/crates/lint/tests/fixtures
+fixtures=$root/tests/lint/fixtures
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
 
@@ -104,47 +104,49 @@ for line in sys.stdin:
 '
 }
 
-for check in d1 d2 d3 s2 h1 p1 p2 p3; do
-    for kind in bad good; do
-        fixture=$fixtures/${check}_$kind.rs
-        cp "$fixture" "$work/fixture/src/lib.rs"
-        touch "$work/fixture/src/lib.rs"
-        set +e
-        out=$(cd "$work" && cargo clippy -q --offline -p fixture --message-format=json -- -D warnings 2>/dev/null)
-        status=$?
-        set -e
-        diags=$(printf '%s\n' "$out" | errors)
-        if [ "$kind" = good ]; then
-            if [ $status -ne 0 ] || [ -n "$diags" ]; then
-                echo "FAIL ${check}_good.rs: expected clean, got:"; printf '%s\n' "$diags"
-                failures=$((failures + 1))
-            else
-                echo "ok   ${check}_good.rs accepted"
-            fi
-            continue
-        fi
-        if [ $status -eq 0 ]; then
-            echo "FAIL ${check}_bad.rs: accepted"
+for fixture in "$fixtures"/*.rs; do
+    name=$(basename "$fixture")
+    case $name in
+        *_good.rs) kind=good ;;
+        *) kind=bad ;;
+    esac
+    cp "$fixture" "$work/fixture/src/lib.rs"
+    touch "$work/fixture/src/lib.rs"
+    set +e
+    out=$(cd "$work" && cargo clippy -q --offline -p fixture --message-format=json -- -D warnings 2>/dev/null)
+    status=$?
+    set -e
+    diags=$(printf '%s\n' "$out" | errors)
+    if [ "$kind" = good ]; then
+        if [ $status -ne 0 ] || [ -n "$diags" ]; then
+            echo "FAIL $name: expected clean, got:"; printf '%s\n' "$diags"
             failures=$((failures + 1))
-            continue
+        else
+            echo "ok   $name accepted"
         fi
-        expectations=$(sed -n 's|^//! rejected-by: ||p' "$fixture")
-        if [ -z "$expectations" ]; then
-            echo "FAIL ${check}_bad.rs: no rejected-by line"
+        continue
+    fi
+    if [ $status -eq 0 ]; then
+        echo "FAIL $name: accepted"
+        failures=$((failures + 1))
+        continue
+    fi
+    expectations=$(sed -n 's|^//! rejected-by: ||p' "$fixture")
+    if [ -z "$expectations" ]; then
+        echo "FAIL $name: no rejected-by line"
+        failures=$((failures + 1))
+        continue
+    fi
+    while read -r lint needle; do
+        if printf '%s\n' "$diags" | awk -F '\t' -v l="$lint" -v n="$needle" \
+            '$1 == l && index($2, n) { found = 1 } END { exit !found }'; then
+            echo "ok   $name rejected by $lint ($needle)"
+        else
+            echo "FAIL $name: no $lint error mentioning $needle; got:"
+            printf '%s\n' "$diags"
             failures=$((failures + 1))
-            continue
         fi
-        while read -r lint needle; do
-            if printf '%s\n' "$diags" | awk -F '\t' -v l="$lint" -v n="$needle" \
-                '$1 == l && index($2, n) { found = 1 } END { exit !found }'; then
-                echo "ok   ${check}_bad.rs rejected by $lint ($needle)"
-            else
-                echo "FAIL ${check}_bad.rs: no $lint error mentioning $needle; got:"
-                printf '%s\n' "$diags"
-                failures=$((failures + 1))
-            fi
-        done <<< "$expectations"
-    done
+    done <<< "$expectations"
 done
 
 if [ $failures -ne 0 ]; then
