@@ -345,6 +345,28 @@ mod tests {
     }
 
     #[test]
+    fn sealed_and_checked_messages_agree() {
+        let (chain, v) = setup();
+        let sealed = chain.signer(ProcessId(2)).seal(5u32);
+        let checked = v.check(sealed.signed().clone()).unwrap();
+        assert_eq!(sealed, checked);
+        assert_eq!((*checked.payload(), checked.signer()), (5, ProcessId(2)));
+    }
+
+    #[test]
+    fn check_once_trusts_only_an_identical_earlier_message() {
+        let (chain, v) = setup();
+        let earlier = chain.signer(ProcessId(3)).sign(7u64);
+        let same = v.check_once(earlier.clone(), Some(&earlier));
+        assert_eq!(same.map(|m| *m.payload()), Ok(7));
+        let mut forged = earlier.clone();
+        forged.payload = 8;
+        let bad = Err(VerifyError::BadSignature(ProcessId(3)));
+        assert_eq!(v.check_once(forged.clone(), Some(&earlier)), bad);
+        assert_eq!(v.check_once(forged, None), bad);
+    }
+
+    #[test]
     fn different_seeds_give_different_tags() {
         let cfg = ClusterConfig::new(3, 1).unwrap();
         let a = Keychain::new(&cfg, 1).signer(ProcessId(1)).sign(1u32);
