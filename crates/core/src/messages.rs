@@ -86,6 +86,10 @@ impl Decode for FollowersPayload {
 pub type SignedFollowers = Signed<FollowersPayload>;
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_fields,
+    reason = "S1 binds production code; tests read and tamper with payloads to build fixtures and forgeries"
+)]
 mod tests {
     use super::*;
     use qsel_types::crypto::Keychain;

@@ -612,11 +612,15 @@ mod tests {
         let stats = sim.stats();
         assert!(stats.by_kind["heartbeat"] > 0);
         // No failures: no update traffic beyond possibly nothing.
-        assert!(stats.by_kind.get("followers").is_none());
+        assert!(!stats.by_kind.contains_key("followers"));
     }
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_fields,
+    reason = "S1 binds production code; tests read and tamper with payloads to build fixtures and forgeries"
+)]
 mod expect_oracle {
     use super::*;
     use crate::messages::{FollowersPayload, UpdateRow};

@@ -388,8 +388,8 @@ mod tests {
         // propagated, p5 is in no quorum (paper §VI-C).
         let (_, _, mut modules) = setup(5, 2);
         let mut pending = Vec::new();
-        for i in 0..4 {
-            pending.extend(modules[i].on_suspected(set(&[5])));
+        for m in &mut modules[..4] {
+            pending.extend(m.on_suspected(set(&[5])));
         }
         let _ = propagate(&mut modules, pending);
         for m in &modules[..4] {

@@ -105,7 +105,7 @@ proptest! {
             step += 1;
             let Some((to, msg)) = net.pop(pick) else { break };
             // Occasional duplicate delivery (idempotence check).
-            if step % dup_every == 0 {
+            if step.is_multiple_of(dup_every) {
                 let m = &mut modules[to.index()];
                 let out = m.on_update(msg.clone());
                 let me = m.me();

@@ -68,7 +68,7 @@ proptest! {
                     outstanding.clear();
                 }
                 Op::Advance(ms) => {
-                    now = now + SimDuration::millis(u64::from(ms));
+                    now += SimDuration::millis(u64::from(ms));
                     fd.poll(now);
                 }
             }

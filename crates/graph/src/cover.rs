@@ -6,8 +6,6 @@
 //! executable so the proofs' premises can be checked in tests and by the
 //! adversary's strategy search.
 
-#[cfg(test)]
-use qsel_types::ProcessId;
 use qsel_types::ProcessSet;
 
 use crate::graph::SuspectGraph;
@@ -72,6 +70,12 @@ pub fn duality_holds(g: &SuspectGraph, set: &ProcessSet) -> bool {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use qsel_types::ProcessId;
+
+    /// Full set over `n` processes without a `ClusterConfig`.
+    fn full_for(n: u32) -> ProcessSet {
+        (1..=n).map(ProcessId).collect()
+    }
 
     #[test]
     fn cover_check() {
@@ -145,15 +149,9 @@ mod tests {
             }
             let c = g.min_vertex_cover();
             prop_assert!(g.is_vertex_cover(&c));
-            if c.len() > 0 {
+            if !c.is_empty() {
                 prop_assert!(!g.has_vertex_cover(c.len() as u32 - 1));
             }
         }
     }
-}
-
-/// Test helper: full set over `n` processes without a `ClusterConfig`.
-#[cfg(test)]
-fn full_for(n: u32) -> ProcessSet {
-    (1..=n).map(ProcessId).collect()
 }

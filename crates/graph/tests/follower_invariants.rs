@@ -74,7 +74,6 @@ proptest! {
     #![proptest_config(ProptestConfig {
         cases: 32,
         max_global_rejects: 65_536,
-        ..ProptestConfig::default()
     })]
 
     /// Lemma 8 a (uniqueness direction): when the maximal line subgraph

@@ -179,7 +179,7 @@ mod tests {
         let mut calls = 0u32;
         run_cases(&ProptestConfig::with_cases(3), "t", |_| {
             calls += 1;
-            if calls % 2 == 0 {
+            if calls.is_multiple_of(2) {
                 Err(TestCaseError::reject("odd only"))
             } else {
                 Ok(())

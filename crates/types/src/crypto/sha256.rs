@@ -232,6 +232,31 @@ impl Sha256 {
     }
 }
 
+/// The chaining state of a [`Sha256`] that has absorbed exactly one
+/// 64-byte block: a keyed hash kept as 32 bytes, resumed by
+/// [`Midstate::resume`] without compressing the block again.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Midstate([u32; 8]);
+
+impl Midstate {
+    /// Compresses `block`, the one compression a midstate costs.
+    pub(crate) fn of(block: &[u8; 64]) -> Self {
+        let mut h = Sha256::new();
+        h.compress(block);
+        Midstate(h.state)
+    }
+
+    /// A hasher in the state [`Sha256::update`] on `block` leaves.
+    pub(crate) fn resume(&self) -> Sha256 {
+        Sha256 {
+            state: self.0,
+            buffer: [0; 64],
+            buffered: 0,
+            length_bits: 512,
+        }
+    }
+}
+
 impl Default for Sha256 {
     fn default() -> Self {
         Sha256::new()
@@ -306,6 +331,21 @@ mod tests {
                 h.update(std::slice::from_ref(b));
             }
             assert_eq!(h.finalize(), d1, "len {len}");
+        }
+    }
+
+    #[test]
+    fn a_resumed_midstate_hashes_as_if_the_block_came_first() {
+        let block: [u8; 64] = std::array::from_fn(|i| i as u8);
+        for len in [0, 1, 55, 56, 64, 200] {
+            let tail = vec![0xa5u8; len];
+            let mut h = Midstate::of(&block).resume();
+            h.update(&tail);
+            assert_eq!(
+                h.finalize(),
+                sha256(&[&block[..], &tail].concat()),
+                "len {len}"
+            );
         }
     }
 

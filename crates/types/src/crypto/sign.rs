@@ -9,12 +9,12 @@
 use std::error::Error;
 use std::fmt;
 
-use crate::encode::{with_encoded, Decode, DecodeError, Encode, Reader};
+use crate::encode::{with_sign_form, Decode, DecodeError, Encode, Reader};
 use crate::id::{ClusterConfig, ProcessId};
 
-use super::sha256::{Digest, Sha256};
+use super::sha256::{Digest, Midstate};
 
-/// A signature tag over an encoded payload.
+/// A signature tag over a payload's [sign form](Encode::sign_form).
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SigTag(Digest);
 
@@ -56,6 +56,12 @@ pub struct Signed<T> {
 impl<T: Encode> Encode for Signed<T> {
     fn encode(&self, buf: &mut Vec<u8>) {
         self.payload.encode(buf);
+        self.signer.encode(buf);
+        self.tag.encode(buf);
+    }
+
+    fn sign_form(&self, buf: &mut Vec<u8>) {
+        self.payload.sign_form(buf);
         self.signer.encode(buf);
         self.tag.encode(buf);
     }
@@ -136,23 +142,36 @@ impl<T> Verified<T> {
 /// ```
 #[derive(Clone, Debug)]
 pub struct Keychain {
-    secrets: Vec<Digest>,
+    keys: Vec<Midstate>,
+}
+
+/// Process `id`'s secret key block under `seed`: the first block of every
+/// tag it makes.
+fn key_block(seed: u64, id: ProcessId) -> [u8; 64] {
+    let mut block = [0; 64];
+    block[..13].copy_from_slice(b"qsel-keychain");
+    block[13..21].copy_from_slice(&seed.to_le_bytes());
+    block[21..25].copy_from_slice(&id.0.to_le_bytes());
+    block
+}
+
+/// `SHA-256(key block ‖ sign form of payload)`, resumed from the key
+/// block's midstate.
+fn tag(key: &Midstate, payload: &(impl Encode + ?Sized)) -> SigTag {
+    let mut h = key.resume();
+    with_sign_form(payload, |bytes| h.update(bytes));
+    SigTag(h.finalize())
 }
 
 impl Keychain {
-    /// Derives per-process secrets for every process of `cfg` from `seed`.
+    /// Derives per-process keys for every process of `cfg` from `seed`,
+    /// one compression each.
     pub fn new(cfg: &ClusterConfig, seed: u64) -> Self {
-        let secrets = cfg
+        let keys = cfg
             .processes()
-            .map(|p| {
-                let mut h = Sha256::new();
-                h.update(b"qsel-keychain");
-                h.update(&seed.to_le_bytes());
-                h.update(&p.0.to_le_bytes());
-                h.finalize()
-            })
+            .map(|p| Midstate::of(&key_block(seed, p)))
             .collect();
-        Keychain { secrets }
+        Keychain { keys }
     }
 
     /// The signing handle for `id`.
@@ -168,14 +187,14 @@ impl Keychain {
     pub fn signer(&self, id: ProcessId) -> Signer {
         Signer {
             id,
-            secret: self.secrets[id.index()],
+            key: self.keys[id.index()],
         }
     }
 
     /// A verifier for all processes' signatures.
     pub fn verifier(&self) -> Verifier {
         Verifier {
-            secrets: self.secrets.clone(),
+            keys: self.keys.clone(),
         }
     }
 }
@@ -184,7 +203,7 @@ impl Keychain {
 #[derive(Clone, Debug)]
 pub struct Signer {
     id: ProcessId,
-    secret: Digest,
+    key: Midstate,
 }
 
 impl Signer {
@@ -195,11 +214,10 @@ impl Signer {
 
     /// Signs `payload`.
     pub fn sign<T: Encode>(&self, payload: T) -> Signed<T> {
-        let tag = self.tag_for(&payload);
         Signed {
+            tag: tag(&self.key, &payload),
             payload,
             signer: self.id,
-            tag,
         }
     }
 
@@ -208,21 +226,12 @@ impl Signer {
     pub fn seal<T: Encode>(&self, payload: T) -> Verified<T> {
         Verified(self.sign(payload))
     }
-
-    fn tag_for<T: Encode + ?Sized>(&self, payload: &T) -> SigTag {
-        let mut h = Sha256::new();
-        h.update(b"qsel-sig");
-        h.update(self.secret.as_bytes());
-        h.update(&self.id.0.to_le_bytes());
-        with_encoded(payload, |bytes| h.update(bytes));
-        SigTag(h.finalize())
-    }
 }
 
 /// Verifies signatures of any cluster process.
 #[derive(Clone, Debug)]
 pub struct Verifier {
-    secrets: Vec<Digest>,
+    keys: Vec<Midstate>,
 }
 
 impl Verifier {
@@ -235,17 +244,11 @@ impl Verifier {
     /// Returns [`VerifyError::UnknownSigner`] for out-of-cluster ids and
     /// [`VerifyError::BadSignature`] for tag mismatches.
     pub fn verify<'a, T: Encode>(&self, signed: &'a Signed<T>) -> Result<&'a T, VerifyError> {
-        let idx = signed.signer.index();
-        let secret = self
-            .secrets
-            .get(idx)
+        // Ids are 1-based: `p0`, like an id past the cluster, has no key.
+        let key = (signed.signer.0.checked_sub(1))
+            .and_then(|i| self.keys.get(i as usize))
             .ok_or(VerifyError::UnknownSigner(signed.signer))?;
-        let expected = Signer {
-            id: signed.signer,
-            secret: *secret,
-        }
-        .tag_for(&signed.payload);
-        if expected == signed.tag {
+        if tag(key, &signed.payload) == signed.tag {
             Ok(&signed.payload)
         } else {
             Err(VerifyError::BadSignature(signed.signer))
@@ -342,6 +345,25 @@ mod tests {
         let mut s = chain.signer(ProcessId(1)).sign(7u64);
         s.signer = ProcessId(42);
         assert_eq!(v.verify(&s), Err(VerifyError::UnknownSigner(ProcessId(42))));
+    }
+
+    #[test]
+    fn signer_zero_is_rejected_not_a_panic() {
+        let (chain, v) = setup();
+        let mut s = chain.signer(ProcessId(1)).sign(7u64);
+        s.signer = ProcessId(0);
+        assert_eq!(v.verify(&s), Err(VerifyError::UnknownSigner(ProcessId(0))));
+    }
+
+    #[test]
+    fn a_tag_is_the_hash_of_the_key_block_and_the_sign_form() {
+        let (chain, _) = setup();
+        let payload = vec![1u32, 2, 3];
+        let mut h = super::super::Sha256::new();
+        h.update(&key_block(1, ProcessId(4)));
+        h.update(&crate::encode::encode_to_vec(&payload));
+        let s = chain.signer(ProcessId(4)).sign(payload);
+        assert_eq!(s.tag, SigTag(h.finalize()));
     }
 
     #[test]

@@ -45,6 +45,14 @@ use crate::{Epoch, ProcessId, ProcessSet};
 pub trait Encode {
     /// Appends the canonical encoding of `self` to `buf`.
     fn encode(&self, buf: &mut Vec<u8>);
+
+    /// Appends the bytes a signature over `self` covers: the encoding,
+    /// unless a type stands in for its content by a digest it always holds
+    /// (XPaxos's `Batch`), and composites forward to their fields. Must be
+    /// injective wherever `encode` is, up to digest collisions.
+    fn sign_form(&self, buf: &mut Vec<u8>) {
+        self.encode(buf);
+    }
 }
 
 /// Encodes `value` into a fresh vector.
@@ -64,9 +72,18 @@ thread_local! {
 /// tags, which read the bytes once and keep none. A nested call (an
 /// `encode` that itself hashes) finds the buffer taken and starts empty.
 pub fn with_encoded<T: Encode + ?Sized, R>(value: &T, f: impl FnOnce(&[u8]) -> R) -> R {
+    with_buffer(|buf| value.encode(buf), f)
+}
+
+/// [`with_encoded`] for the [`Encode::sign_form`] of `value`.
+pub fn with_sign_form<T: Encode + ?Sized, R>(value: &T, f: impl FnOnce(&[u8]) -> R) -> R {
+    with_buffer(|buf| value.sign_form(buf), f)
+}
+
+fn with_buffer<R>(write: impl FnOnce(&mut Vec<u8>), f: impl FnOnce(&[u8]) -> R) -> R {
     let mut buf = ENCODE_BUF.take();
     buf.clear();
-    value.encode(&mut buf);
+    write(&mut buf);
     let out = f(&buf);
     ENCODE_BUF.set(buf);
     out
@@ -236,11 +253,22 @@ impl<T: Encode> Encode for [T] {
             item.encode(buf);
         }
     }
+
+    fn sign_form(&self, buf: &mut Vec<u8>) {
+        (self.len() as u64).encode(buf);
+        for item in self {
+            item.sign_form(buf);
+        }
+    }
 }
 
 impl<T: Encode> Encode for Vec<T> {
     fn encode(&self, buf: &mut Vec<u8>) {
         self.as_slice().encode(buf);
+    }
+
+    fn sign_form(&self, buf: &mut Vec<u8>) {
+        self.as_slice().sign_form(buf);
     }
 }
 

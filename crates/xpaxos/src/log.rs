@@ -513,6 +513,10 @@ impl Log {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_fields,
+    reason = "S1 binds production code; tests read and tamper with payloads to build fixtures and forgeries"
+)]
 mod tests {
     use super::*;
     use qsel_types::crypto::Keychain;

@@ -123,6 +123,14 @@ impl Encode for Batch {
         buf.extend_from_slice(b"BTCH");
         self.reqs.encode(buf);
     }
+
+    /// A signature covers the batch by its digest: the fields are private,
+    /// so the digest is always that of the requests' encoding, and
+    /// collision resistance binds every request as hashing them would.
+    fn sign_form(&self, buf: &mut Vec<u8>) {
+        buf.extend_from_slice(b"BTCD");
+        self.digest.encode(buf);
+    }
 }
 
 impl Decode for Batch {
@@ -150,6 +158,13 @@ impl Encode for PreparePayload {
         self.view.encode(buf);
         self.slot.encode(buf);
         self.batch.encode(buf);
+    }
+
+    fn sign_form(&self, buf: &mut Vec<u8>) {
+        buf.extend_from_slice(b"PREP");
+        self.view.encode(buf);
+        self.slot.encode(buf);
+        self.batch.sign_form(buf);
     }
 }
 
@@ -191,6 +206,14 @@ impl Encode for CommitPayload {
         self.digest.encode(buf);
         self.prepare.encode(buf);
     }
+
+    fn sign_form(&self, buf: &mut Vec<u8>) {
+        buf.extend_from_slice(b"CMMT");
+        self.view.encode(buf);
+        self.slot.encode(buf);
+        self.digest.encode(buf);
+        self.prepare.sign_form(buf);
+    }
 }
 
 impl Decode for CommitPayload {
@@ -230,6 +253,13 @@ impl Encode for ViewChangePayload {
         self.watermark.encode(buf);
         self.prepared.encode(buf);
     }
+
+    fn sign_form(&self, buf: &mut Vec<u8>) {
+        buf.extend_from_slice(b"VCHG");
+        self.target_view.encode(buf);
+        self.watermark.encode(buf);
+        self.prepared.sign_form(buf);
+    }
 }
 
 impl Decode for ViewChangePayload {
@@ -267,6 +297,13 @@ impl Encode for NewViewPayload {
         self.view.encode(buf);
         self.base.encode(buf);
         self.reproposals.encode(buf);
+    }
+
+    fn sign_form(&self, buf: &mut Vec<u8>) {
+        buf.extend_from_slice(b"NVEW");
+        self.view.encode(buf);
+        self.base.encode(buf);
+        self.reproposals.sign_form(buf);
     }
 }
 
@@ -706,11 +743,90 @@ impl Decode for XpMsg {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_fields,
+    reason = "S1 binds production code; tests read and tamper with payloads to build fixtures and forgeries"
+)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use qsel_types::crypto::Keychain;
     use qsel_types::encode::encode_to_vec;
     use qsel_types::ClusterConfig;
+
+    /// The slow twin of `Signer::sign`: `SHA-256(key block ‖ sign form)`
+    /// from a fresh hasher, with the key block spelled out as
+    /// `Keychain::new` lays it out.
+    fn reference_tag<T: Encode>(seed: u64, signed: &Signed<T>) -> Vec<u8> {
+        let mut bytes = vec![0u8; 64];
+        bytes[..13].copy_from_slice(b"qsel-keychain");
+        bytes[13..21].copy_from_slice(&seed.to_le_bytes());
+        bytes[21..25].copy_from_slice(&signed.signer.0.to_le_bytes());
+        signed.payload.sign_form(&mut bytes);
+        sha256(&bytes).as_bytes().to_vec()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Over arbitrary PREPARE, COMMIT, VIEW-CHANGE and NEW-VIEW
+        /// payloads, the midstate tag equals the twin's.
+        #[test]
+        fn tags_match_the_reference_over_arbitrary_payloads(
+            seed in 0u64..u64::MAX,
+            view in 0u64..u64::MAX,
+            slot in 0u64..u64::MAX,
+            raw in proptest::collection::vec(
+                (1u32..100, 0u64..u64::MAX, 0u64..u64::MAX),
+                0..40
+            ),
+            split in 0usize..40,
+        ) {
+            let chain = Keychain::new(&ClusterConfig::new(4, 1).unwrap(), seed);
+            let reqs: Vec<Request> = raw
+                .into_iter()
+                .map(|(client, op, payload)| Request {
+                    client: ProcessId(client),
+                    op,
+                    payload,
+                })
+                .collect();
+            let split = split.min(reqs.len());
+            let prepares: Vec<SignedPrepare> = [&reqs[..split], &reqs[split..]]
+                .into_iter()
+                .zip([ProcessId(1), ProcessId(4)])
+                .map(|(part, leader)| {
+                    chain.signer(leader).sign(PreparePayload {
+                        view,
+                        slot,
+                        batch: Batch::new(part.to_vec()),
+                    })
+                })
+                .collect();
+            let commit = chain.signer(ProcessId(2)).sign(CommitPayload {
+                view,
+                slot: slot ^ 1,
+                digest: prepares[0].payload.batch.digest(),
+                prepare: prepares[0].clone(),
+            });
+            let view_change = chain.signer(ProcessId(3)).sign(ViewChangePayload {
+                target_view: view.wrapping_add(1),
+                watermark: slot,
+                prepared: prepares.clone(),
+            });
+            let new_view = chain.signer(ProcessId(4)).sign(NewViewPayload {
+                view: view.wrapping_add(1),
+                base: slot / 2,
+                reproposals: prepares.clone(),
+            });
+            for p in &prepares {
+                prop_assert_eq!(encode_to_vec(&p.tag), reference_tag(seed, p));
+            }
+            prop_assert_eq!(encode_to_vec(&commit.tag), reference_tag(seed, &commit));
+            prop_assert_eq!(encode_to_vec(&view_change.tag), reference_tag(seed, &view_change));
+            prop_assert_eq!(encode_to_vec(&new_view.tag), reference_tag(seed, &new_view));
+        }
+    }
 
     #[test]
     fn request_digest_distinguishes() {

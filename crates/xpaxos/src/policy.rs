@@ -257,7 +257,7 @@ mod tests {
         let p = ViewPolicy::new(&cfg(7, 2)); // q = 5, C(7,5) = 21
         for v in 0..21u64 {
             let g = p.group(v);
-            assert_eq!(p.rank(g.members()) as u64, v, "view {v}");
+            assert_eq!(p.rank(g.members()), v, "view {v}");
         }
     }
 

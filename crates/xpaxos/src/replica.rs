@@ -2495,6 +2495,10 @@ mod tests {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_fields,
+    reason = "S1 binds production code; tests read and tamper with payloads to build fixtures and forgeries"
+)]
 mod expect_oracle {
     use super::*;
     use qsel::messages::UpdateRow;

@@ -5,6 +5,7 @@
 use qsel_simnet::{LinkState, SimDuration, SimTime};
 use qsel_types::{ClusterConfig, ProcessId};
 use qsel_xpaxos::harness::{assert_safety, total_committed, ClusterBuilder, Equivocator, XpActor};
+use qsel_xpaxos::messages::{HeartbeatPayload, XpMsg};
 use qsel_xpaxos::replica::{QuorumPolicy, ReplicaConfig};
 
 fn cfg(n: u32, f: u32) -> ClusterConfig {
@@ -331,4 +332,24 @@ fn selection_beats_enumeration_on_view_changes() {
         sel <= en,
         "selection installed {sel} views, enumeration {en}"
     );
+}
+
+#[test]
+fn a_heartbeat_claiming_signer_p0_is_dropped_and_the_cluster_commits() {
+    // Ids are 1-based: p0 has no key, so every replica must drop the
+    // message as from an unknown signer, not index a key table with it.
+    let builder = ClusterBuilder::new(cfg(4, 1), 7).clients(2, 8);
+    let mut forged = builder
+        .keychain()
+        .signer(ProcessId(3))
+        .sign(HeartbeatPayload { seq: 0 });
+    forged.signer = ProcessId(0);
+    let mut sim = builder.build();
+    for p in 1..=4 {
+        let msg = XpMsg::Heartbeat(forged.clone());
+        sim.inject_at(SimTime::from_micros(1), ProcessId(3), ProcessId(p), msg);
+    }
+    sim.run_until(SimTime::from_micros(1_000_000));
+    assert_eq!(total_committed(&sim), 16);
+    assert_safety(&sim);
 }

@@ -3,6 +3,11 @@
 //! verified and stored for that slot. Anything else is verified in full,
 //! and a forged one still raises `⟨DETECTED⟩` against the COMMIT's sender.
 
+#![expect(
+    clippy::disallowed_fields,
+    reason = "S1 binds production code; tests read and tamper with payloads to build fixtures and forgeries"
+)]
+
 use qsel_obs::{TraceEvent, TraceSink};
 use qsel_simnet::{SimDuration, SimTime};
 use qsel_types::crypto::Keychain;

@@ -10,7 +10,12 @@
 //!   against committed goldens (`tests/golden/`, regenerable via
 //!   `examples/golden_gen.rs` on deliberate trace-vocabulary changes).
 
-use std::collections::HashSet;
+#![expect(
+    clippy::disallowed_methods,
+    reason = "P3 binds sans-io code; tests read the committed goldens and scenario files"
+)]
+
+use std::collections::BTreeSet;
 
 use proptest::prelude::*;
 use qsel_obs::TraceSink;
@@ -30,8 +35,10 @@ const HORIZON_MICROS: u64 = 10_000_000;
 /// op commits (asserting it does).
 fn run_cluster(seed: u64, policy: BatchPolicy) -> Simulation<XpMsg, XpActor> {
     let cfg = ClusterConfig::new(5, 1).unwrap();
-    let mut rcfg = ReplicaConfig::default();
-    rcfg.batch = policy;
+    let rcfg = ReplicaConfig {
+        batch: policy,
+        ..ReplicaConfig::default()
+    };
     let mut sim = ClusterBuilder::new(cfg, seed)
         .replica_config(rcfg)
         .clients(CLIENTS, OPS_PER_CLIENT)
@@ -74,7 +81,7 @@ proptest! {
         for id in sim.ids().collect::<Vec<_>>() {
             let Some(r) = sim.actor(id).replica() else { continue };
             // Exactly once: no (client, op) pair executes twice.
-            let mut seen = HashSet::new();
+            let mut seen = BTreeSet::new();
             let order: Vec<(u64, u32, u64)> = r
                 .log()
                 .executed

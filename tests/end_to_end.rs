@@ -80,7 +80,7 @@ fn throughput_recovers_after_crash() {
     let mut committed_before = 0u64;
     let mut rates = Vec::new();
     for step in 1..=8u64 {
-        t = t + bucket;
+        t += bucket;
         if step == 3 {
             sim.crash(ProcessId(2));
         }

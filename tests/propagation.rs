@@ -51,7 +51,7 @@ fn suspicion_propagates_within_one_round() {
         !q.contains(ProcessId(2))
     };
     'outer: while t < horizon {
-        t = t + step;
+        t += step;
         sim.run_until(t);
         for p in observers {
             if edge_known(&sim, p) {

@@ -10,6 +10,11 @@
 //!    byte-identical traces and verdicts — the league's cache-and-compare
 //!    reasoning depends on runs being pure functions of (file, seed).
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "P3 binds sans-io code; tests read the committed goldens and scenario files"
+)]
+
 use std::path::PathBuf;
 
 use qsel_repro::qsel_scenario::{parse, run_scenario};

@@ -27,7 +27,7 @@ fn identical_seeds_export_byte_identical_traces() {
         let sink_b = TraceSink::unbounded();
         let a = run_chaos_with_sink(seed, sink_a.clone());
         let b = run_chaos_with_sink(seed, sink_b.clone());
-        assert!(sink_a.len() > 0, "seed {seed}: trace is empty");
+        assert!(!sink_a.is_empty(), "seed {seed}: trace is empty");
         assert_eq!(
             sink_a.export_jsonl(),
             sink_b.export_jsonl(),

@@ -13,6 +13,11 @@
 //!   from before the crash is pending, and a state transfer past a donor
 //!   serving tampered chunks. Each also has a test of its own.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "P3 binds sans-io code; tests read the committed goldens and scenario files"
+)]
+
 mod common;
 
 use std::collections::BTreeSet;
