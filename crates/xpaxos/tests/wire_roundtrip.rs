@@ -259,8 +259,10 @@ fn fixed_requests() -> Vec<Request> {
 }
 
 /// `(kind, encoded length, SHA-256 of the encoding)` of every message
-/// `all_variants(3, 17, fixed_requests())` builds, computed at the commit
-/// before `Batch` shared its requests and memoized its digest.
+/// `all_variants(3, 17, fixed_requests())` builds. Signed variants were
+/// last regenerated when tags began to cover batches by digest; lengths
+/// and every byte outside the tag spans stayed as they were
+/// (`wire_pins.py`, EXPERIMENTS.md E-SIGN).
 const PINNED_WIRE: &[(&str, usize, &str)] = &[
     (
         "request",
@@ -270,12 +272,12 @@ const PINNED_WIRE: &[(&str, usize, &str)] = &[
     (
         "prepare",
         141,
-        "ae3eb0fadd63d7d5a4729e4ba2ee9b851f5dd48e887ac5c3b375f46f3c956107",
+        "e5781ea208032199e64a4f012fa3ffbbb0f0cbc990ee99789b61aeeee0d2c62b",
     ),
     (
         "commit",
         229,
-        "21af499a9a1be3ef19ab895ca9a57c1b52bf937b603a5950301e9235c9a626f8",
+        "d23b295027c34d518b773d1ac889734c18e7bf2d1e6745330c0f68287e9de548",
     ),
     (
         "reply",
@@ -285,27 +287,27 @@ const PINNED_WIRE: &[(&str, usize, &str)] = &[
     (
         "view-change",
         205,
-        "edb5d4d0ae1a5c6c86fdb5a2d1c40f9d3a9ace748f2688036cc46494f53b4fe0",
+        "c08d43cc3575f70231d35de965a856cfea3baf5ea7daa62cd8324ef4ff708f41",
     ),
     (
         "new-view",
         205,
-        "e06c19cca59276236bea8abc809dccf57de468017fd891414df8a766b82e8f4c",
+        "e2a1a5318eb5bc3215c88d94d07c1a6e8b007406b02dc856471253070bef3f54",
     ),
     (
         "update",
         81,
-        "b722b19d11dd24ae269f76e6b78140bff660082f038509d39e0a463814464b0f",
+        "5600ae019adeb9d626fa20b0553cd53600d17cbc5053b2d3df9648636dcd7476",
     ),
     (
         "heartbeat",
         49,
-        "025c117a740ad8ea8eb47ea92553104edfe65327ecc205762420dae8d507d738",
+        "6803a3ef5b4cdd1ca3608296764a493d1c120ba51b617bf81def5e4ba053c1cc",
     ),
     (
         "lazy-update",
         389,
-        "ec079f913f0efebbcd8a174cf53b5160454049dffb826450b19d95cfb671ca25",
+        "9fd3ef0f8d36888983f951f368ab9902c41943e1c1fd7894bf618fbd9c95da9e",
     ),
     (
         "state-fetch",
@@ -315,12 +317,12 @@ const PINNED_WIRE: &[(&str, usize, &str)] = &[
     (
         "state-batch",
         161,
-        "06c18f25901a07d5db5365912eeee9002653f5eb2d267b6b833159f9d9b72960",
+        "2933f25177c7d6af3ea64fe207b7c236f457ffed46ddf57346f5448067093da2",
     ),
     (
         "checkpoint",
         129,
-        "21ada19c282f56222cdb7e77bd28a53d62c0471e40821babd6455e643cd4b4d2",
+        "3c976c089a72ac86a27bcaa616276456477488a1f643823d35750cb17e70153e",
     ),
     (
         "sync-query",
@@ -330,7 +332,7 @@ const PINNED_WIRE: &[(&str, usize, &str)] = &[
     (
         "sync-info",
         286,
-        "759e67f0e8294dffd506a2422868a0ec8a02566961a54e31300562eb06a3499b",
+        "889e9bb225afb48d7814f113652157fccc4b73f5a2d212fc3074923990ad8ae2",
     ),
     (
         "sync-info",
@@ -349,8 +351,8 @@ const PINNED_WIRE: &[(&str, usize, &str)] = &[
     ),
 ];
 
-/// Sharing the requests and memoizing the digest are in-memory changes
-/// only: every variant still encodes to the bytes it had before.
+/// The wire format is pinned: an encoding change of any variant, or a
+/// change of what its signatures cover, fails here.
 #[test]
 fn encodings_are_byte_identical_to_the_pinned_wire_format() {
     let msgs = all_variants(3, 17, fixed_requests());
