@@ -88,7 +88,7 @@ pub type SignedFollowers = Signed<FollowersPayload>;
 #[cfg(test)]
 #[expect(
     clippy::disallowed_fields,
-    reason = "S1 binds production code; tests read and tamper with payloads to build fixtures and forgeries"
+    reason = "S1 binds production code, and tests read and tamper with payloads to build fixtures and forgeries"
 )]
 mod tests {
     use super::*;

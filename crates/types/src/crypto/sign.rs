@@ -356,17 +356,6 @@ mod tests {
     }
 
     #[test]
-    fn a_tag_is_the_hash_of_the_key_block_and_the_sign_form() {
-        let (chain, _) = setup();
-        let payload = vec![1u32, 2, 3];
-        let mut h = super::super::Sha256::new();
-        h.update(&key_block(1, ProcessId(4)));
-        h.update(&crate::encode::encode_to_vec(&payload));
-        let s = chain.signer(ProcessId(4)).sign(payload);
-        assert_eq!(s.tag, SigTag(h.finalize()));
-    }
-
-    #[test]
     fn sealed_and_checked_messages_agree() {
         let (chain, v) = setup();
         let sealed = chain.signer(ProcessId(2)).seal(5u32);

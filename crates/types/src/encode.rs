@@ -76,7 +76,7 @@ pub fn with_encoded<T: Encode + ?Sized, R>(value: &T, f: impl FnOnce(&[u8]) -> R
 }
 
 /// [`with_encoded`] for the [`Encode::sign_form`] of `value`.
-pub fn with_sign_form<T: Encode + ?Sized, R>(value: &T, f: impl FnOnce(&[u8]) -> R) -> R {
+pub(crate) fn with_sign_form<T: Encode + ?Sized, R>(value: &T, f: impl FnOnce(&[u8]) -> R) -> R {
     with_buffer(|buf| value.sign_form(buf), f)
 }
 

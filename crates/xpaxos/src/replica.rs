@@ -2497,7 +2497,7 @@ mod tests {
 #[cfg(test)]
 #[expect(
     clippy::disallowed_fields,
-    reason = "S1 binds production code; tests read and tamper with payloads to build fixtures and forgeries"
+    reason = "S1 binds production code, and tests read and tamper with payloads to build fixtures and forgeries"
 )]
 mod expect_oracle {
     use super::*;

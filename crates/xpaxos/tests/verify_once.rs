@@ -5,7 +5,7 @@
 
 #![expect(
     clippy::disallowed_fields,
-    reason = "S1 binds production code; tests read and tamper with payloads to build fixtures and forgeries"
+    reason = "S1 binds production code, and tests read and tamper with payloads to build fixtures and forgeries"
 )]
 
 use qsel_obs::{TraceEvent, TraceSink};

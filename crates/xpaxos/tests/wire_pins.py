@@ -43,7 +43,7 @@ def main(old_path, new_path):
     if [r[0] for r in old] != [r[0] for r in new] or not old:
         raise SystemExit("the dumps list different messages")
     ok = True
-    print(f"{'kind':<12} {'len old':>7} {'len new':>7} {'tags':>4} {'bytes differ':>12}  only in tag spans")
+    print(f"{'kind':<12} {'len old':>7} {'len new':>7} {'tag spans':>9} {'bytes differ':>12}  only in tag spans")
     for (kind, len_a, a, tags_a), (_, len_b, b, tags_b) in zip(old, new):
         spans_a, spans_b = tag_offsets(a, tags_a), tag_offsets(b, tags_b)
         in_span = set(i for o in spans_b for i in range(o, o + 32))
@@ -51,7 +51,7 @@ def main(old_path, new_path):
         good = len_a == len_b == len(a) == len(b) and spans_a == spans_b
         good = good and all(i in in_span for i in differ)
         ok = ok and good
-        print(f"{kind:<12} {len_a:>7} {len_b:>7} {len(spans_b):>4} {len(differ):>12}  {'yes' if good else 'NO'}")
+        print(f"{kind:<12} {len_a:>7} {len_b:>7} {len(spans_b):>9} {len(differ):>12}  {'yes' if good else 'NO'}")
     print()
     for kind, length, data, _ in new:
         print(f'    ("{kind}", {length}, "{hashlib.sha256(data).hexdigest()}"),')

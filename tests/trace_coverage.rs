@@ -15,7 +15,7 @@
 
 #![expect(
     clippy::disallowed_methods,
-    reason = "P3 binds sans-io code; tests read the committed goldens and scenario files"
+    reason = "P3 binds sans-io code, and tests read the committed goldens and scenario files"
 )]
 
 mod common;
